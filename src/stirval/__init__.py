@@ -25,6 +25,7 @@ from .stirling import (
     PrecisionExceeded,
     StirlingTriangle,
     de_wannemacker_gap,
+    de_wannemacker_gaps,
     get_engine,
     identity_battery,
     ksf_mod,
@@ -42,7 +43,6 @@ from .levels import (
     ResidueClass,
     build_level_tree,
     c_set_sequence,
-    class_members,
     classify_class,
     exceptional_indices,
     k5_structure_report,
@@ -66,8 +66,10 @@ from .sequences import (
     clarke_val_check,
     clarke_zero,
     cohen_check,
+    cohen_partial_sums,
     cohen_sum,
     t_sum,
+    t_sums,
 )
 from .approx import (
     approx_report,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Callable, Iterator
 
 from .padic import INFINITE, Valuation, nu_int
 from .reports import ConjectureReport
@@ -45,35 +46,27 @@ def _check_domain(m: int) -> None:
         raise ValueError("m must be >= 0")
 
 
-def _in_enumeration(n: int, element) -> bool:
+def _up_to(x: Callable[[int], int], bound: int) -> Iterator[tuple[int, int]]:
+    """Yield (m, x(m)) for m = 0, 1, ... while x(m) <= bound; x strictly increasing."""
     m = 0
-    while True:
-        v = element(m)
-        if v == n:
-            return True
-        if v > n:
-            return False
+    while (v := x(m)) <= bound:
+        yield m, v
         m += 1
 
 
 def in_I1(n: int) -> bool:
     """Membership in I1 = {x1(m) : m >= 0} by bounded enumeration."""
-    return _in_enumeration(n, x1)
+    return any(v == n for _, v in _up_to(x1, n))
 
 
 def in_I2(n: int) -> bool:
     """Membership in I2 = {x2(m) : m >= 0} by bounded enumeration."""
-    return _in_enumeration(n, x2)
+    return any(v == n for _, v in _up_to(x2, n))
 
 
 def i1_elements(bound: int) -> list[int]:
     """All elements of I1 that are <= bound."""
-    out = []
-    m = 0
-    while (v := x1(m)) <= bound:
-        out.append(v)
-        m += 1
-    return out
+    return [v for _, v in _up_to(x1, bound)]
 
 
 def aux_indicators(m: int) -> tuple[int, int, int]:
@@ -164,9 +157,7 @@ def approx_report(m_max: int) -> ConjectureReport:
     )
 
     stage2 = []
-    m = 0
-    while x1(m) <= m_max:
-        point = x1(m)
+    for m, point in _up_to(x1, m_max):
         _, alpha, _ = aux_indicators(m)
         predicted = _sign(alpha) * nu_int(2, f2(m))
         actual = err1(point)
@@ -183,13 +174,10 @@ def approx_report(m_max: int) -> ConjectureReport:
             report.record(False, {"stage": 2, **entry})
         else:
             report.record(True)
-        m += 1
     report.details["stage2"] = stage2
 
     stage3 = []
-    m = 0
-    while x2(m) <= m_max:
-        point = x2(m)
+    for m, point in _up_to(x2, m_max):
         _, _, beta_at_point = aux_indicators(point)
         f3_val = f3(point)
         predicted = (
@@ -205,7 +193,6 @@ def approx_report(m_max: int) -> ConjectureReport:
                 "agrees": actual == predicted,
             }
         )
-        m += 1
     report.details["stage3"] = {
         "census": stage3,
         "agreements": sum(1 for e in stage3 if e["agrees"]),

@@ -10,9 +10,9 @@ valuation serializes as an empty CSV field and as "inf" in JSON.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
-from fractions import Fraction
 
 from . import approx, levels, padic, sequences, stirling
 from .padic import INFINITE
@@ -56,122 +56,141 @@ def _emit_json(report: ConjectureReport, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _n_range(parser: _Parser, args) -> range:
+def _n_range(args) -> range:
     if args.n is not None:
         if args.n_min is not None or args.n_max is not None:
-            parser.error("give either --n or --n-min/--n-max, not both")
+            raise ValueError("give either --n or --n-min/--n-max, not both")
         return range(args.n, args.n + 1)
     if args.n_min is None or args.n_max is None:
-        parser.error("need --n, or both --n-min and --n-max")
+        raise ValueError("need --n, or both --n-min and --n-max")
     if args.n_min > args.n_max:
-        parser.error("--n-min must not exceed --n-max")
+        raise ValueError("--n-min must not exceed --n-max")
     return range(args.n_min, args.n_max + 1)
 
 
-def _cmd_val(parser: _Parser, args) -> int:
-    ns = _n_range(parser, args)
-    series = args.series
-    if series == "stirling":
-        if args.k is None:
-            parser.error("--series stirling requires --k")
-        vals = dict(stirling.get_engine(args.k).val2_range(ns.start, ns.stop))
-        rows = [(n, vals[n]) for n in ns]
-    elif series == "factorial":
-        rows = [(n, padic.legendre_factorial_val(args.p, n)) for n in ns]
-    elif series == "int":
-        rows = [(n, padic.nu_int(args.p, n)) for n in ns]
-    elif series == "cohen":
-        if args.k is None:
-            parser.error("--series cohen requires --k")
-        if ns.start < 1:
-            parser.error("cohen series needs n >= 1")
-        rows = []
-        total = Fraction(0)
-        for j in range(1, ns.stop):
-            total += Fraction(1 << j, j**args.k)
-            if j in ns:
-                rows.append((j, padic.nu_rat(2, total)))
-    else:  # unreachable: argparse restricts choices
-        parser.error(f"unknown series {series}")
-    _emit_csv(["n", "value"], rows, args.out)
+_CHOSEN = {"val": "--series {0.series}", "verify": "{0.target}", "figure": "figure {0.name}"}
+
+
+def _required_k(args) -> int:
+    """--k, which the chosen series, target or figure needs."""
+    if args.k is None:
+        raise ValueError(_CHOSEN[args.command].format(args) + " requires --k")
+    return args.k
+
+
+def _cohen_rows(k: int, ns: range) -> list[tuple[int, int]]:
+    """(n, nu_2(L_k(n))) for n in ns; ns starts at 1 or above, and may be empty."""
+    sums = sequences.cohen_partial_sums(k)
+    return [
+        (n, padic.nu_rat(2, total))
+        for n, total in itertools.islice(sums, ns.start - 1, max(ns.stop - 1, 0))
+    ]
+
+
+def _val_cohen(args, ns: range):
+    k = _required_k(args)
+    if ns.start < 1:
+        raise ValueError(f"{args.series} series needs n >= 1")
+    return _cohen_rows(k, ns)
+
+
+# Each table maps a choice to its handler; the parser takes its choices
+# from the keys, in this order.
+_SERIES = {
+    "stirling": lambda args, ns: stirling.get_engine(_required_k(args)).val2_range(
+        ns.start, ns.stop
+    ),
+    "factorial": lambda args, ns: [(n, padic.legendre_factorial_val(args.p, n)) for n in ns],
+    "int": lambda args, ns: [(n, padic.nu_int(args.p, n)) for n in ns],
+    "cohen": _val_cohen,
+}
+
+
+def _verify_exceptional(args) -> ConjectureReport:
+    scan = levels.exceptional_indices(args.i_max)
+    report = ConjectureReport("exceptional indices", params={"i_max": args.i_max})
+    report.details["indices"] = scan.indices
+    report.details["pattern"] = scan.matches_pattern
+    report.record(
+        scan.matches_pattern,
+        {"indices": scan.indices, "expected_pattern": "32j+7"},
+    )
+    return report
+
+
+# target: (handler, defaults for bounds left unset on the command line)
+_TARGETS = {
+    "main-conjecture": (
+        lambda a: levels.verify_main_conjecture(_required_k(a), a.levels, a.samples),
+        {},
+    ),
+    "k5-theorem": (lambda a: levels.k5_structure_report(a.levels, a.samples, a.i_max), {}),
+    "exceptional": (_verify_exceptional, {}),
+    "approx": (lambda a: approx.approx_report(a.m_max), {"m_max": 2000}),
+    "clarke": (
+        lambda a: sequences.clarke_battery(a.scan_n_max, a.k_max, a.n_max, a.precision),
+        {"n_max": 2000, "k_max": 5},
+    ),
+    "identities": (
+        lambda a: stirling.identity_battery(a.n_max, a.q_max, a.k_max),
+        {"n_max": 300, "k_max": 64},
+    ),
+    "lemmas": (lambda a: padic.power_lemma_report(a.m_max), {"m_max": 20}),
+    "alm": (lambda a: sequences.a_lm_val_check(a.l_max, a.m_max), {"m_max": 40}),
+    "cohen": (lambda a: sequences.cohen_check(a.m_min, a.m_max), {"m_max": 12}),
+}
+
+# figure: (CSV header, handler)
+_FIGURES = {
+    "val-n": (
+        ["n", "value"],
+        lambda a: [(n, padic.nu_int(2, n)) for n in range(1, a.n_max + 1)],
+    ),
+    "val-factorial": (
+        ["m", "value"],
+        lambda a: [(m, padic.legendre_factorial_val(2, m)) for m in range(1, a.n_max + 1)],
+    ),
+    "err-factorial": (
+        ["m", "s2"],
+        lambda a: [(m, padic.digit_sum(2, m)) for m in range(1, a.n_max + 1)],
+    ),
+    "cohen": (
+        ["n", "value", "err"],
+        lambda a: [
+            (n, v, v - n)
+            for n, v in _cohen_rows(1 if a.k is None else a.k, range(1, a.n_max + 1))
+        ],
+    ),
+    "stirling-k": (
+        ["n", "value"],
+        lambda a: stirling.get_engine(_required_k(a)).val2_range(a.k, a.n_max + 1),
+    ),
+    "wannemacker-diff": (
+        ["n", "gap"],
+        lambda a: stirling.de_wannemacker_gaps(_required_k(a), a.n_max),
+    ),
+}
+
+
+def _cmd_val(args) -> int:
+    ns = _n_range(args)
+    _emit_csv(["n", "value"], _SERIES[args.series](args, ns), args.out)
     return EX_OK
 
 
-def _cmd_verify(parser: _Parser, args) -> int:
-    target = args.target
-    if target == "main-conjecture":
-        if args.k is None:
-            parser.error("main-conjecture requires --k")
-        report = levels.verify_main_conjecture(args.k, args.levels, args.samples)
-    elif target == "k5-theorem":
-        report = levels.k5_structure_report(args.levels, args.samples, args.i_max)
-    elif target == "exceptional":
-        scan = levels.exceptional_indices(args.i_max)
-        report = ConjectureReport("exceptional indices", params={"i_max": args.i_max})
-        report.details["indices"] = scan.indices
-        report.details["pattern"] = scan.matches_pattern
-        report.record(
-            scan.matches_pattern,
-            {"indices": scan.indices, "expected_pattern": "32j+7"},
-        )
-    elif target == "approx":
-        report = approx.approx_report(args.m_max)
-    elif target == "clarke":
-        report = sequences.clarke_battery(
-            args.scan_n_max, args.k_max, args.n_max, args.precision
-        )
-    elif target == "identities":
-        report = stirling.identity_battery(args.n_max, args.q_max, args.k_max)
-    elif target == "lemmas":
-        report = padic.power_lemma_report(args.m_max)
-    elif target == "alm":
-        report = sequences.a_lm_val_check(args.l_max, args.m_max)
-    elif target == "cohen":
-        report = sequences.cohen_check(args.m_min, args.m_max)
-    else:  # unreachable
-        parser.error(f"unknown target {target}")
+def _cmd_verify(args) -> int:
+    handler, defaults = _TARGETS[args.target]
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+    report = handler(args)
     _emit_json(report, args.out)
     return report.exit_code
 
 
-def _cmd_figure(parser: _Parser, args) -> int:
-    name = args.name
-    n_max = args.n_max
-    if name == "val-n":
-        rows = [(n, padic.nu_int(2, n)) for n in range(1, n_max + 1)]
-        header = ["n", "value"]
-    elif name == "val-factorial":
-        rows = [(m, padic.legendre_factorial_val(2, m)) for m in range(1, n_max + 1)]
-        header = ["m", "value"]
-    elif name == "err-factorial":
-        rows = [(m, padic.digit_sum(2, m)) for m in range(1, n_max + 1)]
-        header = ["m", "s2"]
-    elif name == "cohen":
-        k = args.k if args.k is not None else 1
-        rows = []
-        total = Fraction(0)
-        for n in range(1, n_max + 1):
-            total += Fraction(1 << n, n**k)
-            v = padic.nu_rat(2, total)
-            rows.append((n, v, v - n))
-        header = ["n", "value", "err"]
-    elif name == "stirling-k":
-        if args.k is None:
-            parser.error("figure stirling-k requires --k")
-        rows = list(stirling.get_engine(args.k).val2_range(args.k, n_max + 1))
-        header = ["n", "value"]
-    elif name == "wannemacker-diff":
-        if args.k is None:
-            parser.error("figure wannemacker-diff requires --k")
-        s_k = padic.digit_sum(2, args.k)
-        rows = [
-            (n, v - s_k + padic.digit_sum(2, n))
-            for n, v in stirling.get_engine(args.k).val2_range(args.k, n_max + 1)
-        ]
-        header = ["n", "gap"]
-    else:  # unreachable
-        parser.error(f"unknown figure {name}")
-    _emit_csv(header, rows, args.out)
+def _cmd_figure(args) -> int:
+    header, handler = _FIGURES[args.name]
+    _emit_csv(header, handler(args), args.out)
     return EX_OK
 
 
@@ -184,31 +203,17 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_val = sub.add_parser("val", help="emit a valuation series as CSV")
-    p_val.add_argument(
-        "--series", required=True, choices=["stirling", "factorial", "int", "cohen"]
-    )
+    p_val.add_argument("--series", required=True, choices=list(_SERIES))
     p_val.add_argument("--k", type=int, help="order (stirling) or weight (cohen)")
     p_val.add_argument("--p", type=int, default=2, help="prime (factorial/int series)")
     p_val.add_argument("--n", type=int, help="single index")
     p_val.add_argument("--n-min", type=int, help="range start (inclusive)")
     p_val.add_argument("--n-max", type=int, help="range end (inclusive)")
     p_val.add_argument("--out", help="output path (default: stdout)")
+    p_val.set_defaults(run=_cmd_val)
 
     p_verify = sub.add_parser("verify", help="run a verification target, emit JSON")
-    p_verify.add_argument(
-        "target",
-        choices=[
-            "main-conjecture",
-            "k5-theorem",
-            "exceptional",
-            "approx",
-            "clarke",
-            "identities",
-            "lemmas",
-            "alm",
-            "cohen",
-        ],
-    )
+    p_verify.add_argument("target", choices=list(_TARGETS))
     p_verify.add_argument("--k", type=int, help="Stirling order (main-conjecture)")
     p_verify.add_argument("--levels", type=int, default=10, help="deepest level to build")
     p_verify.add_argument("--samples", type=int, default=64, help="members checked per class")
@@ -224,34 +229,15 @@ def build_parser() -> _Parser:
     )
     p_verify.add_argument("--precision", type=int, default=24, help="clarke: lift precision")
     p_verify.add_argument("--out", help="output path (default: stdout)")
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_fig = sub.add_parser("figure", help="emit figure data as CSV")
-    p_fig.add_argument(
-        "name",
-        choices=[
-            "val-n",
-            "val-factorial",
-            "err-factorial",
-            "cohen",
-            "stirling-k",
-            "wannemacker-diff",
-        ],
-    )
+    p_fig.add_argument("name", choices=list(_FIGURES))
     p_fig.add_argument("--k", type=int, help="order/weight where applicable")
     p_fig.add_argument("--n-max", type=int, required=True, help="largest index")
     p_fig.add_argument("--out", help="output path (default: stdout)")
+    p_fig.set_defaults(run=_cmd_figure)
     return parser
-
-
-_VERIFY_DEFAULTS = {
-    # target: (m_max, n_max, k_max)
-    "approx": (2000, None, None),
-    "clarke": (None, 2000, 5),
-    "identities": (None, 300, 64),
-    "lemmas": (20, None, None),
-    "alm": (40, None, None),
-    "cohen": (12, None, None),
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -265,28 +251,13 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             parser.error(f"bad {M_MAX_ENV}: {exc}")
 
-    if args.command == "verify":
-        defaults = _VERIFY_DEFAULTS.get(args.target)
-        if defaults:
-            m_max, n_max, k_max = defaults
-            if args.m_max is None:
-                args.m_max = m_max
-            if args.n_max is None:
-                args.n_max = n_max
-            if args.k_max is None:
-                args.k_max = k_max
     try:
-        if args.command == "val":
-            return _cmd_val(parser, args)
-        if args.command == "verify":
-            return _cmd_verify(parser, args)
-        return _cmd_figure(parser, args)
+        return args.run(args)
     except stirling.PrecisionExceeded as exc:
         sys.stderr.write(f"stirval: inconclusive: {exc}\n")
         return 2
     except ValueError as exc:
         parser.error(str(exc))
-        return EX_USAGE  # unreachable; parser.error raises SystemExit
 
 
 if __name__ == "__main__":

@@ -64,6 +64,7 @@ class ResidueClass:
             n += self.modulus
 
     def members(self, count: int) -> list[int]:
+        """First ``count`` members in increasing order, all >= k."""
         if count < 1:
             raise ValueError("count must be >= 1")
         it = self.iter_members()
@@ -81,11 +82,6 @@ class ResidueClass:
 
     def as_dict(self) -> dict:
         return {"k": self.k, "m": self.m, "j": self.j}
-
-
-def class_members(c: ResidueClass, count: int) -> list[int]:
-    """First ``count`` members of c in increasing order, all >= k."""
-    return c.members(count)
 
 
 @dataclass(frozen=True)

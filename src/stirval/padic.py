@@ -52,10 +52,17 @@ def nu_int(p: int, n: int) -> Valuation:
     n = abs(n)
     if p == 2:
         return (n & -n).bit_length() - 1
+    # Square p while the square still divides n, then strip the powers
+    # p^(2^i) largest first: O(log e) big divisions instead of e of them.
+    powers = [p]
+    while n % (square := powers[-1] ** 2) == 0:
+        powers.append(square)
     e = 0
-    while n % p == 0:
-        e += 1
-        n //= p
+    for i in reversed(range(len(powers))):
+        q, r = divmod(n, powers[i])
+        if r == 0:
+            n = q
+            e += 1 << i
     return e
 
 

@@ -14,10 +14,12 @@ Covers four independent strands:
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .padic import digit_sum, nu_int, nu_rat, pochhammer
 from .reports import ConjectureReport
@@ -78,11 +80,20 @@ def a_lm_val_check(l_max: int, m_max: int) -> ConjectureReport:
     return report
 
 
+def cohen_partial_sums(k: int) -> Iterator[tuple[int, Fraction]]:
+    """Yield (n, L_k(n)) for n = 1, 2, ..., with L_k(n) = sum_{j=1}^{n} 2^j / j^k exact."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
+    terms = (Fraction(1 << j, j**k) for j in itertools.count(1))
+    return enumerate(itertools.accumulate(terms), start=1)
+
+
 def cohen_sum(k: int, n: int) -> Fraction:
     """Exact partial sum L_k(n) = sum_{j=1}^{n} 2^j / j^k."""
-    if k < 1 or n < 1:
-        raise ValueError("need k >= 1 and n >= 1")
-    return sum(Fraction(1 << j, j**k) for j in range(1, n + 1))
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
+    _, total = next(itertools.islice(cohen_partial_sums(k), n - 1, None))
+    return total
 
 
 def cohen_check(m_min: int, m_max: int) -> ConjectureReport:
@@ -104,14 +115,9 @@ def cohen_check(m_min: int, m_max: int) -> ConjectureReport:
     )
     entries = []
     for k, formula in ((1, lambda m: (1 << m) + 2 * m - 4), (2, lambda m: (1 << m) + m - 1)):
-        total = Fraction(0)
-        j = 0
-        for m in range(1, m_max + 1):
-            target = 1 << m
-            while j < target:
-                j += 1
-                total += Fraction(1 << j, j**k)
-            if m < m_min:
+        for n, total in itertools.islice(cohen_partial_sums(k), 1 << m_max):
+            m = n.bit_length() - 1
+            if n != 1 << m or m < m_min:
                 continue
             computed = nu_rat(2, total)
             expected = formula(m)
@@ -134,17 +140,24 @@ def cohen_check(m_min: int, m_max: int) -> ConjectureReport:
     return report
 
 
+def t_sums(p: int, start: int, k: int) -> Iterator[int]:
+    """Yield T_p(n,k) for n = start, start + 1, ...; see ``t_sum``.
+
+    Each step updates the powers j^n by one multiplication per term.
+    """
+    if start < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
+    js = [j for j in range(1, k + 1) if j % p]
+    coefs = [math.comb(k, j) if (k - j) % 2 == 0 else -math.comb(k, j) for j in js]
+    powers = [j**start for j in js]
+    while True:
+        yield sum(c * q for c, q in zip(coefs, powers))
+        powers = [q * j for q, j in zip(powers, js)]
+
+
 def t_sum(p: int, n: int, k: int) -> int:
     """Lundell's alternating sum sum_j (-1)^(k-j) C(k,j) j^n, omitting p | j."""
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    total = 0
-    for j in range(1, k + 1):
-        if j % p == 0:
-            continue
-        term = math.comb(k, j) * j**n
-        total += term if (k - j) % 2 == 0 else -term
-    return total
+    return next(t_sums(p, n, k))
 
 
 def clarke_conjecture_check(n_max: int, k_max: int = 5) -> ConjectureReport:
@@ -161,13 +174,7 @@ def clarke_conjecture_check(n_max: int, k_max: int = 5) -> ConjectureReport:
     )
     for k in range(1, k_max + 1):
         engine = get_engine(k)
-        # incremental powers: j^n for the next n is one multiply per term
-        js = [j for j in range(1, k + 1) if j % 2 == 1]
-        signs = [1 if (k - j) % 2 == 0 else -1 for j in js]
-        combs = [math.comb(k, j) for j in js]
-        powers = [j**k for j in js]
-        for n in range(k, n_max + 1):
-            t = sum(s * c * p for s, c, p in zip(signs, combs, powers))
+        for n, t in zip(range(k, n_max + 1), t_sums(2, k, k)):
             left = engine.val2(n)
             left_full = left + engine.fact_val
             right = nu_int(2, t)
@@ -175,8 +182,6 @@ def clarke_conjecture_check(n_max: int, k_max: int = 5) -> ConjectureReport:
                 left_full == right,
                 {"n": n, "k": k, "stirling_side": left_full, "t_side": right},
             )
-            for i, j in enumerate(js):
-                powers[i] *= j
     return report
 
 

@@ -244,7 +244,19 @@ def de_wannemacker_gap(n: int, k: int) -> int:
     v = val2_stirling(n, k)
     if v is INFINITE:
         raise ValueError(f"S({n},{k}) = 0 has no finite gap")
-    return v - digit_sum(2, k) + digit_sum(2, n)
+    return _gap(v, digit_sum(2, k), n)
+
+
+def de_wannemacker_gaps(k: int, n_max: int) -> Iterator[tuple[int, int]]:
+    """Yield (n, de_wannemacker_gap(n, k)) for k <= n <= n_max from one val2_range scan."""
+    s_k = digit_sum(2, k)
+    for n, v in get_engine(k).val2_range(k, n_max + 1):
+        yield n, _gap(v, s_k, n)
+
+
+def _gap(v: Valuation, s_k: int, n: int) -> int:
+    """The gap from v = nu_2(S(n,k)) and s_k = s_2(k)."""
+    return v - s_k + digit_sum(2, n)
 
 
 def special_values_check(q_max: int, k_max: int) -> ConjectureReport:
@@ -307,9 +319,7 @@ def identity_battery(n_max: int = 300, q_max: int = 10, k_max: int = 64) -> Conj
         "identity battery", params={"n_max": n_max, "q_max": q_max, "k_max": k_max}
     )
     for k in range(1, n_max + 1):
-        s_k = digit_sum(2, k)
-        for n, v in get_engine(k).val2_range(k, n_max + 1):
-            gap = v - s_k + digit_sum(2, n)
+        for n, gap in de_wannemacker_gaps(k, n_max):
             report.record(
                 gap >= 0,
                 None if gap >= 0 else {"identity": "inequality gap", "n": n, "k": k, "gap": gap},

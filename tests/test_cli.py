@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from stirval import cli, digit_sum
+from stirval import cli, cohen_check, cohen_sum, digit_sum, nu_rat
 
 
 def run(capsys, *argv):
@@ -171,6 +171,22 @@ class TestFigure:
         assert lines[0] == "n,value,err"
         assert lines[-1] == "16,22,6"
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_cohen_surfaces_agree(self, capsys, k):
+        _, val_out = run(
+            capsys, "val", "--series", "cohen", "--k", str(k), "--n-min", "1", "--n-max", "64"
+        )
+        _, fig_out = run(capsys, "figure", "cohen", "--k", str(k), "--n-max", "64")
+        val_rows = [line.split(",") for line in val_out.splitlines()[1:]]
+        fig_rows = [line.split(",")[:2] for line in fig_out.splitlines()[1:]]
+        assert val_rows == fig_rows
+        values = {int(n): int(v) for n, v in val_rows}
+        assert values == {n: nu_rat(2, cohen_sum(k, n)) for n in range(1, 65)}
+        entries = cohen_check(1, 6).details["entries"]
+        assert {e["m"]: e["computed"] for e in entries if e["k"] == k} == {
+            m: values[1 << m] for m in range(1, 7)
+        }
+
     def test_determinism(self, capsys):
         args = ("figure", "stirling-k", "--k", "11", "--n-max", "120")
         _, first = run(capsys, *args)
@@ -190,6 +206,18 @@ class TestUsageAndEnvironment:
             capsys, "val", "--series", "int", "--n", "4", "--n-min", "1", "--n-max", "9"
         )
         assert code == 64
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("val", "--series", "cohen", "--k", "0", "--n", "3"),
+            ("val", "--series", "cohen", "--k", "-1", "--n", "3"),
+            ("figure", "cohen", "--k", "0", "--n-max", "3"),
+            ("figure", "cohen", "--k", "-1", "--n-max", "3"),
+        ],
+    )
+    def test_cohen_weight_below_one(self, capsys, argv):
+        assert run_usage_error(capsys, *argv) == 64
 
     def test_unknown_target(self, capsys):
         assert run_usage_error(capsys, "verify", "nonsense") == 64

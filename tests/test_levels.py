@@ -8,7 +8,6 @@ from stirval import (
     ResidueClass,
     build_level_tree,
     c_set_sequence,
-    class_members,
     classify_class,
     exceptional_indices,
     in_I1,
@@ -23,9 +22,9 @@ from stirval import (
 
 class TestResidueClass:
     def test_members_examples(self):
-        assert class_members(ResidueClass(5, 2, 1), 3) == [5, 9, 13]
-        assert class_members(ResidueClass(5, 6, 28), 2) == [28, 92]
-        assert class_members(ResidueClass(10, 4, 7), 2) == [23, 39]
+        assert ResidueClass(5, 2, 1).members(3) == [5, 9, 13]
+        assert ResidueClass(5, 6, 28).members(2) == [28, 92]
+        assert ResidueClass(10, 4, 7).members(2) == [23, 39]
 
     def test_canonical_residue(self):
         # labels written with a shifted index reduce mod 2^m
@@ -60,7 +59,7 @@ class TestResidueClass:
         with pytest.raises(ValueError):
             ResidueClass(5, 0, 0)
         with pytest.raises(ValueError):
-            class_members(ResidueClass(5, 2, 1), 0)
+            ResidueClass(5, 2, 1).members(0)
 
 
 class TestClassify:

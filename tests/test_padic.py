@@ -30,6 +30,15 @@ class TestNuInt:
         assert nu_int(2, -12) == 2
         assert nu_int(3, -45) == 2
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_exact_prime_powers(self, p):
+        # e runs across the boundaries 2^i - 1, 2^i of the squaring steps
+        units = [u for u in (1, 2, 4, 11, 13, 2**61 - 1) if u % p]
+        for e in range(71):
+            for u in units:
+                assert nu_int(p, p**e * u) == e, (e, u)
+                assert nu_int(p, -(p**e) * u) == e, (e, u)
+
     @pytest.mark.parametrize("p", [1, 4, 6, 9, 100])
     def test_rejects_non_prime(self, p):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Auxiliary sequences: binomial arrays, polylog sums, T sums, 2-adic zeros."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from stirval import (
     nu_int,
     nu_rat,
     t_sum,
+    t_sums,
 )
 
 
@@ -102,6 +105,15 @@ class TestTSum:
         assert nu_int(2, 5560) == 3
         for n in (1, 7, 30):
             assert t_sum(2, n, 1) == 1
+
+    @pytest.mark.parametrize("p,k", [(2, 5), (2, 8), (3, 7)])
+    def test_incremental_matches_single(self, p, k):
+        series = list(itertools.islice(t_sums(p, 3, k), 60))
+        for n in (3, 4, 17, 40, 62):
+            direct = sum(
+                (-1) ** (k - j) * math.comb(k, j) * j**n for j in range(1, k + 1) if j % p
+            )
+            assert series[n - 3] == t_sum(p, n, k) == direct
 
     def test_below_order_value(self):
         # T_2(4,5) is nonzero even though 5! * S(4,5) = 0, which is why

@@ -12,6 +12,7 @@ from stirval import (
     PrecisionExceeded,
     StirlingTriangle,
     de_wannemacker_gap,
+    de_wannemacker_gaps,
     get_engine,
     identity_battery,
     ksf_mod,
@@ -177,6 +178,11 @@ class TestDeWannemacker:
         for n in range(1, 151):
             for k in range(1, n + 1):
                 assert de_wannemacker_gap(n, k) >= 0
+
+    @pytest.mark.parametrize("k", [1, 5, 16, 33])
+    def test_scan_matches_single(self, k):
+        gaps = list(de_wannemacker_gaps(k, 120))
+        assert gaps == [(n, de_wannemacker_gap(n, k)) for n in range(k, 121)]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
