@@ -14,7 +14,7 @@ certificate (two members with provably different valuations).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .padic import INFINITE, Valuation
 from .reports import ConjectureReport
@@ -108,11 +108,7 @@ class ClassStatus:
         return out
 
 
-def classify_class(
-    c: ResidueClass,
-    samples: int = DEFAULT_SAMPLES,
-    val2: Callable[[int, int], Valuation] = val2_stirling,
-) -> ClassStatus:
+def classify_class(c: ResidueClass, samples: int = DEFAULT_SAMPLES) -> ClassStatus:
     """Classify c by evaluating its first ``samples`` members.
 
     Returns NON_CONSTANT with a witness pair as soon as two members
@@ -125,12 +121,12 @@ def classify_class(
         raise ValueError("samples must be >= 2")
     it = c.iter_members()
     first_n = next(it)
-    first_v = val2(first_n, c.k)
+    first_v = val2_stirling(first_n, c.k)
     if first_v is INFINITE:
         return ClassStatus(INCONCLUSIVE, samples)
     for _ in range(samples - 1):
         n = next(it)
-        v = val2(n, c.k)
+        v = val2_stirling(n, c.k)
         if v is INFINITE:
             return ClassStatus(INCONCLUSIVE, samples)
         if v != first_v:
@@ -170,10 +166,6 @@ class LevelTree:
 
     def level(self, m: int) -> LevelRecord:
         return self.levels[m - 1]
-
-    @property
-    def has_inconclusive(self) -> bool:
-        return any(rec.inconclusive for rec in self.levels)
 
     def as_dict(self) -> dict:
         return {
@@ -425,18 +417,16 @@ def k5_structure_report(
     Also rechecks the eight fixed congruence-class facts for the classes
     mod 8 and mod 16 (values 1, 1, >=2, >=2, 2, 2, >=3, >=3).
     """
+    if i_max < 1:
+        raise ValueError("i_max must be >= 1")
     report = ConjectureReport(
         "k=5 level structure",
         params={"m_max": m_max, "samples": samples, "i_max": i_max},
     )
 
     def vals_up_to(c: ResidueClass, bound: int) -> list[tuple[int, Valuation]]:
-        out = []
-        for i in range(bound + 1):
-            n = c.modulus * i + c.j
-            if n >= c.k:
-                out.append((n, val2_stirling(n, 5)))
-        return out
+        members = (c.modulus * i + c.j for i in range(bound + 1))
+        return [(n, val2_stirling(n, c.k)) for n in members if n >= c.k]
 
     for branch_j in (0, 3):
         parent = ResidueClass(5, 2, branch_j)
@@ -479,29 +469,21 @@ def k5_structure_report(
                 break
             parent = above[0]
 
+    # (m, r, op, bound): nu_2(S(n,5)) op bound on the class C(m, r)
     facts = (
-        (8, 0, "==", 1),
-        (8, 3, "==", 1),
-        (8, 4, ">=", 2),
-        (8, 7, ">=", 2),
-        (16, 4, "==", 2),
-        (16, 7, "==", 2),
-        (16, 12, ">=", 3),
-        (16, 15, ">=", 3),
+        (3, 0, "==", 1), (3, 3, "==", 1), (3, 4, ">=", 2), (3, 7, ">=", 2),
+        (4, 4, "==", 2), (4, 7, "==", 2), (4, 12, ">=", 3), (4, 15, ">=", 3),
     )
-    for modulus, r, op, bound in facts:
-        for i in range(i_max + 1):
-            n = modulus * i + r
-            if n < 5:
-                continue
-            v = val2_stirling(n, 5)
+    for m, r, op, bound in facts:
+        c = ResidueClass(5, m, r)
+        for n, v in vals_up_to(c, i_max):
             ok = v == bound if op == "==" else v >= bound
             report.record(
                 ok,
                 None
                 if ok
                 else {
-                    "check": f"nu2(S({modulus}i+{r},5)) {op} {bound}",
+                    "check": f"nu2(S({c.modulus}i+{r},5)) {op} {bound}",
                     "n": n,
                     "computed": v,
                 },

@@ -23,7 +23,7 @@ from typing import Iterator
 
 from .padic import digit_sum, nu_int, nu_rat, pochhammer
 from .reports import ConjectureReport
-from .stirling import get_engine, val2_stirling
+from .stirling import exp_sum_mod, exp_sums, get_engine, val2_stirling
 
 
 def b_lm(l: int, m: int) -> int:
@@ -141,18 +141,15 @@ def cohen_check(m_min: int, m_max: int) -> ConjectureReport:
 
 
 def t_sums(p: int, start: int, k: int) -> Iterator[int]:
-    """Yield T_p(n,k) for n = start, start + 1, ...; see ``t_sum``.
-
-    Each step updates the powers j^n by one multiplication per term.
-    """
+    """Yield T_p(n,k) for n = start, start + 1, ...; see ``t_sum``."""
     if start < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    js = [j for j in range(1, k + 1) if j % p]
-    coefs = [math.comb(k, j) if (k - j) % 2 == 0 else -math.comb(k, j) for j in js]
-    powers = [j**start for j in js]
-    while True:
-        yield sum(c * q for c, q in zip(coefs, powers))
-        powers = [q * j for q, j in zip(powers, js)]
+    terms = tuple(
+        (math.comb(k, j) if (k - j) % 2 == 0 else -math.comb(k, j), j)
+        for j in range(1, k + 1)
+        if j % p
+    )
+    return exp_sums(terms, start)
 
 
 def t_sum(p: int, n: int, k: int) -> int:
@@ -237,8 +234,7 @@ class ClarkeForm:
 
     def eval_mod(self, x: int, M: int) -> int:
         """f(x) mod 2**M, with x taken as a residue mod 2**(M-2)."""
-        mod = 1 << M
-        return sum(c * pow(b, x, mod) for c, b in self.terms) % mod
+        return exp_sum_mod(self.terms, x, M)
 
 
 # The forms whose 2-adic zeros encode nu_2(S(n,k)) for k = 5, 6, 7.

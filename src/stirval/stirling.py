@@ -12,7 +12,7 @@ other; the test suite checks them against each other on a full grid.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterator
 
 from .padic import INFINITE, Valuation, digit_sum, nu_int
@@ -21,6 +21,9 @@ from .reports import ConjectureReport
 DEFAULT_ORACLE_BOUND = 2000
 DEFAULT_M_START = 64
 DEFAULT_M_MAX = 1 << 16
+
+# (coefficient, base) pairs of an exponential sum f(n) = sum c * b**n
+Terms = tuple[tuple[int, int], ...]
 
 
 class PrecisionExceeded(Exception):
@@ -112,6 +115,29 @@ def val2_closed_small(n: int, k: int) -> int:
     return 1 if n % 2 == 1 else 0
 
 
+def exp_sum_mod(terms: Terms, n: int, M: int) -> int:
+    """f(n) mod 2**M for the exponential sum f(n) = sum c * b**n over (c, b) in terms."""
+    mod = 1 << M
+    return sum(c * pow(b, n, mod) for c, b in terms) % mod
+
+
+def exp_sums(terms: Terms, start: int, M: int | None = None) -> Iterator[int]:
+    """Yield f(start), f(start + 1), ... mod 2**M, or exactly when M is None.
+
+    Each step updates each term c * b**n by one multiplication.
+    """
+    bases = [b for _, b in terms]
+    mod = None if M is None else 1 << M
+    values = [c * pow(b, start, mod) for c, b in terms]
+    while True:
+        if mod is None:
+            yield sum(values)
+            values = [v * b for v, b in zip(values, bases)]
+        else:
+            yield sum(values) % mod
+            values = [v * b % mod for v, b in zip(values, bases)]
+
+
 class ModStirlingEngine:
     """Evaluates k! * S(n,k) mod 2**M and extracts 2-adic valuations.
 
@@ -121,22 +147,30 @@ class ModStirlingEngine:
     nu_2 of the full integer equals nu_2 of the residue, which makes the
     extraction sound at any precision.
 
-    Precision is adaptive: start at m_start bits and double while the
-    residue vanishes, up to m_max.  Rounds with M <= nu_2(k!) are skipped
-    because Legendre's formula makes those residues identically zero.
+    Precision follows one ladder: m_start doubled up to m_max, without
+    the rungs M <= nu_2(k!), whose residues Legendre's formula makes
+    identically zero.  val2 climbs it while the residue vanishes.
     """
 
     def __init__(self, k: int, m_start: int = DEFAULT_M_START, m_max: int | None = None):
         if k < 1:
             raise ValueError("engine order k must be >= 1")
+        if m_start < 1:
+            raise ValueError("m_start must be >= 1")
         self.k = k
         self.m_start = m_start
         self.m_max = DEFAULT_M_MAX if m_max is None else m_max
         self.fact_val = k - digit_sum(2, k)  # nu_2(k!)
-        self._signed_combs = tuple(
-            (-math.comb(k, i) if i & 1 else math.comb(k, i)) for i in range(k)
+        self._terms = tuple(
+            (-math.comb(k, i) if i & 1 else math.comb(k, i), k - i) for i in range(k)
         )
-        self._bases = tuple(k - i for i in range(k))
+        ladder = []
+        M = m_start
+        while M <= self.m_max:
+            if M > self.fact_val:
+                ladder.append(M)
+            M *= 2
+        self._ladder = tuple(ladder)
 
     def ksf_mod(self, n: int, M: int) -> int:
         """Residue of k! * S(n,k) modulo 2**M, for n >= 1."""
@@ -144,11 +178,7 @@ class ModStirlingEngine:
             raise ValueError("ksf_mod requires n >= 1")
         if not 1 <= M <= self.m_max:
             raise ValueError(f"need 1 <= M <= {self.m_max}, got M={M}")
-        mod = 1 << M
-        total = 0
-        for c, b in zip(self._signed_combs, self._bases):
-            total += c * pow(b, n, mod)
-        return total % mod
+        return exp_sum_mod(self._terms, n, M)
 
     def _extract(self, residue: int) -> Valuation:
         return nu_int(2, residue) - self.fact_val
@@ -160,56 +190,38 @@ class ModStirlingEngine:
         """
         if n < self.k:
             return INFINITE
-        M = self.m_start
-        while M <= self.m_max:
-            if M > self.fact_val:
-                r = self.ksf_mod(n, M)
-                if r:
-                    return self._extract(r)
-            M *= 2
+        for M in self._ladder:
+            r = self.ksf_mod(n, M)
+            if r:
+                return self._extract(r)
         raise PrecisionExceeded(n, self.k, self.m_max)
 
     def val2_range(self, start: int, stop: int) -> Iterator[tuple[int, Valuation]]:
         """Yield (n, nu_2(S(n,k))) for start <= n < stop.
 
-        Batch variant for scans over n: the powers (k-i)^n are updated by
-        one multiplication per step instead of a fresh exponentiation.
+        Batch variant for scans over n: one exp_sums pass at the first
+        rung with 32 bits above nu_2(k!), or at the top rung if none has
+        that headroom; an index whose residue vanishes there goes to val2.
         Results are identical to per-n val2 calls.
         """
         if start < 1:
             raise ValueError("val2_range requires start >= 1")
-        M = self.m_start
-        while M <= self.fact_val + 32 and M < self.m_max:
-            M *= 2
-        if M > self.m_max:
-            # ceiling below the Legendre floor: defer to the adaptive path
+        if not self._ladder:
             for n in range(start, stop):
                 yield n, self.val2(n)
             return
-        mod = 1 << M
-        powers = [pow(b, start, mod) for b in self._bases]
-        combs = self._signed_combs
-        bases = self._bases
-        for n in range(start, stop):
-            if n >= self.k:
-                r = sum(c * p for c, p in zip(combs, powers)) % mod
-                # headroom exhausted: fall back to the fully adaptive path
-                yield n, (self._extract(r) if r else self.val2(n))
-            else:
+        M = next((m for m in self._ladder if m > self.fact_val + 32), self._ladder[-1])
+        for n, r in zip(range(start, stop), exp_sums(self._terms, start, M)):
+            if n < self.k:
                 yield n, INFINITE
-            for i, b in enumerate(bases):
-                powers[i] = powers[i] * b % mod
+            else:
+                yield n, (self._extract(r) if r else self.val2(n))
 
 
-_engines: dict[int, ModStirlingEngine] = {}
-
-
+@cache
 def get_engine(k: int) -> ModStirlingEngine:
     """Shared default-precision engine for order k (engines are stateless)."""
-    engine = _engines.get(k)
-    if engine is None:
-        engine = _engines[k] = ModStirlingEngine(k)
-    return engine
+    return ModStirlingEngine(k)
 
 
 def set_default_m_max(m_max: int) -> None:
@@ -218,7 +230,7 @@ def set_default_m_max(m_max: int) -> None:
     if m_max < DEFAULT_M_START:
         raise ValueError(f"m_max must be >= {DEFAULT_M_START}")
     DEFAULT_M_MAX = m_max
-    _engines.clear()
+    get_engine.cache_clear()
     val2_stirling.cache_clear()
 
 
@@ -250,7 +262,8 @@ def de_wannemacker_gap(n: int, k: int) -> int:
 def de_wannemacker_gaps(k: int, n_max: int) -> Iterator[tuple[int, int]]:
     """Yield (n, de_wannemacker_gap(n, k)) for k <= n <= n_max from one val2_range scan."""
     s_k = digit_sum(2, k)
-    for n, v in get_engine(k).val2_range(k, n_max + 1):
+    # not the shared engine: a grid over every k would keep all their terms alive
+    for n, v in ModStirlingEngine(k).val2_range(k, n_max + 1):
         yield n, _gap(v, s_k, n)
 
 
@@ -273,6 +286,8 @@ def special_values_check(q_max: int, k_max: int) -> ConjectureReport:
     """
     if q_max < 3:
         raise ValueError("q_max must be >= 3")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     report = ConjectureReport(
         "special values near powers of two", params={"q_max": q_max, "k_max": k_max}
     )
@@ -315,6 +330,9 @@ def identity_battery(n_max: int = 300, q_max: int = 10, k_max: int = 64) -> Conj
     * the parity valuation formulas for k <= 4 against the engine,
     * the special-value families near powers of two.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    special = special_values_check(q_max, k_max)  # first: bad bounds fail before the grid
     report = ConjectureReport(
         "identity battery", params={"n_max": n_max, "q_max": q_max, "k_max": k_max}
     )
@@ -337,5 +355,5 @@ def identity_battery(n_max: int = 300, q_max: int = 10, k_max: int = 64) -> Conj
             report.record(
                 ok, None if ok else {"identity": "parity valuation", "n": n, "k": k}
             )
-    report.merge_child(special_values_check(q_max, k_max), "special values")
+    report.merge_child(special, "special values")
     return report

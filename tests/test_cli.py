@@ -225,8 +225,19 @@ class TestUsageAndEnvironment:
     def test_figure_requires_n_max(self, capsys):
         assert run_usage_error(capsys, "figure", "val-n") == 64
 
-    def test_bad_domain_maps_to_usage(self, capsys):
-        assert run_usage_error(capsys, "verify", "exceptional", "--i-max", "1") == 64
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("exceptional", "--i-max", "1"),
+            ("identities", "--n-max", "0"),
+            ("identities", "--k-max", "0"),
+            ("k5-theorem", "--i-max", "0"),
+            ("k5-theorem", "--i-max", "-1"),
+        ],
+    )
+    def test_bad_domain_maps_to_usage(self, capsys, argv):
+        # an empty scan range must not read as a verdict
+        assert run_usage_error(capsys, "verify", *argv) == 64
 
     def test_m_max_env_ceiling(self, capsys, monkeypatch):
         from stirval import stirling

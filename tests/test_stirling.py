@@ -1,5 +1,6 @@
 """Both Stirling computation routes and the valuation extraction."""
 
+import itertools
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from stirval import (
     INFINITE,
+    K5_FORM,
     ModStirlingEngine,
     PrecisionExceeded,
     StirlingTriangle,
@@ -23,6 +25,7 @@ from stirval import (
     val2_closed_small,
     val2_stirling,
 )
+from stirval.stirling import exp_sum_mod, exp_sums
 
 
 class TestTriangle:
@@ -100,6 +103,26 @@ class TestKsfMod:
                 assert ksf_mod(n, k, M) == fact * stirling_exact(n, k) % mod
 
 
+class TestExpSum:
+    @pytest.mark.parametrize("k", [None, 5, 33], ids=["k5_form", "stirling5", "stirling33"])
+    def test_stepped_and_pointwise_agree_with_direct_sum(self, k):
+        if k is None:
+            terms = K5_FORM.terms
+        else:
+            # k! * S(n,k) = sum_i (-1)^i C(k,i) (k-i)^n, the engine's sum
+            terms = tuple(((-1) ** i * math.comb(k, i), k - i) for i in range(k))
+        start, count = 3, 90
+        exact = list(itertools.islice(exp_sums(terms, start), count))
+        for M in (8, 64):
+            stepped = list(itertools.islice(exp_sums(terms, start, M), count))
+            for n, f, r in zip(range(start, start + count), exact, stepped):
+                assert f == sum(c * b**n for c, b in terms)
+                assert r == exp_sum_mod(terms, n, M) == f % (1 << M)
+                if k is not None and n >= k:
+                    assert f == math.factorial(k) * stirling_exact(n, k)
+                    assert r == get_engine(k).ksf_mod(n, M)
+
+
 class TestVal2Stirling:
     def test_examples(self):
         assert val2_stirling(8, 5) == 1
@@ -123,6 +146,17 @@ class TestVal2Stirling:
         engine = get_engine(k)
         for n, v in engine.val2_range(1, 400):
             assert v == val2_stirling(n, k)
+        # a 16-bit ceiling scans at its top rung; the scan raises where val2 does
+        tight = ModStirlingEngine(k, m_start=4, m_max=16)
+        scan = tight.val2_range(1, 400)
+        for n in range(1, 400):
+            try:
+                v = tight.val2(n)
+            except PrecisionExceeded:
+                with pytest.raises(PrecisionExceeded):
+                    next(scan)
+                break
+            assert next(scan) == (n, v) and v == val2_stirling(n, k)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=300))
@@ -138,6 +172,12 @@ class TestVal2Stirling:
         tight = ModStirlingEngine(5, m_start=4, m_max=8)
         with pytest.raises(PrecisionExceeded):
             tight.val2(28)  # nu_2(120 * S(28,5)) = 9 needs more than 8 bits
+        # no rung has 32 bits of headroom, so the scan runs at the top rung, 8
+        scan = tight.val2_range(1, 29)
+        head = list(itertools.islice(scan, 27))
+        assert head == [(n, tight.val2(n)) for n in range(1, 28)]
+        with pytest.raises(PrecisionExceeded):
+            next(scan)
         roomy = ModStirlingEngine(5, m_start=4, m_max=16)
         assert roomy.val2(28) == 6
 
@@ -203,6 +243,8 @@ class TestSpecialValues:
     def test_rejects_small_q_max(self):
         with pytest.raises(ValueError):
             special_values_check(q_max=2, k_max=8)
+        with pytest.raises(ValueError):
+            special_values_check(q_max=4, k_max=0)
 
 
 def test_identity_battery_consistent():
