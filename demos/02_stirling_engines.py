@@ -39,7 +39,7 @@ def main():
     print("  nu_2(S(156,5)) = 11 sits well above its neighbours:")
     for n in range(150, 161):
         print(f"    n={n}: {val2_stirling(n, 5)}")
-    tight = ModStirlingEngine(5, m_start=4, m_max=8)
+    tight = ModStirlingEngine(5, m_max=8)
     try:
         tight.val2(156)
     except PrecisionExceeded as exc:

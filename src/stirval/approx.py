@@ -148,12 +148,7 @@ def approx_report(m_max: int) -> ConjectureReport:
     }
     report.record(
         disagreements == expected,
-        None
-        if disagreements == expected
-        else {
-            "stage": 1,
-            "unexpected": sorted(set(disagreements) ^ set(expected)),
-        },
+        {"stage": 1, "unexpected": sorted(set(disagreements) ^ set(expected))},
     )
 
     stage2 = []
@@ -170,10 +165,7 @@ def approx_report(m_max: int) -> ConjectureReport:
             "m_in_I2": excepted,
         }
         stage2.append(entry)
-        if actual != predicted and not excepted:
-            report.record(False, {"stage": 2, **entry})
-        else:
-            report.record(True)
+        report.record(actual == predicted or excepted, {"stage": 2, **entry})
     report.details["stage2"] = stage2
 
     stage3 = []

@@ -16,13 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
-from .padic import INFINITE, Valuation
-from .reports import ConjectureReport
+from .padic import Valuation
+from .reports import FAIL, INCONCLUSIVE, PASS, ConjectureReport
 from .stirling import PrecisionExceeded, val2_stirling
 
 CONSTANT = "CONSTANT"
 NON_CONSTANT = "NON_CONSTANT"
-INCONCLUSIVE = "INCONCLUSIVE"
 
 DEFAULT_SAMPLES = 64
 
@@ -112,23 +111,18 @@ def classify_class(c: ResidueClass, samples: int = DEFAULT_SAMPLES) -> ClassStat
     """Classify c by evaluating its first ``samples`` members.
 
     Returns NON_CONSTANT with a witness pair as soon as two members
-    disagree; otherwise CONSTANT up to the sample bound.  A member whose
-    valuation is infinite cannot occur (members are >= k) but is mapped
-    to INCONCLUSIVE defensively.  PrecisionExceeded propagates to the
-    caller, which is expected to record the class as inconclusive.
+    disagree; otherwise CONSTANT up to the sample bound.  Members are
+    >= k, so every valuation is finite.  PrecisionExceeded propagates to
+    the caller, which is expected to record the class as inconclusive.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
     it = c.iter_members()
     first_n = next(it)
     first_v = val2_stirling(first_n, c.k)
-    if first_v is INFINITE:
-        return ClassStatus(INCONCLUSIVE, samples)
     for _ in range(samples - 1):
         n = next(it)
         v = val2_stirling(n, c.k)
-        if v is INFINITE:
-            return ClassStatus(INCONCLUSIVE, samples)
         if v != first_v:
             return ClassStatus(
                 NON_CONSTANT, samples, witness_a=(first_n, first_v), witness_b=(n, v)
@@ -138,13 +132,42 @@ def classify_class(c: ResidueClass, samples: int = DEFAULT_SAMPLES) -> ClassStat
 
 @dataclass
 class LevelRecord:
-    """Verdicts for all candidate classes at one level."""
+    """Verdicts for all candidate classes C(m, j) of order k at one level.
 
+    ``statuses`` maps j to its verdict in candidate order; the class
+    lists below are read off it.
+    """
+
+    k: int
     m: int
-    survivors: list[ResidueClass] = field(default_factory=list)
-    constants: list[tuple[ResidueClass, Valuation]] = field(default_factory=list)
-    inconclusive: list[ResidueClass] = field(default_factory=list)
     statuses: dict[int, ClassStatus] = field(default_factory=dict)
+
+    @property
+    def survivors(self) -> list[ResidueClass]:
+        """The NON_CONSTANT classes, sorted by j."""
+        return [
+            ResidueClass(self.k, self.m, j)
+            for j in sorted(self.statuses)
+            if self.statuses[j].kind == NON_CONSTANT
+        ]
+
+    @property
+    def constants(self) -> list[tuple[ResidueClass, Valuation]]:
+        """The CONSTANT classes with their common value, in candidate order."""
+        return [
+            (ResidueClass(self.k, self.m, j), s.value)
+            for j, s in self.statuses.items()
+            if s.kind == CONSTANT
+        ]
+
+    @property
+    def inconclusive(self) -> list[ResidueClass]:
+        """The INCONCLUSIVE classes, in candidate order."""
+        return [
+            ResidueClass(self.k, self.m, j)
+            for j, s in self.statuses.items()
+            if s.kind == INCONCLUSIVE
+        ]
 
     def as_dict(self) -> dict:
         classes = []
@@ -190,20 +213,12 @@ def build_level_tree(k: int, m_max: int, samples: int = DEFAULT_SAMPLES) -> Leve
     tree = LevelTree(k=k, m0=m0_of(k), samples=samples)
     candidates = [ResidueClass(k, 1, 0), ResidueClass(k, 1, 1)]
     for m in range(1, m_max + 1):
-        rec = LevelRecord(m=m)
+        rec = LevelRecord(k, m)
         for c in candidates:
             try:
-                status = classify_class(c, samples)
+                rec.statuses[c.j] = classify_class(c, samples)
             except PrecisionExceeded:
-                status = ClassStatus(INCONCLUSIVE, samples)
-            rec.statuses[c.j] = status
-            if status.kind == NON_CONSTANT:
-                rec.survivors.append(c)
-            elif status.kind == CONSTANT:
-                rec.constants.append((c, status.value))
-            else:
-                rec.inconclusive.append(c)
-        rec.survivors.sort(key=lambda c: c.j)
+                rec.statuses[c.j] = ClassStatus(INCONCLUSIVE, samples)
         tree.levels.append(rec)
         candidates = [child for c in rec.survivors for child in c.split()]
         if not candidates:
@@ -230,6 +245,10 @@ def verify_main_conjecture(
     )
     if k < 1:
         raise ValueError("k must be >= 1")
+    if m_max < 2:
+        raise ValueError("m_max must be >= 2")
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
     if k <= 4:
         report.record_inconclusive(
             {
@@ -249,53 +268,31 @@ def verify_main_conjecture(
 
     for rec in tree.levels:
         m = rec.m
-        verdict = "PASS"
-        if rec.inconclusive:
-            verdict = "INCONCLUSIVE"
-            for c in rec.inconclusive:
-                report.record_inconclusive({"m": m, "j": c.j})
+        for c in rec.inconclusive:
+            report.record_inconclusive({"m": m, "j": c.j})
         if m <= m0 - 2:
             ok = not rec.constants
-            report.record(
-                ok,
-                None
-                if ok
-                else {
-                    "part": 1,
-                    "m": m,
-                    "reason": "constant class below level m0-1",
-                    "classes": [(c.j, v) for c, v in rec.constants],
-                },
-            )
-            if not ok:
-                verdict = "FAIL"
+            payload = {
+                "part": 1,
+                "m": m,
+                "reason": "constant class below level m0-1",
+                "classes": [(c.j, v) for c, v in rec.constants],
+            }
         elif m == m0 - 1:
-            ok = bool(rec.constants) or verdict == "INCONCLUSIVE"
-            report.record(
-                ok,
-                None
-                if ok
-                else {"part": 1, "m": m, "reason": "no constant class at level m0-1"},
-            )
-            if not ok and verdict != "INCONCLUSIVE":
-                verdict = "FAIL"
+            ok = bool(rec.constants or rec.inconclusive)
+            payload = {"part": 1, "m": m, "reason": "no constant class at level m0-1"}
         else:
             expected = 1 << (m0 - 2)
             ok = len(rec.survivors) == expected
-            report.record(
-                ok,
-                None
-                if ok
-                else {
-                    "part": 2,
-                    "m": m,
-                    "reason": "level size differs from 2^(m0-2)",
-                    "expected": expected,
-                    "survivors": [c.j for c in rec.survivors],
-                },
-            )
-            if not ok:
-                verdict = "FAIL"
+            payload = {
+                "part": 2,
+                "m": m,
+                "reason": "level size differs from 2^(m0-2)",
+                "expected": expected,
+                "survivors": [c.j for c in rec.survivors],
+            }
+        report.record(ok, payload)
+        verdict = FAIL if not ok else INCONCLUSIVE if rec.inconclusive else PASS
         level_verdicts.append({"m": m, "verdict": verdict})
 
     # part 2, splitting dynamic: one surviving child per survivor
@@ -308,9 +305,7 @@ def verify_main_conjecture(
             ok = len(kids) == 1
             report.record(
                 ok,
-                None
-                if ok
-                else {
+                {
                     "part": 2,
                     "m": rec.m,
                     "j": c.j,
@@ -319,7 +314,7 @@ def verify_main_conjecture(
                 },
             )
             if not ok:
-                level_verdicts[rec.m - 1]["verdict"] = "FAIL"
+                level_verdicts[rec.m - 1]["verdict"] = FAIL
 
     report.details["levels"] = level_verdicts
     return report
@@ -366,17 +361,11 @@ def c_set_sequence(count: int, samples: int = DEFAULT_SAMPLES) -> list[int]:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    chain = k5_surviving_chain(count + 1, samples)
     values: list[int] = []
-    for link in chain:
-        cls = ResidueClass(5, link.level, link.j)
-        prev = values[-1] if values else None
-        for n in cls.iter_members():
-            if prev is None or n > prev:
-                values.append(n)
-                break
-        if len(values) == count:
-            break
+    for link in k5_surviving_chain(count + 1, samples):
+        floor = values[-1] if values else 0
+        members = ResidueClass(5, link.level, link.j).iter_members()
+        values.append(next(n for n in members if n > floor))
     return values
 
 
@@ -436,9 +425,7 @@ def k5_structure_report(
             floor_ok = all(v > m - 3 for vs in pairs.values() for _, v in vs)
             report.record(
                 floor_ok,
-                None
-                if floor_ok
-                else {
+                {
                     "check": "child floor",
                     "m": m,
                     "branch": branch_j,
@@ -455,9 +442,7 @@ def k5_structure_report(
             split_ok = len(constant) == 1 and len(above) == 1
             report.record(
                 split_ok,
-                None
-                if split_ok
-                else {
+                {
                     "check": "one constant child at m-2, one child above",
                     "m": m,
                     "branch": branch_j,
@@ -477,16 +462,9 @@ def k5_structure_report(
     for m, r, op, bound in facts:
         c = ResidueClass(5, m, r)
         for n, v in vals_up_to(c, i_max):
-            ok = v == bound if op == "==" else v >= bound
             report.record(
-                ok,
-                None
-                if ok
-                else {
-                    "check": f"nu2(S({c.modulus}i+{r},5)) {op} {bound}",
-                    "n": n,
-                    "computed": v,
-                },
+                v == bound if op == "==" else v >= bound,
+                {"check": f"nu2(S({c.modulus}i+{r},5)) {op} {bound}", "n": n, "computed": v},
             )
 
     try:

@@ -85,10 +85,6 @@ class ConjectureReport:
         return CONSISTENT
 
     @property
-    def ok(self) -> bool:
-        return self.status == CONSISTENT
-
-    @property
     def exit_code(self) -> int:
         """Shell convention: 0 consistent, 1 counterexample, 2 inconclusive."""
         return {CONSISTENT: 0, COUNTEREXAMPLE: 1, INCONCLUSIVE: 2}[self.status]

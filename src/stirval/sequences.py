@@ -103,13 +103,16 @@ def cohen_check(m_min: int, m_max: int) -> ConjectureReport:
         nu_2(L_2(2^m)) == 2^m + m - 1    (stated for m >= 4)
 
     Values of m below 4 are outside the stated range and are reported,
-    not asserted.  The sums are accumulated once up to 2^m_max, recording
-    the valuation at each power of two.
+    not asserted; a range with no m >= 4 is rejected, since it would
+    assert nothing.  The sums are accumulated once up to 2^m_max,
+    recording the valuation at each power of two.
     """
     if m_min > m_max:
         raise ValueError("m_min must be <= m_max")
     if m_min < 1:
         raise ValueError("m_min must be >= 1")
+    if m_max < 4:
+        raise ValueError("m_max must be >= 4 (the stated range starts at m = 4)")
     report = ConjectureReport(
         "polylog partial-sum valuations", params={"m_min": m_min, "m_max": m_max}
     )

@@ -147,30 +147,30 @@ class ModStirlingEngine:
     nu_2 of the full integer equals nu_2 of the residue, which makes the
     extraction sound at any precision.
 
-    Precision follows one ladder: m_start doubled up to m_max, without
-    the rungs M <= nu_2(k!), whose residues Legendre's formula makes
-    identically zero.  val2 climbs it while the residue vanishes.
+    Precision follows one ladder: 64 bits doubled while below m_max, then
+    m_max itself, without the rungs M <= nu_2(k!), whose residues
+    Legendre's formula makes identically zero.  val2 climbs it while the
+    residue vanishes.
     """
 
-    def __init__(self, k: int, m_start: int = DEFAULT_M_START, m_max: int | None = None):
+    def __init__(self, k: int, m_max: int | None = None):
         if k < 1:
             raise ValueError("engine order k must be >= 1")
-        if m_start < 1:
-            raise ValueError("m_start must be >= 1")
         self.k = k
-        self.m_start = m_start
         self.m_max = DEFAULT_M_MAX if m_max is None else m_max
+        if self.m_max < 1:
+            raise ValueError("m_max must be >= 1")
         self.fact_val = k - digit_sum(2, k)  # nu_2(k!)
         self._terms = tuple(
             (-math.comb(k, i) if i & 1 else math.comb(k, i), k - i) for i in range(k)
         )
-        ladder = []
-        M = m_start
-        while M <= self.m_max:
-            if M > self.fact_val:
-                ladder.append(M)
+        rungs = []
+        M = DEFAULT_M_START
+        while M < self.m_max:
+            rungs.append(M)
             M *= 2
-        self._ladder = tuple(ladder)
+        rungs.append(self.m_max)
+        self._ladder = tuple(M for M in rungs if M > self.fact_val)
 
     def ksf_mod(self, n: int, M: int) -> int:
         """Residue of k! * S(n,k) modulo 2**M, for n >= 1."""
@@ -338,22 +338,18 @@ def identity_battery(n_max: int = 300, q_max: int = 10, k_max: int = 64) -> Conj
     )
     for k in range(1, n_max + 1):
         for n, gap in de_wannemacker_gaps(k, n_max):
-            report.record(
-                gap >= 0,
-                None if gap >= 0 else {"identity": "inequality gap", "n": n, "k": k, "gap": gap},
-            )
+            report.record(gap >= 0, {"identity": "inequality gap", "n": n, "k": k, "gap": gap})
     closed_bound = min(n_max, 500)
     for k in range(1, 6):
         for n in range(k, closed_bound + 1):
-            ok = stirling_closed_small(n, k) == stirling_exact(n, k)
             report.record(
-                ok, None if ok else {"identity": "closed form", "n": n, "k": k}
+                stirling_closed_small(n, k) == stirling_exact(n, k),
+                {"identity": "closed form", "n": n, "k": k},
             )
     for k in range(1, 5):
         for n, v in get_engine(k).val2_range(k, n_max + 1):
-            ok = val2_closed_small(n, k) == v
             report.record(
-                ok, None if ok else {"identity": "parity valuation", "n": n, "k": k}
+                val2_closed_small(n, k) == v, {"identity": "parity valuation", "n": n, "k": k}
             )
     report.merge_child(special, "special values")
     return report

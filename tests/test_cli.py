@@ -233,6 +233,9 @@ class TestUsageAndEnvironment:
             ("identities", "--k-max", "0"),
             ("k5-theorem", "--i-max", "0"),
             ("k5-theorem", "--i-max", "-1"),
+            ("cohen", "--m-min", "1", "--m-max", "3"),
+            ("main-conjecture", "--k", "3", "--levels", "1"),
+            ("main-conjecture", "--k", "3", "--samples", "1"),
         ],
     )
     def test_bad_domain_maps_to_usage(self, capsys, argv):
@@ -250,6 +253,18 @@ class TestUsageAndEnvironment:
         finally:
             stirling.set_default_m_max(stirling.DEFAULT_M_START << 10)
         capsys.readouterr()
+
+    def test_m_max_env_between_doublings(self, capsys, monkeypatch):
+        from stirval import stirling
+
+        monkeypatch.setenv(cli.M_MAX_ENV, "100")
+        try:
+            # nu_2(60! * S(161,60)) = 56 + 9 exceeds 64 bits; the ceiling 100 decides it
+            code, out = run(capsys, "val", "--series", "stirling", "--k", "60", "--n", "161")
+        finally:
+            stirling.set_default_m_max(stirling.DEFAULT_M_START << 10)
+        assert code == 0
+        assert out == "n,value\n161,9\n"
 
     def test_bad_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.M_MAX_ENV, "not-a-number")

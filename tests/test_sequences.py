@@ -94,6 +94,8 @@ class TestCohen:
         with pytest.raises(ValueError):
             cohen_check(5, 4)
         with pytest.raises(ValueError):
+            cohen_check(1, 3)  # no m in the stated range m >= 4: nothing asserted
+        with pytest.raises(ValueError):
             cohen_sum(0, 5)
 
 

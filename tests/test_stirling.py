@@ -147,7 +147,7 @@ class TestVal2Stirling:
         for n, v in engine.val2_range(1, 400):
             assert v == val2_stirling(n, k)
         # a 16-bit ceiling scans at its top rung; the scan raises where val2 does
-        tight = ModStirlingEngine(k, m_start=4, m_max=16)
+        tight = ModStirlingEngine(k, m_max=16)
         scan = tight.val2_range(1, 400)
         for n in range(1, 400):
             try:
@@ -169,7 +169,7 @@ class TestVal2Stirling:
             assert nu_int(2, r) == nu_int(2, engine.ksf_mod(n, 2 * M))
 
     def test_precision_ceiling_raises(self):
-        tight = ModStirlingEngine(5, m_start=4, m_max=8)
+        tight = ModStirlingEngine(5, m_max=8)
         with pytest.raises(PrecisionExceeded):
             tight.val2(28)  # nu_2(120 * S(28,5)) = 9 needs more than 8 bits
         # no rung has 32 bits of headroom, so the scan runs at the top rung, 8
@@ -178,12 +178,21 @@ class TestVal2Stirling:
         assert head == [(n, tight.val2(n)) for n in range(1, 28)]
         with pytest.raises(PrecisionExceeded):
             next(scan)
-        roomy = ModStirlingEngine(5, m_start=4, m_max=16)
+        roomy = ModStirlingEngine(5, m_max=16)
         assert roomy.val2(28) == 6
+
+    def test_ceiling_between_doublings_is_a_rung(self):
+        # nu_2(60! * S(161,60)) = 56 + 9 needs more than 64 bits; a ceiling of
+        # 100 lies between doublings and must itself be tried
+        engine = ModStirlingEngine(60, m_max=100)
+        assert engine.val2(161) == 9 == nu_int(2, stirling_exact(161, 60))
+        assert dict(engine.val2_range(161, 162)) == {161: 9}
 
     def test_engine_rejects_bad_order(self):
         with pytest.raises(ValueError):
             ModStirlingEngine(0)
+        with pytest.raises(ValueError):
+            ModStirlingEngine(5, m_max=0)
 
 
 class TestVal2ClosedSmall:
