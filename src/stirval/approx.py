@@ -10,7 +10,6 @@ derives them.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable, Iterator
 
 from .padic import INFINITE, Valuation, nu_int
@@ -106,7 +105,6 @@ def _sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-@lru_cache(maxsize=None)
 def err1(m: int) -> Valuation:
     """Prediction error of the first stage: nu_2(S(m,5)) - nu_2(f1(m)).
 

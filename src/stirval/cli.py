@@ -79,11 +79,11 @@ def _required_k(args) -> int:
 
 
 def _cohen_rows(k: int, ns: range) -> list[tuple[int, int]]:
-    """(n, nu_2(L_k(n))) for n in ns; ns starts at 1 or above, and may be empty."""
+    """(n, nu_2(L_k(n))) for n in ns; ns starts at 1 or above."""
     sums = sequences.cohen_partial_sums(k)
     return [
         (n, padic.nu_rat(2, total))
-        for n, total in itertools.islice(sums, ns.start - 1, max(ns.stop - 1, 0))
+        for n, total in itertools.islice(sums, ns.start - 1, ns.stop - 1)
     ]
 
 
@@ -190,6 +190,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_figure(args) -> int:
     header, handler = _FIGURES[args.name]
+    first = _required_k(args) if args.name in ("stirling-k", "wannemacker-diff") else 1
+    if args.n_max < first:
+        raise ValueError(f"figure {args.name} needs --n-max >= {first}")
     _emit_csv(header, handler(args), args.out)
     return EX_OK
 

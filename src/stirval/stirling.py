@@ -148,9 +148,11 @@ class ModStirlingEngine:
     extraction sound at any precision.
 
     Precision follows one ladder: 64 bits doubled while below m_max, then
-    m_max itself, without the rungs M <= nu_2(k!), whose residues
-    Legendre's formula makes identically zero.  val2 climbs it while the
-    residue vanishes.
+    m_max itself, starting at the first rung more than 32 bits above
+    nu_2(k!), or just (m_max,) if no rung is.  Legendre's formula makes
+    every residue zero at M <= nu_2(k!); the 32 spare bits let most
+    residues decide at the first rung.  val2 climbs the ladder while the
+    residue vanishes; val2_range scans at its first rung.
     """
 
     def __init__(self, k: int, m_max: int | None = None):
@@ -170,7 +172,7 @@ class ModStirlingEngine:
             rungs.append(M)
             M *= 2
         rungs.append(self.m_max)
-        self._ladder = tuple(M for M in rungs if M > self.fact_val)
+        self._ladder = tuple(M for M in rungs if M > self.fact_val + 32) or (self.m_max,)
 
     def ksf_mod(self, n: int, M: int) -> int:
         """Residue of k! * S(n,k) modulo 2**M, for n >= 1."""
@@ -199,19 +201,13 @@ class ModStirlingEngine:
     def val2_range(self, start: int, stop: int) -> Iterator[tuple[int, Valuation]]:
         """Yield (n, nu_2(S(n,k))) for start <= n < stop.
 
-        Batch variant for scans over n: one exp_sums pass at the first
-        rung with 32 bits above nu_2(k!), or at the top rung if none has
-        that headroom; an index whose residue vanishes there goes to val2.
-        Results are identical to per-n val2 calls.
+        Batch variant for scans over n: one exp_sums pass at the ladder's
+        first rung, where val2 also starts; an index whose residue vanishes
+        there goes to val2.  Results are identical to per-n val2 calls.
         """
         if start < 1:
             raise ValueError("val2_range requires start >= 1")
-        if not self._ladder:
-            for n in range(start, stop):
-                yield n, self.val2(n)
-            return
-        M = next((m for m in self._ladder if m > self.fact_val + 32), self._ladder[-1])
-        for n, r in zip(range(start, stop), exp_sums(self._terms, start, M)):
+        for n, r in zip(range(start, stop), exp_sums(self._terms, start, self._ladder[0])):
             if n < self.k:
                 yield n, INFINITE
             else:

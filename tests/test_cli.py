@@ -228,6 +228,18 @@ class TestUsageAndEnvironment:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("val-n", "--n-max", "0"),
+            ("cohen", "--n-max", "-3"),
+            ("stirling-k", "--k", "126", "--n-max", "100"),
+        ],
+    )
+    def test_empty_figure_maps_to_usage(self, capsys, argv):
+        # a header with no rows must not read as figure data
+        assert run_usage_error(capsys, "figure", *argv) == 64
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("exceptional", "--i-max", "1"),
             ("identities", "--n-max", "0"),
             ("identities", "--k-max", "0"),

@@ -25,6 +25,7 @@ from stirval import (
     val2_closed_small,
     val2_stirling,
 )
+import stirval.stirling as stirling_module
 from stirval.stirling import exp_sum_mod, exp_sums
 
 
@@ -172,7 +173,7 @@ class TestVal2Stirling:
         tight = ModStirlingEngine(5, m_max=8)
         with pytest.raises(PrecisionExceeded):
             tight.val2(28)  # nu_2(120 * S(28,5)) = 9 needs more than 8 bits
-        # no rung has 32 bits of headroom, so the scan runs at the top rung, 8
+        # no rung has 32 bits of headroom, so the ladder is the ceiling alone, 8
         scan = tight.val2_range(1, 29)
         head = list(itertools.islice(scan, 27))
         assert head == [(n, tight.val2(n)) for n in range(1, 28)]
@@ -180,6 +181,32 @@ class TestVal2Stirling:
             next(scan)
         roomy = ModStirlingEngine(5, m_max=16)
         assert roomy.val2(28) == 6
+        # a ceiling at or below nu_2(101!) = 97 leaves every residue zero
+        low = ModStirlingEngine(101, m_max=64)
+        scan = low.val2_range(90, 121)
+        assert list(itertools.islice(scan, 11)) == [(n, INFINITE) for n in range(90, 101)]
+        with pytest.raises(PrecisionExceeded, match=r"S\(101,101\) == 0 mod 2\^64"):
+            next(scan)
+        with pytest.raises(PrecisionExceeded, match=r"S\(101,101\) == 0 mod 2\^64"):
+            low.val2(101)
+
+    @pytest.mark.parametrize("k, n, M", [(64, 65, 128), (5, 28, 64)])
+    def test_one_ladder_for_single_values_and_scans(self, monkeypatch, k, n, M):
+        # nu_2(64!) = 63, so 64 bits leave no headroom: both routes start at 128
+        engine = ModStirlingEngine(k)
+        want = nu_int(2, stirling_exact(n, k))
+        asked = []
+        real = engine.ksf_mod
+        monkeypatch.setattr(engine, "ksf_mod", lambda i, m: asked.append(m) or real(i, m))
+        assert engine.val2(n) == want
+        assert asked == [M]
+        scanned = []
+        monkeypatch.setattr(
+            stirling_module, "exp_sums", lambda *a: scanned.append(a[2]) or exp_sums(*a)
+        )
+        assert dict(engine.val2_range(n, n + 1)) == {n: want}
+        assert scanned == [M]
+        assert asked == [M]  # the scan decided n without falling back to val2
 
     def test_ceiling_between_doublings_is_a_rung(self):
         # nu_2(60! * S(161,60)) = 56 + 9 needs more than 64 bits; a ceiling of
