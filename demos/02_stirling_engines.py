@@ -13,7 +13,6 @@ from stirval import (
     ModStirlingEngine,
     PrecisionExceeded,
     get_engine,
-    ksf_mod,
     nu_int,
     stirling_exact,
     val2_stirling,
@@ -25,7 +24,8 @@ def main():
     n, k = 8, 5
     exact = stirling_exact(n, k)
     print(f"  S({n},{k}) = {exact} exactly; 5! * S = {120 * exact}")
-    print(f"  residue mod 2^8 = {ksf_mod(n, k, 8)}  ->  nu_2(S) = {val2_stirling(n, k)}")
+    residue = get_engine(k).ksf_mod(n, 8)
+    print(f"  residue mod 2^8 = {residue}  ->  nu_2(S) = {val2_stirling(n, k)}")
     print(f"  direct check: nu_2({exact}) = {nu_int(2, exact)}")
 
     print("\n== valuations far beyond exact reach ==")

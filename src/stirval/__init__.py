@@ -28,7 +28,7 @@ from .stirling import (
     de_wannemacker_gaps,
     get_engine,
     identity_battery,
-    ksf_mod,
+    ksf_terms,
     special_values_check,
     stirling_closed_small,
     stirling_exact,

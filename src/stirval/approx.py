@@ -136,10 +136,8 @@ def approx_report(m_max: int) -> ConjectureReport:
         raise ValueError("m_max must be >= 156 (below that no exceptions exist)")
     report = ConjectureReport("approximation tower for nu_2(S(n,5))", params={"m_max": m_max})
 
-    disagreements = [
-        m for m in range(5, m_max + 1) if val2_stirling(m, 5) != nu_int(2, f1(m))
-    ]
-    expected = [v for v in i1_elements(m_max) if v >= 5]
+    disagreements = [m for m in range(5, m_max + 1) if err1(m) != 0]
+    expected = i1_elements(m_max)
     report.details["stage1"] = {
         "disagreements": disagreements,
         "expected_I1": expected,

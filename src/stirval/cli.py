@@ -36,24 +36,22 @@ def _fmt(value) -> str:
     return "" if value is INFINITE else str(value)
 
 
-def _emit_csv(header: list[str], rows, out: str | None) -> None:
+def _csv(header: list[str], rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if out:
+    return "\n".join(lines) + "\n"
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the --out path, LF line endings kept, or to stdout."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(report: ConjectureReport, out: str | None) -> None:
-    text = report.to_json() + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
 
 
 def _n_range(args) -> range:
@@ -174,7 +172,7 @@ _FIGURES = {
 
 def _cmd_val(args) -> int:
     ns = _n_range(args)
-    _emit_csv(["n", "value"], _SERIES[args.series](args, ns), args.out)
+    _emit(_csv(["n", "value"], _SERIES[args.series](args, ns)), args.out)
     return EX_OK
 
 
@@ -184,7 +182,7 @@ def _cmd_verify(args) -> int:
         if getattr(args, name) is None:
             setattr(args, name, value)
     report = handler(args)
-    _emit_json(report, args.out)
+    _emit(report.to_json() + "\n", args.out)
     return report.exit_code
 
 
@@ -193,7 +191,7 @@ def _cmd_figure(args) -> int:
     first = _required_k(args) if args.name in ("stirling-k", "wannemacker-diff") else 1
     if args.n_max < first:
         raise ValueError(f"figure {args.name} needs --n-max >= {first}")
-    _emit_csv(header, handler(args), args.out)
+    _emit(_csv(header, handler(args)), args.out)
     return EX_OK
 
 

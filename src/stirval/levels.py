@@ -79,9 +79,6 @@ class ResidueClass:
     def label(self) -> str:
         return f"C({self.m},{self.j})"
 
-    def as_dict(self) -> dict:
-        return {"k": self.k, "m": self.m, "j": self.j}
-
 
 @dataclass(frozen=True)
 class ClassStatus:

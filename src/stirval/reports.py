@@ -26,8 +26,6 @@ def jsonable(value: Any) -> Any:
 
     Infinite valuations become the string "inf"; tuples become lists.
     """
-    if value is math.inf:
-        return "inf"
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -100,5 +98,5 @@ class ConjectureReport:
             "details": jsonable(self.details),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=2)

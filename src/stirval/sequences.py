@@ -23,7 +23,7 @@ from typing import Iterator
 
 from .padic import digit_sum, nu_int, nu_rat, pochhammer
 from .reports import ConjectureReport
-from .stirling import exp_sum_mod, exp_sums, get_engine, val2_stirling
+from .stirling import exp_sum_mod, exp_sums, get_engine, ksf_terms, val2_stirling
 
 
 def b_lm(l: int, m: int) -> int:
@@ -122,23 +122,13 @@ def cohen_check(m_min: int, m_max: int) -> ConjectureReport:
             m = n.bit_length() - 1
             if n != 1 << m or m < m_min:
                 continue
-            computed = nu_rat(2, total)
-            expected = formula(m)
+            entry = {"k": k, "m": m, "computed": nu_rat(2, total)}
             if m < 4:
-                entries.append(
-                    {
-                        "k": k,
-                        "m": m,
-                        "computed": computed,
-                        "note": "out of stated range",
-                    }
-                )
-                continue
-            entries.append({"k": k, "m": m, "computed": computed, "expected": expected})
-            report.record(
-                computed == expected,
-                {"k": k, "m": m, "computed": computed, "expected": expected},
-            )
+                entry["note"] = "out of stated range"
+            else:
+                entry["expected"] = formula(m)
+                report.record(entry["computed"] == entry["expected"], entry)
+            entries.append(entry)
     report.details["entries"] = entries
     return report
 
@@ -147,12 +137,7 @@ def t_sums(p: int, start: int, k: int) -> Iterator[int]:
     """Yield T_p(n,k) for n = start, start + 1, ...; see ``t_sum``."""
     if start < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    terms = tuple(
-        (math.comb(k, j) if (k - j) % 2 == 0 else -math.comb(k, j), j)
-        for j in range(1, k + 1)
-        if j % p
-    )
-    return exp_sums(terms, start)
+    return exp_sums(tuple((c, b) for c, b in ksf_terms(k) if b % p), start)
 
 
 def t_sum(p: int, n: int, k: int) -> int:
@@ -240,10 +225,11 @@ class ClarkeForm:
         return exp_sum_mod(self.terms, x, M)
 
 
-# The forms whose 2-adic zeros encode nu_2(S(n,k)) for k = 5, 6, 7.
-K5_FORM = ClarkeForm(((5, 1), (10, 3), (1, 5)))
-K6_FORM = ClarkeForm(((-6, 1), (-20, 3), (-6, 5)))
-K7_FORM = ClarkeForm(((7, 1), (35, 3), (21, 5), (1, 7)))
+# The forms whose 2-adic zeros encode nu_2(S(n,k)) for k = 5, 6, 7: the
+# odd-base part of k! * S(x,k), e.g. K5_FORM = 5 + 10*3^x + 5^x.
+K5_FORM, K6_FORM, K7_FORM = (
+    ClarkeForm(tuple((c, b) for c, b in ksf_terms(k) if b % 2)) for k in (5, 6, 7)
+)
 
 
 class NoRootError(Exception):
@@ -355,10 +341,10 @@ def clarke_battery(
 ) -> ConjectureReport:
     """Full Clarke check: identity scan, zero congruences, distance formula.
 
-    Runs the T-sum valuation scan up to scan_n_max, lifts both zeros of
-    the order-5 form to ``precision`` bits, asserts their residues mod 4
-    (0 on the even branch, 3 on the odd one), and replays the distance
-    formula for nu_2(S(n,5)) up to n_max.
+    Runs the T-sum valuation scan up to scan_n_max, replays the distance
+    formula for nu_2(S(n,5)) up to n_max, and asserts the residues mod 4
+    of the two zeros of the order-5 form that it lifted to ``precision``
+    bits (0 on the even branch, 3 on the odd one).
     """
     report = ConjectureReport(
         "Clarke battery",
@@ -370,16 +356,14 @@ def clarke_battery(
         },
     )
     report.merge_child(clarke_conjecture_check(scan_n_max, k_max), "t-sum identity")
-    u0 = clarke_zero(K5_FORM, "even", precision)
-    u1 = clarke_zero(K5_FORM, "odd", precision)
-    report.details["zeros"] = {"even": u0.residue, "odd": u1.residue}
-    report.record(
-        u0.residue % 4 == 0,
-        {"check": "even zero residue mod 4", "computed": u0.residue % 4, "expected": 0},
-    )
-    report.record(
-        u1.residue % 4 == 3,
-        {"check": "odd zero residue mod 4", "computed": u1.residue % 4, "expected": 3},
-    )
-    report.merge_child(clarke_val_check(n_max, precision), "distance formula")
+    distance = clarke_val_check(n_max, precision)
+    zeros = distance.details["zeros"]
+    report.details["zeros"] = {"even": zeros["even"], "odd": zeros["odd"]}
+    for parity, expected in (("even", 0), ("odd", 3)):
+        computed = zeros[parity] % 4
+        report.record(
+            computed == expected,
+            {"check": f"{parity} zero residue mod 4", "computed": computed, "expected": expected},
+        )
+    report.merge_child(distance, "distance formula")
     return report

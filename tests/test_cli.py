@@ -254,6 +254,23 @@ class TestUsageAndEnvironment:
         # an empty scan range must not read as a verdict
         assert run_usage_error(capsys, "verify", *argv) == 64
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("val", "--series", "int", "--n", "4"), ("verify", "lemmas", "--m-max", "3")],
+        ids=["csv", "json"],
+    )
+    def test_out_path(self, capsys, tmp_path, argv):
+        _, out = run(capsys, *argv)
+        path = tmp_path / "out"
+        assert run(capsys, *argv, "--out", str(path)) == (0, "")
+        assert path.read_bytes() == out.encode("utf-8")  # LF-only, as on stdout
+        # an unwritable path is a usage error: exit 1 would read as a counterexample
+        missing = tmp_path / "missing" / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(missing)])
+        assert exc.value.code == 64
+        assert f"cannot write --out {missing}" in capsys.readouterr().err
+
     def test_m_max_env_ceiling(self, capsys, monkeypatch):
         from stirval import stirling
 

@@ -1,0 +1,77 @@
+"""Golden outputs: stdout digests and exit codes of representative CLI runs.
+
+Each case runs ``cli.main`` in-process and compares sha256(stdout) and the
+exit code with a digest recorded from a known-good build.  Together the
+cases cover every ``val`` series, every ``verify`` target and every
+``figure``, including counterexample (exit 1) and inconclusive (exit 2)
+verdicts, so a refactor that changes any byte of output fails here.
+
+Re-record the digests only in a change that alters output on purpose,
+and say which outputs changed and why.  To re-record, print
+``_digest(capsys, argv)`` for each case and paste the results.
+"""
+
+import hashlib
+
+import pytest
+
+from stirval import cli
+
+GOLDEN = [
+    (("val", "--series", "stirling", "--k", "5", "--n-min", "1", "--n-max", "60"), 0,
+     "a363ada17b0528147416a320ed8452ce68a56c2b144974d10a7ce283fd124e63"),
+    (("val", "--series", "stirling", "--k", "64", "--n-min", "60", "--n-max", "90"), 0,
+     "28d439cdee3013e3bec3d29497b16cf1f2a806e28f30a4ce20111e0d6464336d"),
+    (("val", "--series", "factorial", "--p", "3", "--n-min", "1", "--n-max", "40"), 0,
+     "4a21c4e5af31dbdccf6f93faf056b82bac05060d0b9ef5420827dc5b213e93f9"),
+    (("val", "--series", "int", "--p", "2", "--n-min", "1", "--n-max", "64"), 0,
+     "298c0a8d7e8fceeb122a4c77e380326e5c852d243f213d977f1ff8cb24e319c0"),
+    (("val", "--series", "cohen", "--k", "2", "--n-min", "1", "--n-max", "40"), 0,
+     "09b02cc572b1b2c9a0e69df8c78bbbde786497078f2bb3e814edb8dc12cb0137"),
+    (("verify", "main-conjecture", "--k", "11", "--levels", "5", "--samples", "16"), 0,
+     "c68420a9be9778fe17469453efabb50653ccb2fba479290a737b73ec5e244dcf"),
+    (("verify", "main-conjecture", "--k", "16", "--levels", "6", "--samples", "16"), 1,
+     "22da177304ac1ad76e0127c3b9ab6f3a7d90e46bdf033dcbb125c8f741dd2175"),
+    (("verify", "main-conjecture", "--k", "3"), 2,
+     "0048ae1cb745c9bb2de2dda4f4fbb75bdd576fcbc4e2a642445b7c493342146e"),
+    (("verify", "k5-theorem", "--levels", "4", "--samples", "16", "--i-max", "20"), 0,
+     "2068dfc891fc4347b4ab149a558253048884306d18cabaf823b8c5a6f741e27a"),
+    (("verify", "exceptional", "--i-max", "110"), 0,
+     "bf6a8337c4a19dcbf93f541343e2a8b94dacc4bfaf5aa6262eadc9d674e14295"),
+    (("verify", "approx", "--m-max", "400"), 0,
+     "f6674388d431c868bb3948cc7a5752683825ee1741409bc46260be355294ad5c"),
+    (("verify", "clarke", "--scan-n-max", "40", "--n-max", "200", "--precision", "20"), 0,
+     "0e2355b06614ce422163bb6aa88daa92de469046c09ee66a4e6ad79876648aca"),
+    (("verify", "identities", "--n-max", "40", "--q-max", "5", "--k-max", "8"), 0,
+     "d591c9bb3f38937ae7281829827a473994dea4e64f7954ac52562d6612ce3650"),
+    (("verify", "lemmas", "--m-max", "8"), 0,
+     "c1fa1c487f5b262a5af9b6c18c7bb02d8db34f858c7e1632beeb50ac775007d2"),
+    (("verify", "alm", "--l-max", "8", "--m-max", "12"), 0,
+     "4b11035c1dc6a4a4d704f4a80ee7f1ec2edabc78370505fa93455a2890c4e8a9"),
+    (("verify", "cohen", "--m-min", "1", "--m-max", "7"), 1,
+     "0eb1054b05909944be09fb1a79ef93cb46ae9b41e90c1ac565e7bcd4d769832c"),
+    (("figure", "val-n", "--n-max", "40"), 0,
+     "38e210229f6b2ccb7f2e5cf915cc2697b7e94278687808616b3196ae17627525"),
+    (("figure", "val-factorial", "--n-max", "40"), 0,
+     "211ef5b0309b955f9b70891b6c2f570541b8b485235d068b490144f57082c13c"),
+    (("figure", "err-factorial", "--n-max", "40"), 0,
+     "f8fe391c3cfe7cfce8f17fb0d457f245d1eccf5cc2da2f641df9d81e8ce11eaa"),
+    (("figure", "cohen", "--k", "1", "--n-max", "40"), 0,
+     "fa40be87f92298c460aef0230d109485683fb504b54b1841bc9581b28cbdcdfa"),
+    (("figure", "stirling-k", "--k", "7", "--n-max", "60"), 0,
+     "37f41eae90af008fce40a4c3849fbd1faffd79a6a90b384989e29f2529e9ed74"),
+    (("figure", "wannemacker-diff", "--k", "6", "--n-max", "60"), 0,
+     "dbc19a39d0c7d43b3ded56cd8e74298c33125a3e8be814c61c523886c26e72e6"),
+]
+
+
+def _digest(capsys, argv) -> tuple[int, str]:
+    code = cli.main(list(argv))
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv, code, sha", GOLDEN, ids=[" ".join(a) for a, _, _ in GOLDEN])
+def test_golden_output(capsys, monkeypatch, argv, code, sha):
+    monkeypatch.delenv(cli.M_MAX_ENV, raising=False)
+    assert _digest(capsys, argv) == (code, sha)

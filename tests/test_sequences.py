@@ -22,6 +22,7 @@ from stirval import (
     clarke_zero,
     cohen_check,
     cohen_sum,
+    ksf_terms,
     nu_int,
     nu_rat,
     t_sum,
@@ -130,9 +131,14 @@ class TestTSum:
 
 class TestClarkeForm:
     def test_parse_known_forms(self):
-        assert ClarkeForm.parse("5 + 10*3^x + 5^x") == K5_FORM
-        assert ClarkeForm.parse("-6 - 20*3^x - 6*5^x") == K6_FORM
-        assert ClarkeForm.parse("7 + 35*3^x + 21*5^x + 7^x") == K7_FORM
+        for k, text, form in (
+            (5, "5 + 10*3^x + 5^x", K5_FORM),
+            (6, "-6 - 20*3^x - 6*5^x", K6_FORM),
+            (7, "7 + 35*3^x + 21*5^x + 7^x", K7_FORM),
+        ):
+            assert ClarkeForm.parse(text) == form
+            # the form is the odd-base part of k! * S(x,k)
+            assert ClarkeForm.parse(text).terms == tuple(t for t in ksf_terms(k) if t[1] % 2)
 
     def test_parse_order_free_and_unicode_minus(self):
         assert ClarkeForm.parse("10*3^x + 5 + 5^x") == ClarkeForm(
@@ -211,8 +217,19 @@ class TestClarkeValCheck:
         assert not report.inconclusive
         assert report.details["zeros"]["even"] == 3084444
 
-    def test_battery(self):
+    def test_battery(self, monkeypatch):
+        import stirval.sequences as sequences_module
+
+        lifted = []
+        monkeypatch.setattr(
+            sequences_module,
+            "clarke_zero",
+            lambda form, parity, M: lifted.append(parity) or clarke_zero(form, parity, M),
+        )
         report = clarke_battery(scan_n_max=100, k_max=5, n_max=300, precision=24)
         assert report.status == "CONSISTENT"
         names = [s["name"] for s in report.details["subchecks"]]
         assert names == ["t-sum identity", "distance formula"]
+        # the mod-4 checks read the zeros the distance formula lifted
+        assert sorted(lifted) == ["even", "odd"]
+        assert report.details["zeros"] == {"even": 3084444, "odd": 1657119}

@@ -17,7 +17,7 @@ from stirval import (
     de_wannemacker_gaps,
     get_engine,
     identity_battery,
-    ksf_mod,
+    ksf_terms,
     nu_int,
     special_values_check,
     stirling_closed_small,
@@ -85,15 +85,23 @@ class TestClosedForms:
 
 class TestKsfMod:
     def test_examples(self):
-        assert ksf_mod(8, 5, 8) == 48  # 120 * 1050 == 48 mod 256
+        assert get_engine(5).ksf_mod(8, 8) == 48  # 120 * 1050 == 48 mod 256
         for n in (1, 9, 250):
-            assert ksf_mod(n, 1, 32) == 1
+            assert get_engine(1).ksf_mod(n, 32) == 1
         for M in (16, 64):
-            assert ksf_mod(4, 5, M) == 0  # S(4,5) = 0
+            assert get_engine(5).ksf_mod(4, M) == 0  # S(4,5) = 0
 
     def test_requires_positive_n(self):
         with pytest.raises(ValueError):
-            ksf_mod(0, 3, 16)
+            get_engine(3).ksf_mod(0, 16)
+
+    def test_terms_are_factorial_times_triangle(self):
+        # exact sum of ksf_terms against the recurrence, including n < k where both are 0
+        for k in range(1, 13):
+            terms = ksf_terms(k)
+            assert get_engine(k)._terms == terms
+            for n in range(1, 41):
+                assert next(exp_sums(terms, n)) == math.factorial(k) * stirling_exact(n, k)
 
     @pytest.mark.parametrize("M", [16, 64])
     def test_matches_factorial_times_triangle_to_200(self, M):
@@ -101,7 +109,7 @@ class TestKsfMod:
         for k in range(1, 201):
             fact = math.factorial(k)
             for n in range(k, 201):
-                assert ksf_mod(n, k, M) == fact * stirling_exact(n, k) % mod
+                assert get_engine(k).ksf_mod(n, M) == fact * stirling_exact(n, k) % mod
 
 
 class TestExpSum:
