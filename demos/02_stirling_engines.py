@@ -10,8 +10,9 @@ automatically on the rare indices where the valuation spikes.
 import time
 
 from stirval import (
+    K5_FORM,
     ModStirlingEngine,
-    PrecisionExceeded,
+    clarke_zero,
     get_engine,
     nu_int,
     stirling_exact,
@@ -39,11 +40,14 @@ def main():
     print("  nu_2(S(156,5)) = 11 sits well above its neighbours:")
     for n in range(150, 161):
         print(f"    n={n}: {val2_stirling(n, 5)}")
-    tight = ModStirlingEngine(5, m_max=8)
-    try:
-        tight.val2(156)
-    except PrecisionExceeded as exc:
-        print(f"  with an 8-bit ceiling the engine refuses to guess: {exc}")
+    u = clarke_zero(K5_FORM, "even", 110).residue
+    n = u + (1 << 100)
+    engine = ModStirlingEngine(5)
+    print("  n = u + 2^100, with u the even 2-adic zero of the k=5 Clarke form:")
+    print(f"    5! * S(n,5) mod 2^64 = {engine.ksf_mod(n, 64)}, so M doubles to 128")
+    print(f"    nu_2(S(n,5)) = {engine.val2(n)}; Clarke's distance formula gives "
+          f"nu_2(n - u) - 1 = {nu_int(2, n - u) - 1}")
+    print("  the doubling always ends, since 0 < 5! * S(n,5) <= 5^n")
 
     print("\n== batch scans ==")
     engine = get_engine(75)

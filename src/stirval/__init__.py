@@ -22,7 +22,6 @@ from .padic import (
 from .reports import CONSISTENT, COUNTEREXAMPLE, INCONCLUSIVE, ConjectureReport
 from .stirling import (
     ModStirlingEngine,
-    PrecisionExceeded,
     StirlingTriangle,
     de_wannemacker_gap,
     de_wannemacker_gaps,

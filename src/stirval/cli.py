@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import sys
+from pathlib import Path
 
 from . import approx, levels, padic, sequences, stirling
 from .padic import INFINITE
@@ -20,8 +20,6 @@ from .reports import ConjectureReport
 
 EX_OK = 0
 EX_USAGE = 64
-
-M_MAX_ENV = "STIRVAL_M_MAX"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,6 +38,17 @@ def _csv(header: list[str], rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def _check_out(out: str | None) -> None:
+    """Reject an --out path that cannot name a new or existing file, before any work."""
+    if not out:
+        return
+    path = Path(out)
+    if path.is_dir():
+        raise ValueError(f"cannot write --out {out}: it is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"cannot write --out {out}: no directory {path.parent}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -244,19 +253,9 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    env_m_max = os.environ.get(M_MAX_ENV)
-    if env_m_max is not None:
-        try:
-            stirling.set_default_m_max(int(env_m_max))
-        except ValueError as exc:
-            parser.error(f"bad {M_MAX_ENV}: {exc}")
-
     try:
+        _check_out(args.out)
         return args.run(args)
-    except stirling.PrecisionExceeded as exc:
-        sys.stderr.write(f"stirval: inconclusive: {exc}\n")
-        return 2
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from .padic import Valuation
-from .reports import FAIL, INCONCLUSIVE, PASS, ConjectureReport
-from .stirling import PrecisionExceeded, val2_stirling
+from .reports import FAIL, PASS, ConjectureReport
+from .stirling import val2_stirling
 
 CONSTANT = "CONSTANT"
 NON_CONSTANT = "NON_CONSTANT"
@@ -85,8 +85,7 @@ class ClassStatus:
     """Empirical verdict for one residue class.
 
     CONSTANT carries the common value and the sample bound it was checked
-    to; NON_CONSTANT carries a two-member certificate; INCONCLUSIVE means
-    some member's valuation could not be determined.
+    to; NON_CONSTANT carries a two-member certificate.
     """
 
     kind: str
@@ -109,8 +108,7 @@ def classify_class(c: ResidueClass, samples: int = DEFAULT_SAMPLES) -> ClassStat
 
     Returns NON_CONSTANT with a witness pair as soon as two members
     disagree; otherwise CONSTANT up to the sample bound.  Members are
-    >= k, so every valuation is finite.  PrecisionExceeded propagates to
-    the caller, which is expected to record the class as inconclusive.
+    >= k, so every valuation is finite.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -157,15 +155,6 @@ class LevelRecord:
             if s.kind == CONSTANT
         ]
 
-    @property
-    def inconclusive(self) -> list[ResidueClass]:
-        """The INCONCLUSIVE classes, in candidate order."""
-        return [
-            ResidueClass(self.k, self.m, j)
-            for j, s in self.statuses.items()
-            if s.kind == INCONCLUSIVE
-        ]
-
     def as_dict(self) -> dict:
         classes = []
         for j in sorted(self.statuses):
@@ -200,8 +189,7 @@ def build_level_tree(k: int, m_max: int, samples: int = DEFAULT_SAMPLES) -> Leve
     """Build the level structure for order k up to level m_max.
 
     Level 1 starts from the two parity classes; level m+1 classifies the
-    children of the level-m survivors.  Inconclusive classes are recorded
-    and not split further.
+    children of the level-m survivors.
     """
     if k < 3:
         raise ValueError("level trees need k >= 3")
@@ -212,10 +200,7 @@ def build_level_tree(k: int, m_max: int, samples: int = DEFAULT_SAMPLES) -> Leve
     for m in range(1, m_max + 1):
         rec = LevelRecord(k, m)
         for c in candidates:
-            try:
-                rec.statuses[c.j] = classify_class(c, samples)
-            except PrecisionExceeded:
-                rec.statuses[c.j] = ClassStatus(INCONCLUSIVE, samples)
+            rec.statuses[c.j] = classify_class(c, samples)
         tree.levels.append(rec)
         candidates = [child for c in rec.survivors for child in c.split()]
         if not candidates:
@@ -265,8 +250,6 @@ def verify_main_conjecture(
 
     for rec in tree.levels:
         m = rec.m
-        for c in rec.inconclusive:
-            report.record_inconclusive({"m": m, "j": c.j})
         if m <= m0 - 2:
             ok = not rec.constants
             payload = {
@@ -276,7 +259,7 @@ def verify_main_conjecture(
                 "classes": [(c.j, v) for c, v in rec.constants],
             }
         elif m == m0 - 1:
-            ok = bool(rec.constants or rec.inconclusive)
+            ok = bool(rec.constants)
             payload = {"part": 1, "m": m, "reason": "no constant class at level m0-1"}
         else:
             expected = 1 << (m0 - 2)
@@ -289,8 +272,7 @@ def verify_main_conjecture(
                 "survivors": [c.j for c in rec.survivors],
             }
         report.record(ok, payload)
-        verdict = FAIL if not ok else INCONCLUSIVE if rec.inconclusive else PASS
-        level_verdicts.append({"m": m, "verdict": verdict})
+        level_verdicts.append({"m": m, "verdict": PASS if ok else FAIL})
 
     # part 2, splitting dynamic: one surviving child per survivor
     for rec, nxt in zip(tree.levels, tree.levels[1:]):
@@ -403,6 +385,10 @@ def k5_structure_report(
     Also rechecks the eight fixed congruence-class facts for the classes
     mod 8 and mod 16 (values 1, 1, >=2, >=2, 2, 2, >=3, >=3).
     """
+    if m_max < 3:
+        raise ValueError("m_max must be >= 3")
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
     report = ConjectureReport(
@@ -464,12 +450,8 @@ def k5_structure_report(
                 {"check": f"nu2(S({c.modulus}i+{r},5)) {op} {bound}", "n": n, "computed": v},
             )
 
-    try:
-        chain = k5_surviving_chain(m_max, samples)
-        report.details["surviving_chain"] = [
-            {"level": link.level, "j": link.j, "sibling_value": link.sibling_value}
-            for link in chain
-        ]
-    except PrecisionExceeded as exc:
-        report.record_inconclusive({"check": "surviving chain", "reason": str(exc)})
+    report.details["surviving_chain"] = [
+        {"level": link.level, "j": link.j, "sibling_value": link.sibling_value}
+        for link in k5_surviving_chain(m_max, samples)
+    ]
     return report

@@ -42,8 +42,8 @@ class ConjectureReport:
 
     status is CONSISTENT when every checked instance agreed,
     COUNTEREXAMPLE when at least one concrete violation was found, and
-    INCONCLUSIVE when some instances could not be decided (for example
-    because the modular engine hit its precision ceiling) and none failed.
+    INCONCLUSIVE when some instances could not be decided (for example a
+    Clarke distance below the lift's resolution) and none failed.
     """
 
     name: str

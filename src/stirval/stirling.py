@@ -19,21 +19,9 @@ from .padic import INFINITE, Valuation, digit_sum, legendre_factorial_val, nu_in
 from .reports import ConjectureReport
 
 DEFAULT_ORACLE_BOUND = 2000
-DEFAULT_M_START = 64
-DEFAULT_M_MAX = 1 << 16
 
 # (coefficient, base) pairs of an exponential sum f(n) = sum c * b**n
 Terms = tuple[tuple[int, int], ...]
-
-
-class PrecisionExceeded(Exception):
-    """The residue stayed 0 mod 2**m_max, so the valuation is undecided."""
-
-    def __init__(self, n: int, k: int, m_max: int):
-        super().__init__(f"k!*S({n},{k}) == 0 mod 2^{m_max}; valuation undecided")
-        self.n = n
-        self.k = k
-        self.m_max = m_max
 
 
 class StirlingTriangle:
@@ -159,65 +147,54 @@ class ModStirlingEngine:
     integer equals nu_2 of the residue, which makes the extraction sound
     at any precision.
 
-    Precision follows one ladder: 64 bits doubled while below m_max, then
-    m_max itself, starting at the first rung more than 32 bits above
-    nu_2(k!), or just (m_max,) if no rung is.  Legendre's formula makes
-    every residue zero at M <= nu_2(k!); the 32 spare bits let most
-    residues decide at the first rung.  val2 climbs the ladder while the
-    residue vanishes; val2_range scans at its first rung.
+    Precision starts at 64 bits, doubled until it is more than 32 bits
+    above nu_2(k!): Legendre's formula makes every residue zero at
+    M <= nu_2(k!), and the 32 spare bits let most residues decide there.
+    val2 doubles M while the residue vanishes.  For n >= k the integer
+    k! * S(n,k) lies in 1..k**n, so every M > n * log2(k) leaves a nonzero
+    residue and the doubling always ends.  val2_range scans at the start.
     """
 
-    def __init__(self, k: int, m_max: int | None = None):
+    def __init__(self, k: int):
         if k < 1:
             raise ValueError("engine order k must be >= 1")
         self.k = k
-        self.m_max = DEFAULT_M_MAX if m_max is None else m_max
-        if self.m_max < 1:
-            raise ValueError("m_max must be >= 1")
         self.fact_val = legendre_factorial_val(2, k)
         self._terms = ksf_terms(k)
-        rungs = []
-        M = DEFAULT_M_START
-        while M < self.m_max:
-            rungs.append(M)
-            M *= 2
-        rungs.append(self.m_max)
-        self._ladder = tuple(M for M in rungs if M > self.fact_val + 32) or (self.m_max,)
+        self._m_start = 64
+        while self._m_start <= self.fact_val + 32:
+            self._m_start *= 2
 
     def ksf_mod(self, n: int, M: int) -> int:
         """Residue of k! * S(n,k) modulo 2**M, for n >= 1."""
         if n < 1:
             raise ValueError("ksf_mod requires n >= 1")
-        if not 1 <= M <= self.m_max:
-            raise ValueError(f"need 1 <= M <= {self.m_max}, got M={M}")
+        if M < 1:
+            raise ValueError(f"need M >= 1, got M={M}")
         return exp_sum_mod(self._terms, n, M)
 
     def _extract(self, residue: int) -> Valuation:
         return nu_int(2, residue) - self.fact_val
 
     def val2(self, n: int) -> Valuation:
-        """nu_2(S(n,k)); INFINITE when n < k (there S(n,k) = 0).
-
-        Raises PrecisionExceeded if the residue is still zero at m_max.
-        """
+        """nu_2(S(n,k)); INFINITE when n < k (there S(n,k) = 0)."""
         if n < self.k:
             return INFINITE
-        for M in self._ladder:
-            r = self.ksf_mod(n, M)
-            if r:
-                return self._extract(r)
-        raise PrecisionExceeded(n, self.k, self.m_max)
+        M = self._m_start
+        while not (r := self.ksf_mod(n, M)):
+            M *= 2
+        return self._extract(r)
 
     def val2_range(self, start: int, stop: int) -> Iterator[tuple[int, Valuation]]:
         """Yield (n, nu_2(S(n,k))) for start <= n < stop.
 
-        Batch variant for scans over n: one exp_sums pass at the ladder's
-        first rung, where val2 also starts; an index whose residue vanishes
-        there goes to val2.  Results are identical to per-n val2 calls.
+        Batch variant for scans over n: one exp_sums pass at the precision
+        where val2 also starts; an index whose residue vanishes there goes
+        to val2.  Results are identical to per-n val2 calls.
         """
         if start < 1:
             raise ValueError("val2_range requires start >= 1")
-        for n, r in zip(range(start, stop), exp_sums(self._terms, start, self._ladder[0])):
+        for n, r in zip(range(start, stop), exp_sums(self._terms, start, self._m_start)):
             if n < self.k:
                 yield n, INFINITE
             else:
@@ -226,18 +203,8 @@ class ModStirlingEngine:
 
 @cache
 def get_engine(k: int) -> ModStirlingEngine:
-    """Shared default-precision engine for order k (engines are stateless)."""
+    """Shared engine for order k (engines are stateless)."""
     return ModStirlingEngine(k)
-
-
-def set_default_m_max(m_max: int) -> None:
-    """Override the precision ceiling for the shared engines (CLI env hook)."""
-    global DEFAULT_M_MAX
-    if m_max < DEFAULT_M_START:
-        raise ValueError(f"m_max must be >= {DEFAULT_M_START}")
-    DEFAULT_M_MAX = m_max
-    get_engine.cache_clear()
-    val2_stirling.cache_clear()
 
 
 @lru_cache(maxsize=None)

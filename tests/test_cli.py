@@ -1,10 +1,14 @@
 """CLI surface: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from stirval import cli, cohen_check, cohen_sum, digit_sum, nu_rat
+from stirval import cli, cohen_check, cohen_sum, digit_sum, nu_rat, stirling
 
 
 def run(capsys, *argv):
@@ -248,6 +252,9 @@ class TestUsageAndEnvironment:
             ("cohen", "--m-min", "1", "--m-max", "3"),
             ("main-conjecture", "--k", "3", "--levels", "1"),
             ("main-conjecture", "--k", "3", "--samples", "1"),
+            ("k5-theorem", "--levels", "2"),
+            ("k5-theorem", "--levels", "1"),
+            ("k5-theorem", "--samples", "1"),
         ],
     )
     def test_bad_domain_maps_to_usage(self, capsys, argv):
@@ -271,31 +278,42 @@ class TestUsageAndEnvironment:
         assert exc.value.code == 64
         assert f"cannot write --out {missing}" in capsys.readouterr().err
 
-    def test_m_max_env_ceiling(self, capsys, monkeypatch):
-        from stirval import stirling
+    def test_out_path_checked_before_the_run(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(stirling, "identity_battery", lambda *a: calls.append(a))
+        for out in (tmp_path / "missing" / "x.json", tmp_path):
+            argv = ("verify", "identities", "--n-max", "260", "--out", str(out))
+            assert run_usage_error(capsys, *argv) == 64
+        assert calls == []
+        # a run that fails leaves an existing --out file as it was
+        kept = tmp_path / "kept.json"
+        kept.write_text("old")
+        argv = ("verify", "exceptional", "--i-max", "1", "--out", str(kept))
+        assert run_usage_error(capsys, *argv) == 64
+        assert kept.read_text() == "old"
 
-        monkeypatch.setenv(cli.M_MAX_ENV, "64")
-        try:
-            # nu_2(101! * S(n,101)) >= 97 exceeds a 64-bit ceiling everywhere
-            code = cli.main(["val", "--series", "stirling", "--k", "101", "--n", "101"])
-            assert code == 2
-        finally:
-            stirling.set_default_m_max(stirling.DEFAULT_M_START << 10)
-        capsys.readouterr()
-
-    def test_m_max_env_between_doublings(self, capsys, monkeypatch):
-        from stirval import stirling
-
-        monkeypatch.setenv(cli.M_MAX_ENV, "100")
-        try:
-            # nu_2(60! * S(161,60)) = 56 + 9 exceeds 64 bits; the ceiling 100 decides it
-            code, out = run(capsys, "val", "--series", "stirling", "--k", "60", "--n", "161")
-        finally:
-            stirling.set_default_m_max(stirling.DEFAULT_M_START << 10)
-        assert code == 0
-        assert out == "n,value\n161,9\n"
-
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.M_MAX_ENV, "not-a-number")
-        code = run_usage_error(capsys, "val", "--series", "int", "--n", "4")
-        assert code == 64
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("val", "--series", "stirling", "--k", "101", "--n", "101"), 0),
+            (("verify", "main-conjecture", "--k", "64", "--levels", "6", "--samples", "16"), 1),
+        ],
+        ids=["val", "main-conjecture"],
+    )
+    def test_precision_is_not_a_setting(self, argv, code):
+        # at 64 bits every residue here is zero (nu_2(101!) = 97, nu_2(64!) = 63),
+        # so a 64-bit cap from the environment would leave these runs undecided
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        base = {k: v for k, v in os.environ.items() if k != "STIRVAL_M_MAX"}
+        runs = []
+        for extra in ({}, {"STIRVAL_M_MAX": "64"}):
+            env = dict(base, PYTHONPATH=src, **extra)
+            proc = subprocess.run(
+                [sys.executable, "-m", "stirval.cli", *argv],
+                env=env, capture_output=True, text=True,
+            )
+            runs.append((proc.returncode, proc.stdout))
+        assert runs[1] == runs[0]
+        assert runs[1][0] == code, runs
+        if argv[0] == "val":
+            assert runs[1][1] == "n,value\n101,0\n"

@@ -1,10 +1,6 @@
 """Residue classes, level trees and the structural conjecture checkers."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -183,24 +179,6 @@ class TestMainConjecture:
         assert first["m"] == 4
         assert first["expected"] == 4
         assert first["survivors"] == [10, 11, 12, 13, 14, 15]
-
-    def test_inconclusive_level(self):
-        # 64! carries 63 twos, so a 64-bit ceiling decides only odd S(n,64); both
-        # parity classes hold an even one and are inconclusive.  A subprocess
-        # keeps the ceiling out of this process's shared engines.
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(root / "src"), STIRVAL_M_MAX="64")
-        argv = ["verify", "main-conjecture", "--k", "64", "--levels", "6", "--samples", "16"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "stirval.cli", *argv], env=env, capture_output=True, text=True
-        )
-        assert proc.returncode == 2, proc.stderr
-        report = json.loads(proc.stdout)
-        assert report["status"] == "INCONCLUSIVE"
-        assert report["checked"] == 1
-        assert report["counterexamples"] == []
-        assert report["inconclusive"] == [{"m": 1, "j": 0}, {"m": 1, "j": 1}]
-        assert report["details"]["levels"] == [{"m": 1, "verdict": "INCONCLUSIVE"}]
 
 
 class TestK5Chain:

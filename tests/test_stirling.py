@@ -11,8 +11,8 @@ from stirval import (
     INFINITE,
     K5_FORM,
     ModStirlingEngine,
-    PrecisionExceeded,
     StirlingTriangle,
+    clarke_zero,
     de_wannemacker_gap,
     de_wannemacker_gaps,
     get_engine,
@@ -155,17 +155,6 @@ class TestVal2Stirling:
         engine = get_engine(k)
         for n, v in engine.val2_range(1, 400):
             assert v == val2_stirling(n, k)
-        # a 16-bit ceiling scans at its top rung; the scan raises where val2 does
-        tight = ModStirlingEngine(k, m_max=16)
-        scan = tight.val2_range(1, 400)
-        for n in range(1, 400):
-            try:
-                v = tight.val2(n)
-            except PrecisionExceeded:
-                with pytest.raises(PrecisionExceeded):
-                    next(scan)
-                break
-            assert next(scan) == (n, v) and v == val2_stirling(n, k)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=300))
@@ -177,26 +166,22 @@ class TestVal2Stirling:
         if r:
             assert nu_int(2, r) == nu_int(2, engine.ksf_mod(n, 2 * M))
 
-    def test_precision_ceiling_raises(self):
-        tight = ModStirlingEngine(5, m_max=8)
-        with pytest.raises(PrecisionExceeded):
-            tight.val2(28)  # nu_2(120 * S(28,5)) = 9 needs more than 8 bits
-        # no rung has 32 bits of headroom, so the ladder is the ceiling alone, 8
-        scan = tight.val2_range(1, 29)
-        head = list(itertools.islice(scan, 27))
-        assert head == [(n, tight.val2(n)) for n in range(1, 28)]
-        with pytest.raises(PrecisionExceeded):
-            next(scan)
-        roomy = ModStirlingEngine(5, m_max=16)
-        assert roomy.val2(28) == 6
-        # a ceiling at or below nu_2(101!) = 97 leaves every residue zero
-        low = ModStirlingEngine(101, m_max=64)
-        scan = low.val2_range(90, 121)
-        assert list(itertools.islice(scan, 11)) == [(n, INFINITE) for n in range(90, 101)]
-        with pytest.raises(PrecisionExceeded, match=r"S\(101,101\) == 0 mod 2\^64"):
-            next(scan)
-        with pytest.raises(PrecisionExceeded, match=r"S\(101,101\) == 0 mod 2\^64"):
-            low.val2(101)
+    @pytest.mark.parametrize("bits, asked", [(100, [64, 128]), (200, [64, 128, 256])])
+    def test_climbs_until_the_residue_is_nonzero(self, monkeypatch, bits, asked):
+        # n = u + 2^bits with u the even 2-adic zero of the k = 5 Clarke form:
+        # Clarke's distance formula gives nu_2(S(n,5)) = nu_2(n - u) - 1 = bits - 1,
+        # and 120 * S(n,5) then vanishes mod 2^64 (and mod 2^128 for bits = 200)
+        n = clarke_zero(K5_FORM, "even", bits + 10).residue + (1 << bits)
+        engine = ModStirlingEngine(5)
+        seen = []
+        real = engine.ksf_mod
+        monkeypatch.setattr(engine, "ksf_mod", lambda i, m: seen.append(m) or real(i, m))
+        assert engine.val2(n) == bits - 1
+        assert seen == asked
+        seen.clear()
+        # the scan's residue vanishes at 64 bits, so n goes to val2
+        assert list(engine.val2_range(n, n + 1)) == [(n, bits - 1)]
+        assert seen == asked
 
     @pytest.mark.parametrize("k, n, M", [(64, 65, 128), (5, 28, 64)])
     def test_one_ladder_for_single_values_and_scans(self, monkeypatch, k, n, M):
@@ -217,17 +202,12 @@ class TestVal2Stirling:
         assert asked == [M]  # the scan decided n without falling back to val2
 
     def test_ceiling_between_doublings_is_a_rung(self):
-        # nu_2(60! * S(161,60)) = 56 + 9 needs more than 64 bits; a ceiling of
-        # 100 lies between doublings and must itself be tried
-        engine = ModStirlingEngine(60, m_max=100)
-        assert engine.val2(161) == 9 == nu_int(2, stirling_exact(161, 60))
-        assert dict(engine.val2_range(161, 162)) == {161: 9}
+        # nu_2(60! * S(161,60)) = 56 + 9 needs more than 64 bits
+        assert ModStirlingEngine(60).val2(161) == 9 == nu_int(2, stirling_exact(161, 60))
 
     def test_engine_rejects_bad_order(self):
         with pytest.raises(ValueError):
             ModStirlingEngine(0)
-        with pytest.raises(ValueError):
-            ModStirlingEngine(5, m_max=0)
 
 
 class TestVal2ClosedSmall:
