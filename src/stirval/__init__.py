@@ -47,6 +47,7 @@ from .levels import (
     k5_structure_report,
     k5_surviving_chain,
     m0_of,
+    prove_constant,
     verify_main_conjecture,
 )
 from .sequences import (

@@ -147,6 +147,13 @@ _TARGETS = {
     "cohen": (lambda a: sequences.cohen_check(a.m_min, a.m_max), {"m_max": 12}),
 }
 
+# target: {library parameter: the option that feeds it}, so that a usage
+# error raised by the library names the option that was typed
+_OPTION_OF = {
+    "main-conjecture": {"k": "--k", "m_max": "--levels", "samples": "--samples"},
+    "k5-theorem": {"m_max": "--levels", "samples": "--samples", "i_max": "--i-max"},
+}
+
 # figure: (CSV header, handler)
 _FIGURES = {
     "val-n": (
@@ -190,7 +197,14 @@ def _cmd_verify(args) -> int:
     for name, value in defaults.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
-    report = handler(args)
+    try:
+        report = handler(args)
+    except ValueError as exc:
+        param, _, rest = str(exc).partition(" ")
+        option = _OPTION_OF.get(args.target, {}).get(param)
+        if option is None:
+            raise
+        raise ValueError(f"{option} {rest}") from exc
     _emit(report.to_json() + "\n", args.out)
     return report.exit_code
 

@@ -6,9 +6,10 @@ progression {2**m * i + j : i >= 0} restricted to n >= k.  A class is
 is the set of non-constant classes mod 2**m, built by splitting each
 survivor of the (m-1)-level into its two children.
 
-Constancy is only semi-decidable: a constant verdict here is empirical
-(first ``samples`` members), while a non-constant verdict carries a
-certificate (two members with provably different valuations).
+A non-constant verdict carries a certificate: two members with provably
+different valuations.  A constant verdict is proved for every member by
+the 2-adic certificate of ``prove_constant`` when it applies, and is
+otherwise empirical: the first ``samples`` members agree.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
-from .padic import Valuation
+from .padic import Valuation, nu_int
 from .reports import FAIL, PASS, ConjectureReport
-from .stirling import val2_stirling
+from .stirling import exp_sum_mod, get_engine, ksf_terms, val2_stirling
 
 CONSTANT = "CONSTANT"
 NON_CONSTANT = "NON_CONSTANT"
@@ -82,10 +83,11 @@ class ResidueClass:
 
 @dataclass(frozen=True)
 class ClassStatus:
-    """Empirical verdict for one residue class.
+    """Verdict for one residue class.
 
-    CONSTANT carries the common value and the sample bound it was checked
-    to; NON_CONSTANT carries a two-member certificate.
+    CONSTANT carries the common value and the sample bound; the value is
+    proved for every member when ``prove_constant`` applies, and sampled up
+    to the bound otherwise.  NON_CONSTANT carries a two-member certificate.
     """
 
     kind: str
@@ -103,15 +105,55 @@ class ClassStatus:
         return out
 
 
-def classify_class(c: ResidueClass, samples: int = DEFAULT_SAMPLES) -> ClassStatus:
-    """Classify c by evaluating its first ``samples`` members.
+def prove_constant(c: ResidueClass) -> Valuation | None:
+    """The value of nu_2(S(n,k)) on every member n of c, proved; None if no proof.
 
-    Returns NON_CONSTANT with a witness pair as soon as two members
-    disagree; otherwise CONSTANT up to the sample bound.  Members are
-    >= k, so every valuation is finite.
+    A 2-adic certificate after Clarke, *Hensel's lemma and the divisibility
+    by primes of Stirling-like numbers*, J. Number Theory 52 (1995).  Write
+    n = j + 2**m * t and split ``ksf_terms(k)`` into odd and even bases.
+    Every even-base term has valuation >= n.  For odd b,
+    b**(2**m) = 1 + 2**(m+2) * w_b, so the odd-base part is
+    g(n) = sum_s C(t,s) 2**(s(m+2)) A_s with A_s = sum_{b odd} c_b b**j w_b**s.
+    A_0 != 0 because every odd-base coefficient has the sign (-1)**(k-1).
+    With a = nu_2(A_0), if A_s == 0 mod 2**(a+1-s(m+2)) for 1 <= s <= a/(m+2),
+    then nu_2(g(n)) = a for every t, so nu_2(k! S(n,k)) = a for every
+    member n > a.  The members k <= n <= a are checked exactly.
+    """
+    k, m, j = c.k, c.m, c.j
+    engine = get_engine(k)
+    odd = tuple((cb, b) for cb, b in ksf_terms(k) if b & 1)
+    P = engine.m_start
+    while not (r := exp_sum_mod(odd, j, P)):
+        P *= 2
+    a = nu_int(2, r)
+    shift = m + 2
+    lift = 1 << (a + 1 + shift)
+    # (c_b b^j, w_b) mod 2^(a+1), so that A_s = exp_sum_mod(higher, s, .)
+    higher = tuple(
+        (cb * pow(b, j, 1 << (a + 1)), (pow(b, 1 << m, lift) - 1) >> shift) for cb, b in odd
+    )
+    if any(exp_sum_mod(higher, s, a + 1 - s * shift) for s in range(1, a // shift + 1)):
+        return None
+    value = a - engine.fact_val
+    for n in c.iter_members():
+        if n > a:
+            return value
+        if val2_stirling(n, k) != value:
+            return None
+
+
+def classify_class(c: ResidueClass, samples: int = DEFAULT_SAMPLES) -> ClassStatus:
+    """Classify c: CONSTANT by proof when ``prove_constant`` applies, else by sampling.
+
+    Without a proof, the first ``samples`` members are evaluated: NON_CONSTANT
+    with a witness pair as soon as two members disagree, otherwise CONSTANT
+    up to the sample bound.  Members are >= k, so every valuation is finite.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
+    value = prove_constant(c)
+    if value is not None:
+        return ClassStatus(CONSTANT, samples, value=value)
     it = c.iter_members()
     first_n = next(it)
     first_v = val2_stirling(first_n, c.k)

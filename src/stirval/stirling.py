@@ -147,9 +147,10 @@ class ModStirlingEngine:
     integer equals nu_2 of the residue, which makes the extraction sound
     at any precision.
 
-    Precision starts at 64 bits, doubled until it is more than 32 bits
-    above nu_2(k!): Legendre's formula makes every residue zero at
-    M <= nu_2(k!), and the 32 spare bits let most residues decide there.
+    Precision starts at ``m_start``: 64 bits, doubled until it is more
+    than 32 bits above nu_2(k!).  Legendre's formula makes every residue
+    zero at M <= nu_2(k!), and the 32 spare bits let most residues decide
+    there.
     val2 doubles M while the residue vanishes.  For n >= k the integer
     k! * S(n,k) lies in 1..k**n, so every M > n * log2(k) leaves a nonzero
     residue and the doubling always ends.  val2_range scans at the start.
@@ -161,9 +162,9 @@ class ModStirlingEngine:
         self.k = k
         self.fact_val = legendre_factorial_val(2, k)
         self._terms = ksf_terms(k)
-        self._m_start = 64
-        while self._m_start <= self.fact_val + 32:
-            self._m_start *= 2
+        self.m_start = 64
+        while self.m_start <= self.fact_val + 32:
+            self.m_start *= 2
 
     def ksf_mod(self, n: int, M: int) -> int:
         """Residue of k! * S(n,k) modulo 2**M, for n >= 1."""
@@ -180,7 +181,7 @@ class ModStirlingEngine:
         """nu_2(S(n,k)); INFINITE when n < k (there S(n,k) = 0)."""
         if n < self.k:
             return INFINITE
-        M = self._m_start
+        M = self.m_start
         while not (r := self.ksf_mod(n, M)):
             M *= 2
         return self._extract(r)
@@ -194,7 +195,7 @@ class ModStirlingEngine:
         """
         if start < 1:
             raise ValueError("val2_range requires start >= 1")
-        for n, r in zip(range(start, stop), exp_sums(self._terms, start, self._m_start)):
+        for n, r in zip(range(start, stop), exp_sums(self._terms, start, self.m_start)):
             if n < self.k:
                 yield n, INFINITE
             else:

@@ -9,7 +9,7 @@ it turns them red:
   order 16.  Levels 4..10 each hold six certified non-constant classes, not
   2^(m0-2) = 4.  Every witness valuation is re-derived from the additive
   recurrence for S(n, 16), a route independent of the modular engine that
-  produced it;
+  produced it, and every constant class between them is proved constant;
 * criterion 11: the true valuation of the weight-1 polylog partial sum is
   2^m + 2m - 2, exactly 2 above the stated 2^m + 2m - 4 at every m in
   4..12; the weight-2 value 2^m + m - 1 holds as stated.  Both are
@@ -19,6 +19,7 @@ it turns them red:
 
 from stirval import (
     K5_FORM,
+    ResidueClass,
     a_lm_val_check,
     approx_report,
     build_level_tree,
@@ -37,6 +38,7 @@ from stirval import (
     nu_int,
     nu_rat,
     power_lemma_report,
+    prove_constant,
     stirling_exact,
     val2_closed_small,
     val2_stirling,
@@ -175,6 +177,16 @@ def test_09_main_conjecture_nine_orders():
     for (na, va), (nb, vb) in pairs:
         assert (exact[na], exact[nb]) == (va, vb), (na, nb)
         assert va != vb, (na, nb)
+
+    # Each CONSTANT class is proved for every member, not only the sampled
+    # ones: the 2-adic certificate gives the reported value.
+    constants = [
+        entry for level in levels for entry in level["classes"] if entry["status"] == "CONSTANT"
+    ]
+    assert constants
+    for entry in constants:
+        c = ResidueClass(16, entry["m"], entry["j"])
+        assert prove_constant(c) == entry["value"], entry
     _report(
         9,
         "splitting conjecture for nine orders",

@@ -37,6 +37,12 @@ GOLDEN = [
      "c68420a9be9778fe17469453efabb50653ccb2fba479290a737b73ec5e244dcf"),
     (("verify", "main-conjecture", "--k", "16", "--levels", "6", "--samples", "16"), 1,
      "22da177304ac1ad76e0127c3b9ab6f3a7d90e46bdf033dcbb125c8f741dd2175"),
+    (("verify", "main-conjecture", "--k", "64", "--levels", "8", "--samples", "64"), 1,
+     "cdabfc79fa616d6b16c6c3cebc81d17b0dd3ccee7e511b5fa58b952c993c516f"),
+    (("verify", "main-conjecture", "--k", "21", "--levels", "9", "--samples", "32"), 1,
+     "ce0f41ff3197d74eeb01ae885d8ed36e77fae5a15887588b6df3138cab22748d"),
+    (("verify", "main-conjecture", "--k", "45", "--levels", "9", "--samples", "32"), 1,
+     "8797f7977c07937a6893f481e929debcdc4e16110fd5eb9fb9c5d25bd9c974f3"),
     (("verify", "main-conjecture", "--k", "3"), 2,
      "0048ae1cb745c9bb2de2dda4f4fbb75bdd576fcbc4e2a642445b7c493342146e"),
     (("verify", "k5-theorem", "--levels", "4", "--samples", "16", "--i-max", "20"), 0,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from stirval import (
+    ModStirlingEngine,
     ResidueClass,
     build_level_tree,
     c_set_sequence,
@@ -13,11 +14,14 @@ from stirval import (
     in_I1,
     k5_structure_report,
     k5_surviving_chain,
+    legendre_factorial_val,
     m0_of,
     nu_int,
+    prove_constant,
     stirling_exact,
     verify_main_conjecture,
 )
+from stirval import levels
 
 
 class TestResidueClass:
@@ -101,6 +105,80 @@ class TestClassify:
                         if n <= 400:
                             assert nu_int(2, stirling_exact(n, k)) == v
                     assert status.witness_a[1] != status.witness_b[1]
+
+
+class TestProveConstant:
+    def test_agrees_with_sampling(self):
+        # every CONSTANT class is proved, at the value a fresh engine gives
+        # its first 32 members (not through the shared val2_stirling cache)
+        for k in range(5, 33):
+            engine = ModStirlingEngine(k)
+            tree = build_level_tree(k, m0_of(k) + 3, samples=32)
+            for rec in tree.levels:
+                for c, value in rec.constants:
+                    assert prove_constant(c) == value
+                    assert {engine.val2(n) for n in c.members(32)} == {value}
+
+    @pytest.mark.parametrize("k", [5, 16, 21, 45, 64])
+    def test_proofs_hold_on_many_members(self, k):
+        count, m_max = 300, 6
+        top = (1 << m_max) * count + k
+        scanned = dict(ModStirlingEngine(k).val2_range(k, top))
+        proved = 0
+        for m in range(1, m_max + 1):
+            for j in range(1 << m):
+                c = ResidueClass(k, m, j)
+                value = prove_constant(c)
+                if value is None:
+                    continue
+                proved += 1
+                members = c.members(count)
+                assert {scanned[n] for n in members} == {value}
+                assert all(nu_int(2, stirling_exact(n, k)) == value for n in members if n <= 400)
+        assert proved
+
+    def test_no_proof_of_a_sampled_non_constant_class(self, monkeypatch):
+        # the tree sampled without the certificate: each NON_CONSTANT class
+        # there carries a witness pair, so no proof may exist for it
+        monkeypatch.setattr(levels, "prove_constant", lambda c: None)
+        tree = build_level_tree(16, m_max=6, samples=64)
+        monkeypatch.undo()
+        survivors = [c for rec in tree.levels for c in rec.survivors]
+        assert len(survivors) == 2 + 4 + 6 * 4
+        assert all(prove_constant(c) is None for c in survivors)
+
+    # (class, value, its one member n <= a = value + nu_2(k!)): the member
+    # lies outside the certificate's range, below a or at a
+    @pytest.mark.parametrize(
+        "c, value, n_small", [(ResidueClass(16, 3, 1), 3, 17), (ResidueClass(8, 2, 1), 2, 9)]
+    )
+    def test_small_members_are_checked_exactly(self, monkeypatch, c, value, n_small):
+        assert prove_constant(c) == value
+        seen = []
+        true_val2 = levels.val2_stirling
+
+        def wrong_at_small(n, k):
+            seen.append(n)
+            return true_val2(n, k) + (n == n_small)
+
+        monkeypatch.setattr(levels, "val2_stirling", wrong_at_small)
+        assert prove_constant(c) is None
+        assert seen == [n_small]
+
+    def test_proved_class_evaluates_only_small_members(self, monkeypatch):
+        c = ResidueClass(64, 6, 3)
+        seen = []
+        true_val2 = levels.val2_stirling
+
+        def spy(n, k):
+            seen.append(n)
+            return true_val2(n, k)
+
+        monkeypatch.setattr(levels, "val2_stirling", spy)
+        status = classify_class(c, samples=64)
+        assert (status.kind, status.samples, status.value) == ("CONSTANT", 64, 9)
+        a = status.value + legendre_factorial_val(2, 64)
+        assert seen == [n for n in c.members(64) if n <= a] == [67]
 
 
 class TestLevelTree:
