@@ -63,8 +63,8 @@ def main():
     print(f"  index sequence read off the chain: {c_set_sequence(9)}")
 
     print("\n== exceptional indices ==")
-    scan = exceptional_indices(200)
-    print(f"  {scan.indices}  matches 32j+7: {scan.matches_pattern}")
+    scan = exceptional_indices(200).details
+    print(f"  {scan['indices']}  matches 32j+7: {scan['pattern']}")
 
 
 if __name__ == "__main__":

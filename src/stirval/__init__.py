@@ -37,7 +37,6 @@ from .stirling import (
 from .levels import (
     ChainLink,
     ClassStatus,
-    ExceptionalScan,
     LevelTree,
     ResidueClass,
     build_level_tree,

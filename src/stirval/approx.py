@@ -122,7 +122,7 @@ def err2(m: int) -> Valuation:
     return err1(x1(m)) - _sign(alpha) * nu_int(2, f2(m))
 
 
-def approx_report(m_max: int) -> ConjectureReport:
+def approx_report(m_max: int = 2000) -> ConjectureReport:
     """Check the whole tower against the modular engine up to m_max.
 
     (a) the set of m <= m_max where nu_2(S(m,5)) != nu_2(f1(m)) must equal

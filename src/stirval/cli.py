@@ -5,18 +5,24 @@ check was consistent, 1 when a counterexample was found, 2 when some
 instance was inconclusive, 64 on usage errors.  CSV output is UTF-8 with
 LF line endings, a header row and no trailing whitespace; an infinite
 valuation serializes as an empty CSV field and as "inf" in JSON.
+
+Each ``verify`` target is one library function that returns a
+``ConjectureReport``.  Its options are the function's parameters, each an
+int with the signature's default, so ``stirval verify <target> --help``
+lists them; an option the target does not read is a usage error, and so
+is a ``ValueError`` from the function, reworded to name the option typed.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import sys
 from pathlib import Path
 
 from . import approx, levels, padic, sequences, stirling
 from .padic import INFINITE
-from .reports import ConjectureReport
 
 EX_OK = 0
 EX_USAGE = 64
@@ -75,11 +81,11 @@ def _n_range(args) -> range:
     return range(args.n_min, args.n_max + 1)
 
 
-_CHOSEN = {"val": "--series {0.series}", "verify": "{0.target}", "figure": "figure {0.name}"}
+_CHOSEN = {"val": "--series {0.series}", "figure": "figure {0.name}"}
 
 
 def _required_k(args) -> int:
-    """--k, which the chosen series, target or figure needs."""
+    """--k, which the chosen series or figure needs."""
     if args.k is None:
         raise ValueError(_CHOSEN[args.command].format(args) + " requires --k")
     return args.k
@@ -113,46 +119,32 @@ _SERIES = {
 }
 
 
-def _verify_exceptional(args) -> ConjectureReport:
-    scan = levels.exceptional_indices(args.i_max)
-    report = ConjectureReport("exceptional indices", params={"i_max": args.i_max})
-    report.details["indices"] = scan.indices
-    report.details["pattern"] = scan.matches_pattern
-    report.record(
-        scan.matches_pattern,
-        {"indices": scan.indices, "expected_pattern": "32j+7"},
-    )
-    return report
-
-
-# target: (handler, defaults for bounds left unset on the command line)
+# target: (module, name of the function it runs, {parameter: option} for the
+# options not named --<parameter>).  The function is looked up on each use,
+# so a wrapper put in its place (functools.wraps keeps the signature) is the
+# one the parser reads and the run calls.
 _TARGETS = {
-    "main-conjecture": (
-        lambda a: levels.verify_main_conjecture(_required_k(a), a.levels, a.samples),
-        {},
-    ),
-    "k5-theorem": (lambda a: levels.k5_structure_report(a.levels, a.samples, a.i_max), {}),
-    "exceptional": (_verify_exceptional, {}),
-    "approx": (lambda a: approx.approx_report(a.m_max), {"m_max": 2000}),
-    "clarke": (
-        lambda a: sequences.clarke_battery(a.scan_n_max, a.k_max, a.n_max, a.precision),
-        {"n_max": 2000, "k_max": 5},
-    ),
-    "identities": (
-        lambda a: stirling.identity_battery(a.n_max, a.q_max, a.k_max),
-        {"n_max": 300, "k_max": 64},
-    ),
-    "lemmas": (lambda a: padic.power_lemma_report(a.m_max), {"m_max": 20}),
-    "alm": (lambda a: sequences.a_lm_val_check(a.l_max, a.m_max), {"m_max": 40}),
-    "cohen": (lambda a: sequences.cohen_check(a.m_min, a.m_max), {"m_max": 12}),
+    "main-conjecture": (levels, "verify_main_conjecture", {"m_max": "--levels"}),
+    "k5-theorem": (levels, "k5_structure_report", {"m_max": "--levels"}),
+    "exceptional": (levels, "exceptional_indices", {}),
+    "approx": (approx, "approx_report", {}),
+    "clarke": (sequences, "clarke_battery", {}),
+    "identities": (stirling, "identity_battery", {}),
+    "lemmas": (padic, "power_lemma_report", {}),
+    "alm": (sequences, "a_lm_val_check", {}),
+    "cohen": (sequences, "cohen_check", {}),
 }
 
-# target: {library parameter: the option that feeds it}, so that a usage
-# error raised by the library names the option that was typed
-_OPTION_OF = {
-    "main-conjecture": {"k": "--k", "m_max": "--levels", "samples": "--samples"},
-    "k5-theorem": {"m_max": "--levels", "samples": "--samples", "i_max": "--i-max"},
-}
+
+def _target(name: str):
+    """The function a target runs, and {parameter: (option, default)} for it."""
+    module, attr, renames = _TARGETS[name]
+    function = getattr(module, attr)
+    return function, {
+        p.name: (renames.get(p.name, "--" + p.name.replace("_", "-")), p.default)
+        for p in inspect.signature(function).parameters.values()
+    }
+
 
 # figure: (CSV header, handler)
 _FIGURES = {
@@ -193,18 +185,15 @@ def _cmd_val(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    handler, defaults = _TARGETS[args.target]
-    for name, value in defaults.items():
-        if getattr(args, name) is None:
-            setattr(args, name, value)
+    function, options = _target(args.target)
     try:
-        report = handler(args)
+        report = function(**{param: getattr(args, param) for param in options})
     except ValueError as exc:
+        # a message that starts with a parameter names the option typed instead
         param, _, rest = str(exc).partition(" ")
-        option = _OPTION_OF.get(args.target, {}).get(param)
-        if option is None:
+        if param not in options:
             raise
-        raise ValueError(f"{option} {rest}") from exc
+        raise ValueError(f"{options[param][0]} {rest}") from exc
     _emit(report.to_json() + "\n", args.out)
     return report.exit_code
 
@@ -237,23 +226,17 @@ def build_parser() -> _Parser:
     p_val.set_defaults(run=_cmd_val)
 
     p_verify = sub.add_parser("verify", help="run a verification target, emit JSON")
-    p_verify.add_argument("target", choices=list(_TARGETS))
-    p_verify.add_argument("--k", type=int, help="Stirling order (main-conjecture)")
-    p_verify.add_argument("--levels", type=int, default=10, help="deepest level to build")
-    p_verify.add_argument("--samples", type=int, default=64, help="members checked per class")
-    p_verify.add_argument("--i-max", type=int, default=200, help="index scan bound")
-    p_verify.add_argument("--m-max", type=int, default=None, help="target-specific bound")
-    p_verify.add_argument("--m-min", type=int, default=4, help="cohen: first exponent")
-    p_verify.add_argument("--l-max", type=int, default=40, help="alm: bound on l")
-    p_verify.add_argument("--n-max", type=int, default=None, help="target-specific bound")
-    p_verify.add_argument("--q-max", type=int, default=10, help="identities: exponent bound")
-    p_verify.add_argument("--k-max", type=int, default=None, help="target-specific bound")
-    p_verify.add_argument(
-        "--scan-n-max", type=int, default=500, help="clarke: t-sum scan bound"
-    )
-    p_verify.add_argument("--precision", type=int, default=24, help="clarke: lift precision")
-    p_verify.add_argument("--out", help="output path (default: stdout)")
-    p_verify.set_defaults(run=_cmd_verify)
+    targets = p_verify.add_subparsers(dest="target", required=True)
+    for name in _TARGETS:
+        p_target = targets.add_parser(name)
+        for param, (option, default) in _target(name)[1].items():
+            required = default is inspect.Parameter.empty
+            p_target.add_argument(
+                option, dest=param, type=int, metavar="INT", required=required, default=default,
+                help="required" if required else "default: %(default)s",
+            )
+        p_target.add_argument("--out", help="output path (default: stdout)")
+        p_target.set_defaults(run=_cmd_verify)
 
     p_fig = sub.add_parser("figure", help="emit figure data as CSV")
     p_fig.add_argument("name", choices=list(_FIGURES))

@@ -390,15 +390,11 @@ def c_set_sequence(count: int, samples: int = DEFAULT_SAMPLES) -> list[int]:
     return values
 
 
-class ExceptionalScan(NamedTuple):
-    indices: list[int]
-    matches_pattern: bool
-
-
-def exceptional_indices(i_max: int) -> ExceptionalScan:
+def exceptional_indices(i_max: int = 200) -> ConjectureReport:
     """Indices i <= i_max with nu_2(S(4i,5)) != nu_2(S(4i+3,5)).
 
-    Also reports whether the set equals {32j + 7} within the scanned range.
+    ``details["indices"]`` lists them; the one check, also in
+    ``details["pattern"]``, is that they are {32j + 7} within the range.
     """
     if i_max < 2:
         raise ValueError("i_max must be >= 2")
@@ -407,8 +403,12 @@ def exceptional_indices(i_max: int) -> ExceptionalScan:
         for i in range(2, i_max + 1)
         if val2_stirling(4 * i, 5) != val2_stirling(4 * i + 3, 5)
     ]
-    pattern = [n for n in range(7, i_max + 1, 32)]
-    return ExceptionalScan(found, found == pattern)
+    matches = found == list(range(7, i_max + 1, 32))
+    report = ConjectureReport("exceptional indices", params={"i_max": i_max})
+    report.details["indices"] = found
+    report.details["pattern"] = matches
+    report.record(matches, {"indices": found, "expected_pattern": "32j+7"})
+    return report
 
 
 def k5_structure_report(

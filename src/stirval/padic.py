@@ -115,7 +115,7 @@ def pochhammer(a: int, k: int) -> int:
     return math.prod(range(a, a + k))
 
 
-def power_lemma_report(m_max: int) -> ConjectureReport:
+def power_lemma_report(m_max: int = 20) -> ConjectureReport:
     """Verify three power-difference valuation identities exactly.
 
     For 1 <= m <= m_max, using exact big integers:

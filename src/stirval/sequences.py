@@ -49,7 +49,7 @@ def a_lm(l: int, m: int) -> int:
     return q
 
 
-def a_lm_val_check(l_max: int, m_max: int) -> ConjectureReport:
+def a_lm_val_check(l_max: int = 40, m_max: int = 40) -> ConjectureReport:
     """Check both closed forms for nu_2(A(l,m)) against direct valuation.
 
     For 0 <= l <= min(m, l_max), m <= m_max:
@@ -57,8 +57,10 @@ def a_lm_val_check(l_max: int, m_max: int) -> ConjectureReport:
         nu_2(A(l,m)) == nu_2( (m+1-l)_(2l) ) + l
                      == 3l - s_2(m+l) + s_2(m-l)
     """
-    if l_max < 0 or m_max < 0:
-        raise ValueError("bounds must be >= 0")
+    if l_max < 0:
+        raise ValueError("l_max must be >= 0")
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
     report = ConjectureReport(
         "A(l,m) valuation formulas", params={"l_max": l_max, "m_max": m_max}
     )
@@ -96,7 +98,7 @@ def cohen_sum(k: int, n: int) -> Fraction:
     return total
 
 
-def cohen_check(m_min: int, m_max: int) -> ConjectureReport:
+def cohen_check(m_min: int = 4, m_max: int = 12) -> ConjectureReport:
     """Check the stated valuations of L_1(2^m) and L_2(2^m) for m in range.
 
         nu_2(L_1(2^m)) == 2^m + 2m - 4   (stated for m >= 4)
@@ -159,8 +161,7 @@ def clarke_conjecture_check(n_max: int, k_max: int = 5) -> ConjectureReport:
     )
     for k in range(1, k_max + 1):
         engine = get_engine(k)
-        for n, t in zip(range(k, n_max + 1), t_sums(2, k, k)):
-            left = engine.val2(n)
+        for (n, left), t in zip(engine.val2_range(k, n_max + 1), t_sums(2, k, k)):
             left_full = left + engine.fact_val
             right = nu_int(2, t)
             report.record(
@@ -346,6 +347,12 @@ def clarke_battery(
     of the two zeros of the order-5 form that it lifted to ``precision``
     bits (0 on the even branch, 3 on the odd one).
     """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    if scan_n_max < k_max:
+        raise ValueError(f"scan_n_max must be >= k_max ({k_max})")
+    if precision < 4:
+        raise ValueError("precision must be >= 4")
     report = ConjectureReport(
         "Clarke battery",
         params={

@@ -67,9 +67,9 @@ def test_02_golden_class_20_values():
 
 
 def test_03_exceptional_indices():
-    scan = exceptional_indices(200)
-    assert scan.indices == [7, 39, 71, 103, 135, 167, 199]
-    assert scan.matches_pattern is True
+    scan = exceptional_indices(200).details
+    assert scan["indices"] == [7, 39, 71, 103, 135, 167, 199]
+    assert scan["pattern"] is True
     assert val2_stirling(156, 5) == 11
     _report(3, "exceptional indices and the value at 156")
 

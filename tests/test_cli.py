@@ -1,5 +1,7 @@
 """CLI surface: output formats, exit codes, determinism."""
 
+import functools
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +10,18 @@ from pathlib import Path
 
 import pytest
 
-from stirval import cli, cohen_check, cohen_sum, digit_sum, nu_rat, stirling
+from stirval import (
+    approx,
+    cli,
+    cohen_check,
+    cohen_sum,
+    digit_sum,
+    levels,
+    nu_rat,
+    padic,
+    sequences,
+    stirling,
+)
 
 
 def run(capsys, *argv):
@@ -139,6 +152,54 @@ class TestVerify:
         assert data["checked"] > 0 or data["details"]
 
 
+class _Called(Exception):
+    """Raised by a spy in place of the library run."""
+
+
+def _spy(monkeypatch, module, name):
+    """Replace module.name by a spy; return the list of argument dicts it saw."""
+    original = getattr(module, name)
+    calls = []
+
+    @functools.wraps(original)  # keeps the signature, which the CLI reads
+    def spy(*args, **kwargs):
+        calls.append(dict(inspect.signature(original).bind(*args, **kwargs).arguments))
+        raise _Called
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestTargetDefaults:
+    # the arguments each target passes to its library function when only
+    # its required options are given: these are the documented defaults
+    @pytest.mark.parametrize(
+        "argv, module, name, expected",
+        [
+            (("main-conjecture", "--k", "11"), levels, "verify_main_conjecture",
+             {"k": 11, "m_max": 10, "samples": 64}),
+            (("k5-theorem",), levels, "k5_structure_report",
+             {"m_max": 10, "samples": 64, "i_max": 200}),
+            (("exceptional",), levels, "exceptional_indices", {"i_max": 200}),
+            (("approx",), approx, "approx_report", {"m_max": 2000}),
+            (("clarke",), sequences, "clarke_battery",
+             {"scan_n_max": 500, "k_max": 5, "n_max": 2000, "precision": 24}),
+            (("identities",), stirling, "identity_battery",
+             {"n_max": 300, "q_max": 10, "k_max": 64}),
+            (("lemmas",), padic, "power_lemma_report", {"m_max": 20}),
+            (("alm",), sequences, "a_lm_val_check", {"l_max": 40, "m_max": 40}),
+            (("cohen",), sequences, "cohen_check", {"m_min": 4, "m_max": 12}),
+        ],
+        ids=["main-conjecture", "k5-theorem", "exceptional", "approx", "clarke",
+             "identities", "lemmas", "alm", "cohen"],
+    )
+    def test_defaults_reach_the_library(self, monkeypatch, argv, module, name, expected):
+        calls = _spy(monkeypatch, module, name)
+        with pytest.raises(_Called):
+            cli.main(["verify", *argv])
+        assert calls == [expected]
+
+
 class TestFigure:
     def test_wannemacker_diff_shape(self, capsys):
         code, out = run(
@@ -255,6 +316,11 @@ class TestUsageAndEnvironment:
             ("k5-theorem", "--levels", "2"),
             ("k5-theorem", "--levels", "1"),
             ("k5-theorem", "--samples", "1"),
+            ("clarke", "--precision", "3"),
+            ("clarke", "--scan-n-max", "3"),
+            ("approx", "--m-max", "10"),
+            ("alm", "--l-max", "-1"),
+            ("identities", "--q-max", "2"),
         ],
     )
     def test_bad_domain_maps_to_usage(self, capsys, argv):
@@ -263,10 +329,25 @@ class TestUsageAndEnvironment:
             cli.main(["verify", *argv])
         assert exc.value.code == 64
         err = capsys.readouterr().err
-        if argv[0] in ("main-conjecture", "k5-theorem"):
-            # the last option given is the bad one; the message names it,
-            # not the library parameter it feeds
-            assert f"error: {argv[-2]} must be >= " in err
+        # the last option given is the bad one; the message names it,
+        # not the library parameter it feeds
+        assert f"error: {argv[-2]} must be >= " in err
+
+    @pytest.mark.parametrize(
+        "argv, module, name",
+        [
+            (("cohen", "--samples", "5"), sequences, "cohen_check"),
+            (("lemmas", "--k", "5"), padic, "power_lemma_report"),
+            (("main-conjecture", "--k", "11", "--precision", "3"), levels,
+             "verify_main_conjecture"),
+        ],
+        ids=["cohen", "lemmas", "main-conjecture"],
+    )
+    def test_unread_option_is_usage(self, capsys, monkeypatch, argv, module, name):
+        # an option the target does not read would be silently ignored
+        calls = _spy(monkeypatch, module, name)
+        assert run_usage_error(capsys, "verify", *argv) == 64
+        assert calls == []
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,6 +1,9 @@
-"""Smoke test: every demo script runs to completion and prints something."""
+"""Smoke test: every demo script runs to completion and prints something,
+and the README's quick tour prints what it shows."""
 
+import doctest
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +27,12 @@ def test_demo_runs(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_examples():
+    # a closing code fence would read as expected output of the last example
+    text = re.sub(r"^```.*$", "", (ROOT / "README.md").read_text(), flags=re.M)
+    test = doctest.DocTestParser().get_doctest(text, {}, "README.md", "README.md", 0)
+    result = doctest.DocTestRunner(optionflags=doctest.NORMALIZE_WHITESPACE).run(test)
+    assert result.attempted > 0
+    assert result.failed == 0

@@ -281,9 +281,9 @@ class TestK5Chain:
 
 class TestExceptional:
     def test_scan_to_110(self):
-        scan = exceptional_indices(110)
-        assert scan.indices == [7, 39, 71, 103]
-        assert scan.matches_pattern is True
+        scan = exceptional_indices(110).details
+        assert scan["indices"] == [7, 39, 71, 103]
+        assert scan["pattern"] is True
 
     def test_first_exception_values(self):
         from stirval import val2_stirling
