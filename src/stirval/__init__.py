@@ -1,7 +1,8 @@
 """Exact 2-adic valuations of Stirling numbers of the second kind.
 
-The package computes nu_2(S(n,k)) two independent ways (an exact
-big-integer triangle and an adaptive modular engine), partitions indices
+The package computes nu_2(S(n,k)) three independent ways (an exact
+big-integer triangle, an adaptive modular engine on the binomial sum, and
+the triangle's recurrence modulo 2**M), partitions indices
 into residue classes mod 2**m and tracks which classes carry a constant
 valuation, and mechanically re-checks the identities and conjectures that
 describe this structure, at desk scale, with certificates.
@@ -32,6 +33,7 @@ from .stirling import (
     stirling_closed_small,
     stirling_exact,
     val2_closed_small,
+    val2_columns,
     val2_stirling,
 )
 from .levels import (

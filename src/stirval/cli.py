@@ -10,7 +10,7 @@ Each ``verify`` target is one library function that returns a
 ``ConjectureReport``.  Its options are the function's parameters, each an
 int with the signature's default, so ``stirval verify <target> --help``
 lists them; an option the target does not read is a usage error, and so
-is a ``ValueError`` from the function, reworded to name the option typed.
+is a ``ValueError`` from the function, reworded to name the options typed.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import itertools
+import re
 import sys
 from pathlib import Path
 
@@ -189,11 +190,9 @@ def _cmd_verify(args) -> int:
     try:
         report = function(**{param: getattr(args, param) for param in options})
     except ValueError as exc:
-        # a message that starts with a parameter names the option typed instead
-        param, _, rest = str(exc).partition(" ")
-        if param not in options:
-            raise
-        raise ValueError(f"{options[param][0]} {rest}") from exc
+        # each parameter the message names, as a whole word, becomes the option typed
+        names = re.compile(r"\b(?:" + "|".join(options) + r")\b")
+        raise ValueError(names.sub(lambda m: options[m[0]][0], str(exc))) from exc
     _emit(report.to_json() + "\n", args.out)
     return report.exit_code
 

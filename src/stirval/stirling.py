@@ -1,18 +1,23 @@
-"""Stirling numbers of the second kind, computed two independent ways.
+"""Stirling numbers of the second kind, and nu_2 of them by three routes.
 
 * :class:`StirlingTriangle` is the exact oracle: big-integer dynamic
-  programming on the recurrence S(n,k) = S(n-1,k-1) + k*S(n-1,k).
+  programming on the recurrence S(n,k) = S(n-1,k-1) + k*S(n-1,k).  It
+  checks the closed forms and the other two routes.
 * :class:`ModStirlingEngine` evaluates T = k! * S(n,k) modulo 2**M through
   the alternating binomial sum and extracts nu_2(S(n,k)) from the residue.
+  It serves single values and one column k over a long range of n.
+* :func:`val2_columns` runs the same recurrence as the oracle modulo 2**M,
+  one step per entry, and serves the whole triangle k <= n <= n_max.
 
-The two routes are kept deliberately separate so each can certify the
-other; the test suite checks them against each other on a full grid.
+The routes are kept deliberately separate so each can certify the
+others; the test suite checks them against each other on a full grid.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache, lru_cache
+from itertools import accumulate
 from typing import Iterator
 
 from .padic import INFINITE, Valuation, digit_sum, legendre_factorial_val, nu_int
@@ -208,6 +213,24 @@ def get_engine(k: int) -> ModStirlingEngine:
     return ModStirlingEngine(k)
 
 
+def val2_columns(n_max: int, M: int = 64) -> Iterator[tuple[int, list[Valuation]]]:
+    """Yield (k, [nu_2(S(n,k)) for k <= n <= n_max]) for k = 1..n_max.
+
+    Column k comes from column k-1 by S(n,k) = S(n-1,k-1) + k*S(n-1,k)
+    mod 2**M, one step per entry, and only two columns are held.  A
+    nonzero residue fixes nu_2(S(n,k)) exactly: the valuation is then
+    below M and equals the residue's.  At a zero residue the engine decides.
+    """
+    mask = (1 << M) - 1
+    column = [1] + [0] * n_max  # S(n, 0) for 0 <= n <= n_max
+    for k in range(1, n_max + 1):
+        # entry j is S(k + j, k) = S(k + j - 1, k - 1) + k * S(k + j - 1, k)
+        column = list(accumulate(column[: n_max - k + 1], lambda s, prev: (prev + k * s) & mask))
+        # not the shared engine: it would keep the terms of every column's engine alive
+        val2 = ModStirlingEngine(k).val2 if 0 in column else None
+        yield k, [nu_int(2, r) if r else val2(n) for n, r in enumerate(column, k)]
+
+
 @lru_cache(maxsize=None)
 def val2_stirling(n: int, k: int) -> Valuation:
     """nu_2(S(n,k)) via the adaptive modular engine; INFINITE for n < k."""
@@ -291,7 +314,8 @@ def identity_battery(n_max: int = 300, q_max: int = 10, k_max: int = 64) -> Conj
     """Bundle of elementary identity checks over a full grid.
 
     * De Wannemacker's inequality nu_2(S(n,k)) >= s_2(k) - s_2(n) for all
-      1 <= k <= n <= n_max,
+      1 <= k <= n <= n_max, with nu_2 from the modular triangle
+      (:func:`val2_columns`),
     * the closed forms for k <= 5 against the exact triangle
       (n <= min(n_max, 500)),
     * the parity valuation formulas for k <= 4 against the engine,
@@ -303,8 +327,10 @@ def identity_battery(n_max: int = 300, q_max: int = 10, k_max: int = 64) -> Conj
     report = ConjectureReport(
         "identity battery", params={"n_max": n_max, "q_max": q_max, "k_max": k_max}
     )
-    for k in range(1, n_max + 1):
-        for n, gap in de_wannemacker_gaps(k, n_max):
+    for k, column in val2_columns(n_max):
+        s_k = digit_sum(2, k)
+        for n, v in enumerate(column, k):
+            gap = _gap(v, s_k, n)
             report.record(gap >= 0, {"identity": "inequality gap", "n": n, "k": k, "gap": gap})
     closed_bound = min(n_max, 500)
     for k in range(1, 6):

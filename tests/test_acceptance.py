@@ -41,6 +41,7 @@ from stirval import (
     prove_constant,
     stirling_exact,
     val2_closed_small,
+    val2_columns,
     val2_stirling,
     verify_main_conjecture,
 )
@@ -298,4 +299,8 @@ def test_15_oracle_equivalence():
     for k in range(1, 201):
         for n, v in get_engine(k).val2_range(k, 201):
             assert v == nu_int(2, stirling_exact(n, k)), (n, k)
-    _report(15, "modular engine equals exact triangle to 200")
+    # the third route: the recurrence modulo 2^64, against both of the others
+    for k, column in val2_columns(200):
+        exact = [nu_int(2, stirling_exact(n, k)) for n in range(k, 201)]
+        assert column == exact == [v for _, v in get_engine(k).val2_range(k, 201)], k
+    _report(15, "modular engine and modular triangle equal exact triangle to 200")

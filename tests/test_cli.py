@@ -334,6 +334,21 @@ class TestUsageAndEnvironment:
         assert f"error: {argv[-2]} must be >= " in err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("clarke", "--scan-n-max", "3"), "--scan-n-max must be >= --k-max (5)"),
+            (("cohen", "--m-min", "5", "--m-max", "4"), "--m-min must be <= --m-max"),
+        ],
+        ids=["clarke", "cohen"],
+    )
+    def test_usage_message_names_every_option(self, capsys, argv, message):
+        # each parameter in the library's message reads as the option, not only the first
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", *argv])
+        assert exc.value.code == 64
+        assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
         "argv, module, name",
         [
             (("cohen", "--samples", "5"), sequences, "cohen_check"),

@@ -55,6 +55,8 @@ GOLDEN = [
      "0e2355b06614ce422163bb6aa88daa92de469046c09ee66a4e6ad79876648aca"),
     (("verify", "identities", "--n-max", "40", "--q-max", "5", "--k-max", "8"), 0,
      "d591c9bb3f38937ae7281829827a473994dea4e64f7954ac52562d6612ce3650"),
+    (("verify", "identities", "--n-max", "260", "--q-max", "10", "--k-max", "64"), 0,
+     "0ee6a5243c01f9a19be4ef6b80ae3c8ced4d04f51974ecd678687616f573e156"),
     (("verify", "lemmas", "--m-max", "8"), 0,
      "c1fa1c487f5b262a5af9b6c18c7bb02d8db34f858c7e1632beeb50ac775007d2"),
     (("verify", "alm", "--l-max", "8", "--m-max", "12"), 0,

@@ -1,4 +1,4 @@
-"""Both Stirling computation routes and the valuation extraction."""
+"""The three Stirling computation routes and the valuation extraction."""
 
 import itertools
 import math
@@ -23,6 +23,7 @@ from stirval import (
     stirling_closed_small,
     stirling_exact,
     val2_closed_small,
+    val2_columns,
     val2_stirling,
 )
 import stirval.stirling as stirling_module
@@ -208,6 +209,37 @@ class TestVal2Stirling:
     def test_engine_rejects_bad_order(self):
         with pytest.raises(ValueError):
             ModStirlingEngine(0)
+
+
+class TestVal2Columns:
+    def test_matches_exact_triangle_to_300(self):
+        columns = list(val2_columns(300))
+        assert [k for k, _ in columns] == list(range(1, 301))
+        for k, column in columns:
+            assert column == [nu_int(2, stirling_exact(n, k)) for n in range(k, 301)], k
+
+    def test_matches_engine_to_600(self):
+        wanted = {1, 2, 7, 64, 129, 300, 511, 600}
+        for k, column in val2_columns(600):
+            if k in wanted:
+                assert list(enumerate(column, k)) == list(
+                    ModStirlingEngine(k).val2_range(k, 601)
+                ), k
+
+    @pytest.mark.parametrize("M", [4, 8])
+    def test_zero_residues_fall_back_to_the_engine(self, monkeypatch, M):
+        # at these precisions many residues vanish; each must still be decided exactly
+        fallbacks = []
+        val2 = ModStirlingEngine.val2
+        monkeypatch.setattr(
+            ModStirlingEngine, "val2", lambda self, n: fallbacks.append(n) or val2(self, n)
+        )
+        for k, column in val2_columns(120, M):
+            assert column == [nu_int(2, stirling_exact(n, k)) for n in range(k, 121)], k
+        assert len(fallbacks) > 100
+
+    def test_single_column(self):
+        assert list(val2_columns(1)) == [(1, [0])]
 
 
 class TestVal2ClosedSmall:
