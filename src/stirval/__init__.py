@@ -10,6 +10,7 @@ describe this structure, at desk scale, with certificates.
 
 from .padic import (
     INFINITE,
+    Ratio,
     Valuation,
     digit_sum,
     is_prime,

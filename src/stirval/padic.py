@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from .reports import ConjectureReport
 
@@ -66,13 +67,25 @@ def nu_int(p: int, n: int) -> Valuation:
     return e
 
 
-def nu_rat(p: int, r: Fraction) -> Valuation:
-    """Valuation on rationals: nu_p(a/b) = nu_p(a) - nu_p(b); INFINITE iff r = 0.
+class Ratio(NamedTuple):
+    """The rational numerator / denominator, not reduced to lowest terms.
 
-    Fraction keeps itself in lowest terms, so the two component valuations
-    never both contribute.
+    Reducing costs a gcd of the two components; a valuation does not need it.
     """
-    if r == 0:
+
+    numerator: int
+    denominator: int
+
+
+def nu_rat(p: int, r: Fraction | Ratio | int) -> Valuation:
+    """Valuation on rationals: nu_p(a/b) = nu_p(a) - nu_p(b); INFINITE iff a = 0.
+
+    r is anything with ``numerator`` and ``denominator``: a Fraction, an int
+    or an unreduced Ratio.  The pair need not be in lowest terms: a common
+    factor p^e * c with c prime to p adds e to both component valuations,
+    so the difference is the same.
+    """
+    if r.numerator == 0:
         return INFINITE
     return nu_int(p, r.numerator) - nu_int(p, r.denominator)
 

@@ -5,7 +5,8 @@ Covers four independent strands:
 * the triple-binomial sums b(l,m) and the integer array A(l,m) with its
   two closed-form valuation formulas,
 * partial sums of the polylogarithm-style series sum 2^j / j^k as exact
-  rationals,
+  rationals, kept unreduced over the common denominator lcm(1..n)^k so
+  that no step reduces a large fraction to lowest terms,
 * Lundell's Stirling-like alternating sums T_p(n,k) and Clarke's
   conjectured valuation identity with k! * S(n,k),
 * 2-adic zeros of exponential forms sum c_i * b_i^x (odd bases), lifted
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .padic import digit_sum, nu_int, nu_rat, pochhammer
+from .padic import Ratio, digit_sum, nu_int, nu_rat, pochhammer
 from .reports import ConjectureReport
 from .stirling import exp_sum_mod, exp_sums, get_engine, ksf_terms, val2_stirling
 
@@ -82,20 +83,41 @@ def a_lm_val_check(l_max: int = 40, m_max: int = 40) -> ConjectureReport:
     return report
 
 
-def cohen_partial_sums(k: int) -> Iterator[tuple[int, Fraction]]:
-    """Yield (n, L_k(n)) for n = 1, 2, ..., with L_k(n) = sum_{j=1}^{n} 2^j / j^k exact."""
+def cohen_partial_sums(k: int) -> Iterator[tuple[int, Ratio]]:
+    """Yield (n, L_k(n)) for n = 1, 2, ..., with L_k(n) = sum_{j=1}^{n} 2^j / j^k exact.
+
+    L_k(n) comes as an unreduced Ratio(N, D) with D = lcm(1..n)^k.  Each
+    step divides D by n^k.  The division is exact unless n = p^a is a
+    prime power, since only then does n not divide lcm(1..n-1); there the
+    lcm grows by p, so N and D are both scaled by p^k first.  The step then
+    adds the term (D / n^k) * 2^n to N.  A gcd is taken only at prime
+    powers, and only with the small n^k.  Read a valuation with ``nu_rat``,
+    which holds in any terms, or reduce with ``Fraction(*ratio)``.
+    """
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
-    terms = (Fraction(1 << j, j**k) for j in itertools.count(1))
-    return enumerate(itertools.accumulate(terms), start=1)
+    return _cohen_ratios(k)
+
+
+def _cohen_ratios(k: int) -> Iterator[tuple[int, Ratio]]:
+    num, den = 0, 1
+    for n in itertools.count(1):
+        nk = n**k
+        q, r = divmod(den, nk)
+        if r:  # n = p^a: the scale is p^k
+            scale = nk // math.gcd(den, nk)
+            num, den = num * scale, den * scale
+            q = den // nk
+        num += q << n
+        yield n, Ratio(num, den)
 
 
 def cohen_sum(k: int, n: int) -> Fraction:
-    """Exact partial sum L_k(n) = sum_{j=1}^{n} 2^j / j^k."""
+    """Exact partial sum L_k(n) = sum_{j=1}^{n} 2^j / j^k, in lowest terms."""
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     _, total = next(itertools.islice(cohen_partial_sums(k), n - 1, None))
-    return total
+    return Fraction(*total)
 
 
 def cohen_check(m_min: int = 4, m_max: int = 12) -> ConjectureReport:

@@ -12,10 +12,13 @@ it turns them red:
   produced it, and every constant class between them is proved constant;
 * criterion 11: the true valuation of the weight-1 polylog partial sum is
   2^m + 2m - 2, exactly 2 above the stated 2^m + 2m - 4 at every m in
-  4..12; the weight-2 value 2^m + m - 1 holds as stated.  Both are
-  confirmed by a residue mod 2^P of the termwise 2-adic expansion, a route
-  that builds no Fraction.
+  4..12; the weight-2 value 2^m + m - 1 holds as stated.  Three routes
+  assert both: the package's unreduced common-denominator sum (through
+  cohen_sum), a residue mod 2^P of the termwise 2-adic expansion, which
+  builds no Fraction, and a plain Fraction accumulation local to the test.
 """
+
+from fractions import Fraction
 
 from stirval import (
     K5_FORM,
@@ -224,14 +227,27 @@ def _polylog_valuations(k: int, m_max: int) -> dict:
     return out
 
 
+def _fraction_valuations(k: int, m_max: int) -> dict:
+    """nu_2(L_k(2^m)) for m <= m_max from a plain Fraction accumulation."""
+    total = Fraction(0)
+    out = {}
+    for j in range(1, (1 << m_max) + 1):
+        total += Fraction(1 << j, j**k)
+        if j & (j - 1) == 0:
+            out[j.bit_length() - 1] = nu_int(2, total.numerator) - nu_int(2, total.denominator)
+    return out
+
+
 def test_11_polylog_partial_sums():
     stated = {1: lambda m: 2**m + 2 * m - 4, 2: lambda m: 2**m + m - 1}
     true = {1: lambda m: 2**m + 2 * m - 2, 2: stated[2]}
     for k in (1, 2):
         residue_route = _polylog_valuations(k, 12)
+        fraction_route = _fraction_valuations(k, 12)
         for m in range(4, 13):
             assert nu_rat(2, cohen_sum(k, 1 << m)) == true[k](m), (k, m)
             assert residue_route[m] == true[k](m), (k, m)
+            assert fraction_route[m] == true[k](m), (k, m)
 
     report = cohen_check(4, 12)
     assert report.status == "COUNTEREXAMPLE"

@@ -33,6 +33,8 @@ GOLDEN = [
      "747f0f18c61326d4b8cd0915bcd80d78bd8ddca216b11672266f5b59fb727fd8"),
     (("val", "--series", "cohen", "--k", "2", "--n-min", "1", "--n-max", "40"), 0,
      "09b02cc572b1b2c9a0e69df8c78bbbde786497078f2bb3e814edb8dc12cb0137"),
+    (("val", "--series", "cohen", "--k", "3", "--n-min", "1", "--n-max", "200"), 0,
+     "dbb5b0ced45ca777a1a1ae02ede1eca78ef733dc0dfd02db8ee870a830491e66"),
     (("verify", "main-conjecture", "--k", "11", "--levels", "5", "--samples", "16"), 0,
      "c68420a9be9778fe17469453efabb50653ccb2fba479290a737b73ec5e244dcf"),
     (("verify", "main-conjecture", "--k", "16", "--levels", "6", "--samples", "16"), 1,
@@ -63,6 +65,8 @@ GOLDEN = [
      "4b11035c1dc6a4a4d704f4a80ee7f1ec2edabc78370505fa93455a2890c4e8a9"),
     (("verify", "cohen", "--m-min", "1", "--m-max", "7"), 1,
      "0eb1054b05909944be09fb1a79ef93cb46ae9b41e90c1ac565e7bcd4d769832c"),
+    (("verify", "cohen", "--m-min", "4", "--m-max", "13"), 1,
+     "3a01496bcc99544a897bd350f5fe74cf310f708eca74dbc94aa0888b70270bc6"),
     (("figure", "val-n", "--n-max", "40"), 0,
      "38e210229f6b2ccb7f2e5cf915cc2697b7e94278687808616b3196ae17627525"),
     (("figure", "val-factorial", "--n-max", "40"), 0,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from stirval import (
     INFINITE,
+    Ratio,
     digit_sum,
     kummer_binomial_val,
     legendre_factorial_val,
@@ -79,6 +80,24 @@ class TestNuRat:
         assert nu_rat(2, Fraction(4, 6)) == 1  # reduces to 2/3
         assert nu_rat(5, Fraction(1)) == 0
         assert nu_rat(2, Fraction(0)) is INFINITE
+
+    def test_unreduced_pair(self):
+        assert nu_rat(2, Ratio(4, 6)) == nu_rat(2, Fraction(4, 6)) == 1
+        assert nu_rat(2, Ratio(12, 8)) == nu_rat(2, Fraction(12, 8)) == -1
+        assert nu_rat(3, Ratio(12, 8)) == nu_rat(3, Fraction(12, 8)) == 1
+        assert nu_rat(2, Ratio(0, 6)) is INFINITE
+        assert nu_rat(2, 0) is INFINITE
+        assert nu_rat(2, 24) == 3
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(min_value=-(10**6), max_value=10**6).filter(lambda x: x != 0),
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=1, max_value=10**6),
+        st.sampled_from([2, 3, 5, 7]),
+    )
+    def test_common_factor_cancels(self, a, b, c, p):
+        assert nu_rat(p, Ratio(a * c, b * c)) == nu_rat(p, Fraction(a, b))
 
     @settings(max_examples=200)
     @given(

@@ -21,6 +21,7 @@ from stirval import (
     clarke_val_check,
     clarke_zero,
     cohen_check,
+    cohen_partial_sums,
     cohen_sum,
     ksf_terms,
     nu_int,
@@ -91,6 +92,20 @@ class TestCohen:
         marked = [e for e in report.details["entries"] if e.get("note")]
         assert {e["m"] for e in marked} == {3}
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_unreduced_route_matches_fraction_sums(self, k):
+        # oracle: term-by-term Fraction accumulation, reduced at every step
+        total, lcm = Fraction(0), 1
+        for n, ratio in itertools.islice(cohen_partial_sums(k), 400):
+            total += Fraction(1 << n, n**k)
+            lcm = math.lcm(lcm, n)
+            assert ratio.denominator == lcm**k, (k, n)
+            assert nu_rat(2, ratio) == nu_rat(2, total), (k, n)
+            exact = cohen_sum(k, n)
+            assert exact == total, (k, n)
+            assert type(exact) is Fraction
+            assert math.gcd(exact.numerator, exact.denominator) == 1
+
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             cohen_check(5, 4)
@@ -98,6 +113,8 @@ class TestCohen:
             cohen_check(1, 3)  # no m in the stated range m >= 4: nothing asserted
         with pytest.raises(ValueError):
             cohen_sum(0, 5)
+        with pytest.raises(ValueError):
+            cohen_partial_sums(0)  # on the call, before any value is drawn
 
 
 class TestTSum:
