@@ -10,12 +10,11 @@ automatically on the rare indices where the valuation spikes.
 import time
 
 from stirval import (
-    K5_FORM,
     ModStirlingEngine,
-    clarke_zero,
     get_engine,
     nu_int,
     stirling_exact,
+    t2_zeros,
     val2_stirling,
 )
 
@@ -40,10 +39,10 @@ def main():
     print("  nu_2(S(156,5)) = 11 sits well above its neighbours:")
     for n in range(150, 161):
         print(f"    n={n}: {val2_stirling(n, 5)}")
-    u = clarke_zero(K5_FORM, "even", 110).residue
+    u = next(x for x in t2_zeros(5, 110) if x % 2 == 0)
     n = u + (1 << 100)
     engine = ModStirlingEngine(5)
-    print("  n = u + 2^100, with u the even 2-adic zero of the k=5 Clarke form:")
+    print("  n = u + 2^100, with u the even 2-adic zero of 5 + 10*3^x + 5^x:")
     print(f"    5! * S(n,5) mod 2^64 = {engine.ksf_mod(n, 64)}, so M doubles to 128")
     print(f"    nu_2(S(n,5)) = {engine.val2(n)}; Clarke's distance formula gives "
           f"nu_2(n - u) - 1 = {nu_int(2, n - u) - 1}")

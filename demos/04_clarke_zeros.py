@@ -4,19 +4,16 @@
 Clarke's identity equates the valuation of k! * S(n,k) with that of a
 Stirling-like sum skipping even indices.  For k = 5 it turns the whole
 valuation function into distances from two 2-adic numbers u0, u1: the
-zeros of 5 + 10*3^x + 5^x on the even and odd branches.
+zeros of T_2(x,5) = 5 + 10*3^x + 5^x on the even and odd branches.
 """
 
 from stirval import (
-    ClarkeForm,
-    K5_FORM,
-    K6_FORM,
-    NonUniqueRootError,
     clarke_conjecture_check,
     clarke_val_check,
-    clarke_zero,
     nu_int,
+    t2_zeros,
     t_sum,
+    t_terms,
     val2_stirling,
 )
 
@@ -29,29 +26,24 @@ def main():
     print(f"  scan to n=500: {report.status} ({report.checked} instances)")
 
     print("\n== lifting the zeros digit by digit ==")
-    form = ClarkeForm.parse("5 + 10*3^x + 5^x")
-    assert form == K5_FORM
-    for parity in ("even", "odd"):
-        for M in (4, 8, 16, 24):
-            z = clarke_zero(form, parity, M)
-            print(f"  {parity:5s} branch, {M:2d} bits: x = {z.residue} mod 2^{M - 2}")
+    print(f"  T_2(x,5) terms (coefficient, base): {t_terms(2, 5)}")
+    for M in (4, 8, 16, 24):
+        print(f"  {M:2d} bits: x = {t2_zeros(5, M)} mod 2^{M - 2}")
 
     print("\n== distance formula: nu_2(S(n,5)) = nu_2(n - u) - 1 ==")
-    u0 = clarke_zero(form, "even", 24)
+    M = 24
+    u0 = next(u for u in t2_zeros(5, M) if u % 2 == 0)
     for n in (28, 92, 156, 412):
-        d = (n - u0.residue) % u0.modulus
+        d = (n - u0) % (1 << (M - 2))
         print(
             f"  n={n:4d}: nu_2(n - u0) - 1 = {nu_int(2, d) - 1}, "
             f"engine says {val2_stirling(n, 5)}"
         )
-    check = clarke_val_check(2000, M=24)
+    check = clarke_val_check(2000, M=M)
     print(f"  replay to n=2000: {check.status}, inconclusive: {len(check.inconclusive)}")
 
-    print("\n== deeper ramification is reported, never guessed ==")
-    try:
-        clarke_zero(K6_FORM, "even", 24)
-    except NonUniqueRootError as exc:
-        print(f"  order-6 form: {exc}")
+    print("\n== deeper ramification keeps every root ==")
+    print(f"  T_2(x,6), {M} bits: x = {t2_zeros(6, M)} mod 2^{M - 2}")
 
 
 if __name__ == "__main__":

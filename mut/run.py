@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Mutation check: every listed mutant of ``src/`` must turn a named test red.
+
+For each mutant the script copies ``src/`` to a temporary directory,
+replaces one piece of text in one module (the old text must occur there
+exactly once), and runs the pytest node ids named for that mutant
+against the copy, one mutant after another.  A mutant is killed when
+pytest reports a failing test (exit 1); any other exit, such as a node id
+that collects nothing, is an error.  First the union of all named tests
+runs against an unmutated copy and must pass, so that a red run means the
+mutant and not the setup.
+
+    python3 mut/run.py
+
+Exit 0 when every mutant is killed, 1 otherwise.  Standard library
+only; pytest runs as ``python -m pytest`` with the interpreter running
+this script.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+LIFTER = "tests/test_sequences.py::TestClarkeZero"
+PROOF = "tests/test_levels.py::TestProveConstant"
+
+# (name, module under src/stirval, old text, new text, pytest node ids)
+MUTANTS = [
+    ("t2_zeros keeps only the first extension", "sequences.py",
+     "for x in (r, r + step)", "for x in (r,)", [LIFTER]),
+    ("t2_zeros steps by 2^(P-2)", "sequences.py",
+     "step = 1 << (P - 3)", "step = 1 << (P - 2)", [LIFTER]),
+    ("clarke_val_check takes distances mod 2^(M-1)", "sequences.py",
+     "% (1 << (M - 2))", "% (1 << (M - 1))",
+     ["tests/test_sequences.py::TestClarkeValCheck"]),
+    ("prove_constant shifts by m+3", "levels.py",
+     "shift = m + 2", "shift = m + 3", [PROOF]),
+    ("prove_constant trusts the member n = a", "levels.py",
+     "if n > a:", "if n >= a:", [PROOF]),
+    ("prove_constant drops the A_s check", "levels.py",
+     "if any(exp_sum_mod(higher,", "if False and any(exp_sum_mod(higher,", [PROOF]),
+    ("prove_constant stops s one short", "levels.py",
+     "for s in range(1, a // shift + 1)", "for s in range(1, a // shift)", [PROOF]),
+]
+
+
+def pytest_exit(src: Path, ids: list[str]) -> int:
+    """Run the node ids against the package in ``src``; pytest's exit code."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+            "-o", f"pythonpath={src}", *ids]
+    return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True).returncode
+
+
+def copy_src(dest: Path) -> Path:
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
+    shutil.copytree(ROOT / "src", dest, ignore=ignore)
+    return dest
+
+
+def main() -> int:
+    start = time.perf_counter()
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="stirval-mut-") as tmp:
+        all_ids = sorted({i for m in MUTANTS for i in m[4]})
+        code = pytest_exit(copy_src(Path(tmp) / "base"), all_ids)
+        if code != 0:
+            print(f"baseline: the named tests fail on unmutated src/ (pytest exit {code})")
+            return 1
+        for n, (name, module, old, new, ids) in enumerate(MUTANTS):
+            src = copy_src(Path(tmp) / f"m{n}")
+            path = src / "stirval" / module
+            text = path.read_text()
+            count = text.count(old)
+            if count != 1:
+                print(f"ERROR     {name}: old text occurs {count} times in {module}")
+                failed += 1
+                continue
+            path.write_text(text.replace(old, new))
+            code = pytest_exit(src, ids)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+            failed += code != 1
+            print(f"{verdict:9s} {name}")
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

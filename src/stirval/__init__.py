@@ -33,6 +33,7 @@ from .stirling import (
     special_values_check,
     stirling_closed_small,
     stirling_exact,
+    t_terms,
     val2_closed_small,
     val2_columns,
     val2_stirling,
@@ -53,23 +54,16 @@ from .levels import (
     verify_main_conjecture,
 )
 from .sequences import (
-    ClarkeForm,
-    K5_FORM,
-    K6_FORM,
-    K7_FORM,
-    NoRootError,
-    NonUniqueRootError,
-    PadicResidueZero,
     a_lm,
     a_lm_val_check,
     b_lm,
     clarke_battery,
     clarke_conjecture_check,
     clarke_val_check,
-    clarke_zero,
     cohen_check,
     cohen_partial_sums,
     cohen_sum,
+    t2_zeros,
     t_sum,
     t_sums,
 )

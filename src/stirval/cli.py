@@ -86,9 +86,11 @@ _CHOSEN = {"val": "--series {0.series}", "figure": "figure {0.name}"}
 
 
 def _required_k(args) -> int:
-    """--k, which the chosen series or figure needs."""
+    """--k, which the chosen series or figure needs: an order or weight >= 1."""
     if args.k is None:
         raise ValueError(_CHOSEN[args.command].format(args) + " requires --k")
+    if args.k < 1:
+        raise ValueError("--k must be >= 1")
     return args.k
 
 
@@ -101,22 +103,25 @@ def _cohen_rows(k: int, ns: range) -> list[tuple[int, int]]:
     ]
 
 
-def _val_cohen(args, ns: range):
-    k = _required_k(args)
-    if ns.start < 1:
-        raise ValueError(f"{args.series} series needs n >= 1")
-    return _cohen_rows(k, ns)
+def _k_series(rows):
+    """The handler of a series of order or weight --k, indexed from n = 1."""
+
+    def handler(args, ns: range):
+        k = _required_k(args)
+        if ns.start < 1:
+            raise ValueError(f"{args.series} series needs n >= 1")
+        return rows(k, ns)
+
+    return handler
 
 
 # Each table maps a choice to its handler; the parser takes its choices
 # from the keys, in this order.
 _SERIES = {
-    "stirling": lambda args, ns: stirling.get_engine(_required_k(args)).val2_range(
-        ns.start, ns.stop
-    ),
+    "stirling": _k_series(lambda k, ns: stirling.get_engine(k).val2_range(ns.start, ns.stop)),
     "factorial": lambda args, ns: [(n, padic.legendre_factorial_val(args.p, n)) for n in ns],
     "int": lambda args, ns: [(n, padic.nu_int(args.p, n)) for n in ns],
-    "cohen": _val_cohen,
+    "cohen": _k_series(_cohen_rows),
 }
 
 
@@ -165,7 +170,9 @@ _FIGURES = {
         ["n", "value", "err"],
         lambda a: [
             (n, v, v - n)
-            for n, v in _cohen_rows(1 if a.k is None else a.k, range(1, a.n_max + 1))
+            for n, v in _cohen_rows(
+                1 if a.k is None else _required_k(a), range(1, a.n_max + 1)
+            )
         ],
     ),
     "stirling-k": (

@@ -19,7 +19,7 @@ from typing import Iterator, NamedTuple
 
 from .padic import Valuation, nu_int
 from .reports import FAIL, PASS, ConjectureReport
-from .stirling import exp_sum_mod, get_engine, ksf_terms, val2_stirling
+from .stirling import exp_sum_mod, get_engine, t_terms, val2_stirling
 
 CONSTANT = "CONSTANT"
 NON_CONSTANT = "NON_CONSTANT"
@@ -112,8 +112,8 @@ def prove_constant(c: ResidueClass) -> Valuation | None:
     by primes of Stirling-like numbers*, J. Number Theory 52 (1995).  Write
     n = j + 2**m * t and split ``ksf_terms(k)`` into odd and even bases.
     Every even-base term has valuation >= n.  For odd b,
-    b**(2**m) = 1 + 2**(m+2) * w_b, so the odd-base part is
-    g(n) = sum_s C(t,s) 2**(s(m+2)) A_s with A_s = sum_{b odd} c_b b**j w_b**s.
+    b**(2**m) = 1 + 2**(m+2) * w_b, so the odd-base part ``t_terms(2, k)``
+    is g(n) = sum_s C(t,s) 2**(s(m+2)) A_s with A_s = sum_{b odd} c_b b**j w_b**s.
     A_0 != 0 because every odd-base coefficient has the sign (-1)**(k-1).
     With a = nu_2(A_0), if A_s == 0 mod 2**(a+1-s(m+2)) for 1 <= s <= a/(m+2),
     then nu_2(g(n)) = a for every t, so nu_2(k! S(n,k)) = a for every
@@ -121,7 +121,7 @@ def prove_constant(c: ResidueClass) -> Valuation | None:
     """
     k, m, j = c.k, c.m, c.j
     engine = get_engine(k)
-    odd = tuple((cb, b) for cb, b in ksf_terms(k) if b & 1)
+    odd = t_terms(2, k)
     P = engine.m_start
     while not (r := exp_sum_mod(odd, j, P)):
         P *= 2

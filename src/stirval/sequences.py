@@ -9,22 +9,21 @@ Covers four independent strands:
   that no step reduces a large fraction to lowest terms,
 * Lundell's Stirling-like alternating sums T_p(n,k) and Clarke's
   conjectured valuation identity with k! * S(n,k),
-* 2-adic zeros of exponential forms sum c_i * b_i^x (odd bases), lifted
-  digit by digit, which turn nu_2(S(n,5)) into a distance measurement.
+* every 2-adic zero of T_2(x,k), the odd-base part of k! * S(x,k), lifted
+  digit by digit; the two zeros for k = 5 turn nu_2(S(n,5)) into a
+  distance measurement.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from .padic import Ratio, digit_sum, nu_int, nu_rat, pochhammer
 from .reports import ConjectureReport
-from .stirling import exp_sum_mod, exp_sums, get_engine, ksf_terms, val2_stirling
+from .stirling import exp_sum_mod, exp_sums, get_engine, t_terms, val2_stirling
 
 
 def b_lm(l: int, m: int) -> int:
@@ -161,7 +160,7 @@ def t_sums(p: int, start: int, k: int) -> Iterator[int]:
     """Yield T_p(n,k) for n = start, start + 1, ...; see ``t_sum``."""
     if start < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    return exp_sums(tuple((c, b) for c, b in ksf_terms(k) if b % p), start)
+    return exp_sums(t_terms(p, k), start)
 
 
 def t_sum(p: int, n: int, k: int) -> int:
@@ -193,158 +192,51 @@ def clarke_conjecture_check(n_max: int, k_max: int = 5) -> ConjectureReport:
     return report
 
 
-_TERM_RE = re.compile(
-    r"^(?P<sign>[+-])?"
-    r"(?:(?P<coef>\d+)\*)?"
-    r"(?:(?P<base>\d+)\^x|(?P<const>\d+))$"
-)
+def t2_zeros(k: int, M: int) -> list[int]:
+    """Every 2-adic zero of T_2(x, k) to precision M, ascending.
 
+    T_2(x, k) = sum c_b b**x is the odd-base part ``t_terms(2, k)`` of
+    k! * S(x,k); for k = 5 it is 5 + 10*3^x + 5^x.  Odd bases make b**x
+    mod 2**M depend only on x mod 2**(M-2) (for M >= 3), so a root is a
+    residue x mod 2**(M-2) with T_2(x, k) == 0 mod 2**M.  A root at
+    modulus 2**P reduces to a root at 2**(P-1), so lifting the roots mod 2
+    at modulus 8, and keeping each extension r or r + 2**(P-3) that
+    vanishes mod 2**P for P = 4..M, finds every root.
 
-@dataclass(frozen=True)
-class ClarkeForm:
-    """Exponential form f(x) = sum c_i * b_i^x with odd positive bases.
-
-    Constant terms are carried with base 1.  Odd bases make b^x well
-    defined on 2-adic residues: modulo 2**M, b^x depends on x only
-    through x mod 2**(M-2) (for M >= 3).
+    k <= 4 has none from M = 5 on, and k = 5 has one root of each parity,
+    which is all that ``clarke_val_check`` reads.  The root set grows with
+    k: at M = 20 there are 80 roots for k = 8, 384 for k = 12 and 92160
+    for k = 16, which takes about 5 s (CPython 3.11 on a shared 2-vCPU host).
     """
-
-    terms: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ValueError("a form needs at least one term")
-        for coef, base in self.terms:
-            if base < 1 or base % 2 == 0:
-                raise ValueError(f"bases must be odd and positive, got {base}")
-            if coef == 0:
-                raise ValueError("zero coefficients are not allowed")
-
-    @classmethod
-    def parse(cls, text: str) -> "ClarkeForm":
-        """Parse a compact syntax like "5 + 10*3^x + 5^x" (term order free)."""
-        cleaned = text.replace("−", "-").replace(" ", "")
-        if not cleaned:
-            raise ValueError("empty form")
-        chunks = re.findall(r"[+-]?[^+-]+", cleaned)
-        terms = []
-        for chunk in chunks:
-            m = _TERM_RE.match(chunk)
-            if not m:
-                raise ValueError(f"cannot parse term {chunk!r}")
-            sign = -1 if m.group("sign") == "-" else 1
-            if m.group("const") is not None:
-                terms.append((sign * int(m.group("const")), 1))
-            else:
-                terms.append((sign * int(m.group("coef") or 1), int(m.group("base"))))
-        return cls(tuple(terms))
-
-    def __str__(self) -> str:
-        parts = [str(c) if b == 1 else f"{c}*{b}^x" for c, b in self.terms]
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def eval_mod(self, x: int, M: int) -> int:
-        """f(x) mod 2**M, with x taken as a residue mod 2**(M-2)."""
-        return exp_sum_mod(self.terms, x, M)
-
-
-# The forms whose 2-adic zeros encode nu_2(S(n,k)) for k = 5, 6, 7: the
-# odd-base part of k! * S(x,k), e.g. K5_FORM = 5 + 10*3^x + 5^x.
-K5_FORM, K6_FORM, K7_FORM = (
-    ClarkeForm(tuple((c, b) for c, b in ksf_terms(k) if b % 2)) for k in (5, 6, 7)
-)
-
-
-class NoRootError(Exception):
-    """No residue extension annihilates the form at the next modulus."""
-
-
-class NonUniqueRootError(Exception):
-    """More than one residue extension annihilates the form.
-
-    Forms whose values carry extra factors of two (deeper ramification
-    than the seeding handles) end up here; the ambiguity is surfaced
-    rather than resolved by guessing.
-    """
-
-    def __init__(self, modulus_bits: int, candidates: list[int]):
-        super().__init__(
-            f"f == 0 mod 2^{modulus_bits} for residues {candidates}; zero not unique"
-        )
-        self.modulus_bits = modulus_bits
-        self.candidates = candidates
-
-
-@dataclass(frozen=True)
-class PadicResidueZero:
-    """A 2-adic zero known to precision M: a residue mod 2**(M-2).
-
-    Substituting any x == residue (mod 2**(M-2)) gives f(x) == 0 mod 2**M.
-    """
-
-    residue: int
-    precision: int
-    parity: str  # "even" or "odd"
-
-    @property
-    def modulus(self) -> int:
-        return 1 << (self.precision - 2)
-
-
-def clarke_zero(form: ClarkeForm, parity: str, M: int) -> PadicResidueZero:
-    """Lift the 2-adic zero of ``form`` on one parity branch to precision M.
-
-    The two residues mod 8 both annihilate typical forms (the initial
-    ramification), so the branch is seeded by exhaustive search mod 16;
-    after that the residue is extended one binary digit at a time, keeping
-    the unique extension with f == 0 at each next modulus.
-    """
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
     if M < 4:
         raise ValueError("M must be >= 4")
-    seeds = (0, 2) if parity == "even" else (1, 3)
-    cands = [x for x in seeds if form.eval_mod(x, 4) == 0]
-    if not cands:
-        raise NoRootError(f"no {parity} residue mod 4 annihilates the form mod 16")
-    if len(cands) > 1:
-        raise NonUniqueRootError(4, cands)
-    r = cands[0]
-    for target in range(5, M + 1):
-        step = 1 << (target - 3)
-        extensions = [x for x in (r, r + step) if form.eval_mod(x, target) == 0]
-        if not extensions:
-            raise NoRootError(f"no extension of {r} vanishes mod 2^{target}")
-        if len(extensions) > 1:
-            raise NonUniqueRootError(target, extensions)
-        r = extensions[0]
-    return PadicResidueZero(residue=r, precision=M, parity=parity)
+    terms = t_terms(2, k)
+    roots = [x for x in (0, 1) if exp_sum_mod(terms, x, 3) == 0]
+    for P in range(4, M + 1):
+        step = 1 << (P - 3)
+        roots = [x for r in roots for x in (r, r + step) if exp_sum_mod(terms, x, P) == 0]
+    return sorted(roots)
 
 
 def clarke_val_check(n_max: int, M: int = 24) -> ConjectureReport:
     """Check nu_2(S(n,5)) == -1 + nu_2(n - u) for 5 <= n <= n_max.
 
-    u is the zero of the order-5 form on the parity branch of n, lifted
-    to precision M.  When n - u vanishes mod 2**(M-2) the distance is not
-    determined at this precision and the index is flagged inconclusive.
+    u is the root of T_2(x, 5) with the parity of n, from ``t2_zeros(5, M)``:
+    a residue mod 2**(M-2).  When n - u vanishes mod 2**(M-2) the distance
+    is not determined at this precision and the index is flagged
+    inconclusive.
     """
     if n_max < 5:
         raise ValueError("n_max must be >= 5")
     report = ConjectureReport(
         "valuation from 2-adic zeros (k=5)", params={"n_max": n_max, "precision": M}
     )
-    zeros = {
-        0: clarke_zero(K5_FORM, "even", M),
-        1: clarke_zero(K5_FORM, "odd", M),
-    }
-    report.details["zeros"] = {
-        "even": zeros[0].residue,
-        "odd": zeros[1].residue,
-        "modulus_bits": M - 2,
-    }
+    even, odd = sorted(t2_zeros(5, M), key=lambda u: u % 2)
+    report.details["zeros"] = {"even": even, "odd": odd, "modulus_bits": M - 2}
     for n in range(5, n_max + 1):
-        u = zeros[n % 2]
-        d = (n - u.residue) % u.modulus
+        d = (n - (odd if n % 2 else even)) % (1 << (M - 2))
         if d == 0:
             report.record_inconclusive(
                 {"n": n, "reason": f"n == u mod 2^{M-2}; distance below resolution"}
@@ -366,7 +258,7 @@ def clarke_battery(
 
     Runs the T-sum valuation scan up to scan_n_max, replays the distance
     formula for nu_2(S(n,5)) up to n_max, and asserts the residues mod 4
-    of the two zeros of the order-5 form that it lifted to ``precision``
+    of the two zeros of T_2(x, 5) that it lifted to ``precision``
     bits (0 on the even branch, 3 on the odd one).
     """
     if k_max < 1:

@@ -111,13 +111,21 @@ def val2_closed_small(n: int, k: int) -> int:
 def ksf_terms(k: int) -> Terms:
     """The terms of k! * S(n,k) = sum_{b=1}^{k} (-1)^(k-b) C(k,b) b^n, bases ascending.
 
-    The one definition of this sum: the engine evaluates all of it, the
-    T-sums T_p keep the terms whose base is prime to p, and the Clarke
-    forms keep the odd-base terms.
+    The one definition of this sum: the engine evaluates all of it, and
+    ``t_terms`` keeps the terms whose base is prime to p.
     """
     return tuple(
         (-math.comb(k, b) if (k - b) & 1 else math.comb(k, b), b) for b in range(1, k + 1)
     )
+
+
+def t_terms(p: int, k: int) -> Terms:
+    """The terms of ``ksf_terms(k)`` whose base is prime to p: Lundell's T_p(x, k).
+
+    For p = 2 it is the odd-base part T_2(x, k).  Every even-base term has
+    valuation >= n, so T_2(n, k) == k! * S(n,k) mod 2**n.
+    """
+    return tuple((c, b) for c, b in ksf_terms(k) if b % p)
 
 
 def exp_sum_mod(terms: Terms, n: int, M: int) -> int:

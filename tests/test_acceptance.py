@@ -21,14 +21,12 @@ it turns them red:
 from fractions import Fraction
 
 from stirval import (
-    K5_FORM,
     ResidueClass,
     a_lm_val_check,
     approx_report,
     build_level_tree,
     clarke_conjecture_check,
     clarke_val_check,
-    clarke_zero,
     cohen_check,
     cohen_sum,
     de_wannemacker_gap,
@@ -43,6 +41,7 @@ from stirval import (
     power_lemma_report,
     prove_constant,
     stirling_exact,
+    t2_zeros,
     val2_closed_small,
     val2_columns,
     val2_stirling,
@@ -296,10 +295,9 @@ def test_14_clarke():
     scan = clarke_conjecture_check(500, k_max=5)
     assert scan.status == "CONSISTENT", scan.counterexamples[:3]
 
-    u0 = clarke_zero(K5_FORM, "even", 24)
-    u1 = clarke_zero(K5_FORM, "odd", 24)
-    assert u0.residue % 4 == 0
-    assert u1.residue % 4 == 3
+    u0, u1 = sorted(t2_zeros(5, 24), key=lambda u: u % 2)  # even, odd
+    assert u0 % 4 == 0
+    assert u1 % 4 == 3
 
     report = clarke_val_check(2000, M=24)
     assert report.status in ("CONSISTENT", "INCONCLUSIVE"), report.counterexamples[:3]
@@ -307,7 +305,7 @@ def test_14_clarke():
     for entry in report.inconclusive:
         n = entry["n"]
         u = u0 if n % 2 == 0 else u1
-        assert (n - u.residue) % (1 << 22) == 0
+        assert (n - u) % (1 << 22) == 0
     _report(14, "t-sum identity, zero congruences, distance formula")
 
 

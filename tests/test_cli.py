@@ -284,6 +284,26 @@ class TestUsageAndEnvironment:
     def test_cohen_weight_below_one(self, capsys, argv):
         assert run_usage_error(capsys, *argv) == 64
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("val", "--series", "stirling", "--k", "0", "--n", "5"), "--k must be >= 1"),
+            (("figure", "wannemacker-diff", "--k", "0", "--n-max", "3"), "--k must be >= 1"),
+            (("val", "--series", "cohen", "--k", "0", "--n", "5"), "--k must be >= 1"),
+            (("figure", "cohen", "--k", "0", "--n-max", "3"), "--k must be >= 1"),
+            (("val", "--series", "stirling", "--k", "5", "--n-min", "0", "--n-max", "3"),
+             "stirling series needs n >= 1"),
+        ],
+        ids=["val-stirling-k", "figure-wannemacker-k", "val-cohen-k", "figure-cohen-k",
+             "val-stirling-n"],
+    )
+    def test_k_and_n_messages_name_the_option(self, capsys, argv, message):
+        # the message names what the user typed, not an engine or library parameter
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 64
+        assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
+
     def test_unknown_target(self, capsys):
         assert run_usage_error(capsys, "verify", "nonsense") == 64
 

@@ -55,6 +55,10 @@ GOLDEN = [
      "f6674388d431c868bb3948cc7a5752683825ee1741409bc46260be355294ad5c"),
     (("verify", "clarke", "--scan-n-max", "40", "--n-max", "200", "--precision", "20"), 0,
      "0e2355b06614ce422163bb6aa88daa92de469046c09ee66a4e6ad79876648aca"),
+    (("verify", "clarke"), 0,
+     "c8d1094d423ed873a4a453f0ed8e30ce207e550441908152ad4a47430745f66b"),
+    (("verify", "clarke", "--scan-n-max", "5", "--n-max", "300", "--precision", "80"), 0,
+     "b82794f3ab394e1c054b2f5f8399a04d062bfdf9ef56ca3b71ae0ee06af51f5e"),
     (("verify", "identities", "--n-max", "40", "--q-max", "5", "--k-max", "8"), 0,
      "d591c9bb3f38937ae7281829827a473994dea4e64f7954ac52562d6612ce3650"),
     (("verify", "identities", "--n-max", "260", "--q-max", "10", "--k-max", "64"), 0,

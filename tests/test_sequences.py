@@ -7,28 +7,24 @@ from fractions import Fraction
 import pytest
 
 from stirval import (
-    ClarkeForm,
-    K5_FORM,
-    K6_FORM,
-    K7_FORM,
-    NoRootError,
-    NonUniqueRootError,
     a_lm,
     a_lm_val_check,
     b_lm,
     clarke_battery,
     clarke_conjecture_check,
     clarke_val_check,
-    clarke_zero,
     cohen_check,
     cohen_partial_sums,
     cohen_sum,
     ksf_terms,
     nu_int,
     nu_rat,
+    t2_zeros,
     t_sum,
     t_sums,
+    t_terms,
 )
+from stirval.stirling import exp_sum_mod
 
 
 class TestBlmAlm:
@@ -146,85 +142,67 @@ class TestTSum:
         assert report.checked == sum(200 - k + 1 for k in range(1, 9))
 
 
-class TestClarkeForm:
-    def test_parse_known_forms(self):
-        for k, text, form in (
-            (5, "5 + 10*3^x + 5^x", K5_FORM),
-            (6, "-6 - 20*3^x - 6*5^x", K6_FORM),
-            (7, "7 + 35*3^x + 21*5^x + 7^x", K7_FORM),
-        ):
-            assert ClarkeForm.parse(text) == form
-            # the form is the odd-base part of k! * S(x,k)
-            assert ClarkeForm.parse(text).terms == tuple(t for t in ksf_terms(k) if t[1] % 2)
-
-    def test_parse_order_free_and_unicode_minus(self):
-        assert ClarkeForm.parse("10*3^x + 5 + 5^x") == ClarkeForm(
-            ((10, 3), (5, 1), (1, 5))
-        )
-        assert ClarkeForm.parse("−6 − 20*3^x − 6*5^x") == K6_FORM
-
-    def test_round_trip(self):
-        for form in (K5_FORM, K6_FORM, K7_FORM):
-            assert ClarkeForm.parse(str(form)) == form
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            ClarkeForm.parse("3 + 2^x")  # even base
-        with pytest.raises(ValueError):
-            ClarkeForm.parse("")
-        with pytest.raises(ValueError):
-            ClarkeForm.parse("5 + spam")
-        with pytest.raises(ValueError):
-            ClarkeForm(())
+class TestOddBaseForm:
+    def test_odd_base_terms(self):
+        # T_2(x, k) is the odd-base part of k! * S(x,k); for k = 5 it is 5 + 10*3^x + 5^x
+        assert t_terms(2, 5) == ((5, 1), (10, 3), (1, 5))
+        for k in (6, 7, 33):
+            assert t_terms(2, k) == tuple(t for t in ksf_terms(k) if t[1] % 2)
 
     def test_eval_mod(self):
-        assert K5_FORM.eval_mod(0, 4) == 0  # 16 == 0 mod 16
-        assert K5_FORM.eval_mod(2, 4) == 8
-        assert K5_FORM.eval_mod(3, 4) == 0  # 400 == 0 mod 16
+        terms = t_terms(2, 5)
+        assert exp_sum_mod(terms, 0, 4) == 0  # 16 == 0 mod 16
+        assert exp_sum_mod(terms, 2, 4) == 8
+        assert exp_sum_mod(terms, 3, 4) == 0  # 400 == 0 mod 16
+
+
+def _brute_force_zeros(k, M):
+    terms = t_terms(2, k)
+    return [x for x in range(1 << (M - 2)) if exp_sum_mod(terms, x, M) == 0]
 
 
 class TestClarkeZero:
     def test_branch_seeds(self):
-        u0 = clarke_zero(K5_FORM, "even", 4)
-        u1 = clarke_zero(K5_FORM, "odd", 4)
-        assert u0.residue % 4 == 0
-        assert u1.residue % 4 == 3
+        assert t2_zeros(5, 4) == [0, 3]
 
     def test_lifted_residues(self):
-        u0 = clarke_zero(K5_FORM, "even", 24)
-        u1 = clarke_zero(K5_FORM, "odd", 24)
-        assert (u0.residue, u1.residue) == (3084444, 1657119)
-        assert u0.modulus == 1 << 22
-        assert u0.residue % 128 == 28  # forced by nu_2(S(28,5)) = 6
+        odd, even = t2_zeros(5, 24)
+        assert [odd, even] == [1657119, 3084444]
+        assert even % 128 == 28  # forced by nu_2(S(28,5)) = 6
 
     def test_substitution(self):
-        for parity in ("even", "odd"):
-            zero = clarke_zero(K5_FORM, parity, 20)
-            assert K5_FORM.eval_mod(zero.residue, 20) == 0
+        for u in t2_zeros(5, 20):
+            assert exp_sum_mod(t_terms(2, 5), u, 20) == 0
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_brute_force(self, k):
+        for M in range(4, 13):
+            assert t2_zeros(k, M) == _brute_force_zeros(k, M), M
 
     def test_truncation_stability(self):
-        u0 = clarke_zero(K5_FORM, "even", 24)
-        for M in (4, 8, 12, 16, 20):
-            assert clarke_zero(K5_FORM, "even", M).residue == u0.residue % (
-                1 << (M - 2)
-            )
+        # every root at M reduces to a root at each smaller M
+        for k in (5, 6, 7, 8):
+            for M in (8, 16, 24):
+                roots = t2_zeros(k, M)
+                for smaller in range(4, M):
+                    below = set(t2_zeros(k, smaller))
+                    assert {u % (1 << (smaller - 2)) for u in roots} <= below, (k, M, smaller)
 
     def test_deeper_ramification_is_surfaced(self):
-        # the order-6 and order-7 forms carry extra factors of two, so
-        # both residue extensions survive every modulus: not unique
-        for form in (K6_FORM, K7_FORM):
-            with pytest.raises(NonUniqueRootError):
-                clarke_zero(form, "even", 24)
+        # the order-6 and order-7 forms carry extra factors of two, so both
+        # residue extensions survive on some branches: every root is kept
+        assert len(t2_zeros(6, 24)) == 4
+        assert len(t2_zeros(7, 24)) == 10
 
     def test_no_root_surfaced(self):
-        with pytest.raises(NoRootError):
-            clarke_zero(ClarkeForm(((1, 1),)), "even", 8)
+        for k in range(1, 5):
+            assert t2_zeros(k, 8) == t2_zeros(k, 24) == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            clarke_zero(K5_FORM, "both", 8)
+            t2_zeros(0, 8)
         with pytest.raises(ValueError):
-            clarke_zero(K5_FORM, "even", 3)
+            t2_zeros(5, 3)
 
 
 class TestClarkeValCheck:
@@ -234,19 +212,28 @@ class TestClarkeValCheck:
         assert not report.inconclusive
         assert report.details["zeros"]["even"] == 3084444
 
+    def test_unresolved_distances_are_inconclusive(self):
+        # at M = 8 the zeros are residues mod 2^6: exactly the n == u mod 64
+        # are below resolution, and every other n is decided and agrees
+        u = {z % 2: z for z in t2_zeros(5, 8)}
+        report = clarke_val_check(300, M=8)
+        assert report.status == "INCONCLUSIVE"
+        assert not report.counterexamples
+        unresolved = [n for n in range(5, 301) if (n - u[n % 2]) % 64 == 0]
+        assert [e["n"] for e in report.inconclusive] == unresolved
+        assert report.checked == 296 - len(unresolved) > 0
+
     def test_battery(self, monkeypatch):
         import stirval.sequences as sequences_module
 
         lifted = []
         monkeypatch.setattr(
-            sequences_module,
-            "clarke_zero",
-            lambda form, parity, M: lifted.append(parity) or clarke_zero(form, parity, M),
+            sequences_module, "t2_zeros", lambda k, M: lifted.append((k, M)) or t2_zeros(k, M)
         )
         report = clarke_battery(scan_n_max=100, k_max=5, n_max=300, precision=24)
         assert report.status == "CONSISTENT"
         names = [s["name"] for s in report.details["subchecks"]]
         assert names == ["t-sum identity", "distance formula"]
         # the mod-4 checks read the zeros the distance formula lifted
-        assert sorted(lifted) == ["even", "odd"]
+        assert lifted == [(5, 24)]
         assert report.details["zeros"] == {"even": 3084444, "odd": 1657119}

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from stirval import (
     INFINITE,
-    K5_FORM,
     ModStirlingEngine,
     StirlingTriangle,
-    clarke_zero,
     de_wannemacker_gap,
     de_wannemacker_gaps,
     get_engine,
@@ -22,6 +20,8 @@ from stirval import (
     special_values_check,
     stirling_closed_small,
     stirling_exact,
+    t2_zeros,
+    t_terms,
     val2_closed_small,
     val2_columns,
     val2_stirling,
@@ -117,7 +117,7 @@ class TestExpSum:
     @pytest.mark.parametrize("k", [None, 5, 33], ids=["k5_form", "stirling5", "stirling33"])
     def test_stepped_and_pointwise_agree_with_direct_sum(self, k):
         if k is None:
-            terms = K5_FORM.terms
+            terms = t_terms(2, 5)
         else:
             # k! * S(n,k) = sum_i (-1)^i C(k,i) (k-i)^n, the engine's sum
             terms = tuple(((-1) ** i * math.comb(k, i), k - i) for i in range(k))
@@ -169,10 +169,10 @@ class TestVal2Stirling:
 
     @pytest.mark.parametrize("bits, asked", [(100, [64, 128]), (200, [64, 128, 256])])
     def test_climbs_until_the_residue_is_nonzero(self, monkeypatch, bits, asked):
-        # n = u + 2^bits with u the even 2-adic zero of the k = 5 Clarke form:
+        # n = u + 2^bits with u the even 2-adic zero of T_2(x, 5) = 5 + 10*3^x + 5^x:
         # Clarke's distance formula gives nu_2(S(n,5)) = nu_2(n - u) - 1 = bits - 1,
         # and 120 * S(n,5) then vanishes mod 2^64 (and mod 2^128 for bits = 200)
-        n = clarke_zero(K5_FORM, "even", bits + 10).residue + (1 << bits)
+        n = next(u for u in t2_zeros(5, bits + 10) if u % 2 == 0) + (1 << bits)
         engine = ModStirlingEngine(5)
         seen = []
         real = engine.ksf_mod
