@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 LIFTER = "tests/test_sequences.py::TestClarkeZero"
 PROOF = "tests/test_levels.py::TestProveConstant"
+SCAN = "tests/test_stirling.py::TestVal2Range"
 
 # (name, module under src/stirval, old text, new text, pytest node ids)
 MUTANTS = [
@@ -49,6 +50,12 @@ MUTANTS = [
      "if any(exp_sum_mod(higher,", "if False and any(exp_sum_mod(higher,", [PROOF]),
     ("prove_constant stops s one short", "levels.py",
      "for s in range(1, a // shift + 1)", "for s in range(1, a // shift)", [PROOF]),
+    ("val2_range without its val2 fallback", "stirling.py",
+     "(nu_int(2, v) if v else self.val2(n))", "nu_int(2, v)", [SCAN]),
+    ("recurrence_mod shifts its window by one slot less", "stirling.py",
+     "terms >> (W * (L - k))", "terms >> (W * (L - k - 1))", [SCAN]),
+    ("recurrence_mod slots one byte short", "stirling.py",
+     "Wb = (2 * M + L.bit_length() + 8) // 8", "Wb = (2 * M + L.bit_length()) // 8", [SCAN]),
 ]
 
 

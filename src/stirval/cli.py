@@ -115,12 +115,23 @@ def _k_series(rows):
     return handler
 
 
+def _p_series(value):
+    """The handler of the series n -> value(p, n) for the prime --p."""
+
+    def handler(args, ns: range):
+        if not padic.is_prime(args.p):
+            raise ValueError(f"--p must be prime, got {args.p}")
+        return [(n, value(args.p, n)) for n in ns]
+
+    return handler
+
+
 # Each table maps a choice to its handler; the parser takes its choices
 # from the keys, in this order.
 _SERIES = {
     "stirling": _k_series(lambda k, ns: stirling.get_engine(k).val2_range(ns.start, ns.stop)),
-    "factorial": lambda args, ns: [(n, padic.legendre_factorial_val(args.p, n)) for n in ns],
-    "int": lambda args, ns: [(n, padic.nu_int(args.p, n)) for n in ns],
+    "factorial": _p_series(padic.legendre_factorial_val),
+    "int": _p_series(padic.nu_int),
     "cohen": _k_series(_cohen_rows),
 }
 

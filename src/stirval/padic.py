@@ -47,12 +47,12 @@ def _require_prime(p: int) -> None:
 
 def nu_int(p: int, n: int) -> Valuation:
     """Largest e with p**e dividing n; INFINITE for n = 0.  Sign is ignored."""
+    if p == 2:  # the hot case, prime without a check
+        return INFINITE if n == 0 else (n & -n).bit_length() - 1
     _require_prime(p)
     if n == 0:
         return INFINITE
     n = abs(n)
-    if p == 2:
-        return (n & -n).bit_length() - 1
     # Square p while the square still divides n, then strip the powers
     # p^(2^i) largest first: O(log e) big divisions instead of e of them.
     powers = [p]

@@ -5,7 +5,10 @@
   checks the closed forms and the other two routes.
 * :class:`ModStirlingEngine` evaluates T = k! * S(n,k) modulo 2**M through
   the alternating binomial sum and extracts nu_2(S(n,k)) from the residue.
-  It serves single values and one column k over a long range of n.
+  It serves single values, and it starts a scan of one column k over a
+  long range of n: past the first k indices the scan follows the column's
+  order-k linear recurrence mod 2**P, P = min(64, m_start - nu_2(k!)), in
+  packed blocks (:func:`recurrence_mod`).
 * :func:`val2_columns` runs the same recurrence as the oracle modulo 2**M,
   one step per entry, and serves the whole triangle k <= n <= n_max.
 
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import cache, lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterator
 
 from .padic import INFINITE, Valuation, digit_sum, legendre_factorial_val, nu_int
@@ -166,7 +169,9 @@ class ModStirlingEngine:
     there.
     val2 doubles M while the residue vanishes.  For n >= k the integer
     k! * S(n,k) lies in 1..k**n, so every M > n * log2(k) leaves a nonzero
-    residue and the doubling always ends.  val2_range scans at the start.
+    residue and the doubling always ends.  val2_range evaluates its first k
+    indices at the start and carries on along the column's recurrence
+    mod 2**P, P = min(64, m_start - nu_2(k!)).
     """
 
     def __init__(self, k: int):
@@ -202,17 +207,81 @@ class ModStirlingEngine:
     def val2_range(self, start: int, stop: int) -> Iterator[tuple[int, Valuation]]:
         """Yield (n, nu_2(S(n,k))) for start <= n < stop.
 
-        Batch variant for scans over n: one exp_sums pass at the precision
-        where val2 also starts; an index whose residue vanishes there goes
-        to val2.  Results are identical to per-n val2 calls.
+        Batch variant for scans over n.  Every value is odd(k!) * S(n,k)
+        mod 2**P with P = min(64, m_start - nu_2(k!)), which has the
+        valuation of S(n,k) when it is nonzero; P > 32 always.  The first k
+        indices n >= k come from one exp_sums pass at the precision where
+        val2 also starts, each residue shifted right by nu_2(k!).  Past them
+        the column follows its order-k recurrence (:func:`recurrence_mod`):
+        sum_n S(n,k) x^n = x^k / Q(x) with Q(x) = prod_{j=1..k} (1 - j x).
+        Q is built only when the range reaches past those first k indices.
+        An index whose value vanishes goes to val2.  Results are identical
+        to per-n val2 calls.
         """
         if start < 1:
             raise ValueError("val2_range requires start >= 1")
-        for n, r in zip(range(start, stop), exp_sums(self._terms, start, self.m_start)):
-            if n < self.k:
-                yield n, INFINITE
-            else:
-                yield n, (self._extract(r) if r else self.val2(n))
+        k = self.k
+        for n in range(start, min(k, stop)):
+            yield n, INFINITE
+        start = max(start, k)
+        P = min(64, self.m_start - self.fact_val)
+        mask = (1 << P) - 1
+        residues = exp_sums(self._terms, start, self.m_start)
+        head = [(r >> self.fact_val) & mask for _, r in zip(range(start, stop)[:k], residues)]
+        values = head
+        if start + k < stop:
+            q = [1]
+            for j in range(1, k + 1):
+                q = [(a - j * b) & mask for a, b in zip(q + [0], [0] + q)]
+            values = chain(head, recurrence_mod(q, head, P))
+        for n, v in zip(range(start, stop), values):
+            yield n, (nu_int(2, v) if v else self.val2(n))
+
+
+def recurrence_mod(q: list[int], head: list[int], M: int) -> Iterator[int]:
+    """Yield a_k, a_(k+1), ... mod 2**M, where head = [a_0, ..., a_(k-1)] and
+    sum_{i=0..k} q_i a_(n-i) == 0 for every n >= k, with q_0 == 1.
+
+    With Q(x) = sum q_i x^i and A(x) = sum a_n x^n, Q * A is a polynomial R
+    of degree < k, so R = Q * (a_0 + ... + a_(k-1) x^(k-1)) mod x^k and
+    A = R / Q mod x^L give a block of L terms from the first k (Fiduccia,
+    SIAM J. Comput. 14, 1985).  The last k terms of a block start the next.
+    1/Q mod x^L is computed once, by Newton's iteration g <- g (2 - Q g).
+
+    A polynomial is packed into one int with one W-bit slot per
+    coefficient (Kronecker substitution), so each product is one
+    big-integer multiply.  A product's coefficient is a sum of fewer than L
+    products of two M-bit numbers, so W = 2M + bitlen(L) + 1 bits, rounded
+    up to a byte, keep the slots apart; each slot is then reduced mod 2**M.
+    The block length L is 8k, and at least 64.
+    """
+    k = len(head)
+    L = max(8 * k, 64)
+    Wb = (2 * M + L.bit_length() + 8) // 8  # slot width in bytes
+    W = 8 * Wb
+
+    def pack(values) -> int:
+        return int.from_bytes(b"".join(v.to_bytes(Wb, "little") for v in values), "little")
+
+    def slots(count: int, value: int) -> int:
+        return pack([value] * count)
+
+    top = (1 << M) - 1
+    Q = pack(c & top for c in q)
+    inverse, m = 1, 1
+    while m < L:
+        m = min(2 * m, L)
+        reduce = slots(m, top)
+        t = (inverse * ((Q * inverse) & reduce)) & reduce
+        # 2g - t per slot: top - t_i never borrows, and the added 1 makes it 2**M - t_i
+        inverse = ((inverse << 1) + (reduce - t) + slots(m, 1)) & reduce
+    low, block = slots(k, top), slots(L, top)
+    window = pack(head)
+    while True:
+        terms = (((Q * window) & low) * inverse) & block
+        data = terms.to_bytes(L * Wb, "little")
+        yield from (int.from_bytes(data[i * Wb : (i + 1) * Wb], "little") for i in range(k, L))
+        window = terms >> (W * (L - k))
 
 
 @cache

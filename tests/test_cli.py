@@ -304,6 +304,14 @@ class TestUsageAndEnvironment:
         assert exc.value.code == 64
         assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
 
+    @pytest.mark.parametrize("series", ["factorial", "int"])
+    @pytest.mark.parametrize("p", ["4", "1", "0"])
+    def test_p_message_names_the_option(self, capsys, series, p):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["val", "--series", series, "--p", p, "--n", "5"])
+        assert exc.value.code == 64
+        assert capsys.readouterr().err.rstrip().endswith(f"error: --p must be prime, got {p}")
+
     def test_unknown_target(self, capsys):
         assert run_usage_error(capsys, "verify", "nonsense") == 64
 

@@ -22,6 +22,9 @@ GOLDEN = [
      "a363ada17b0528147416a320ed8452ce68a56c2b144974d10a7ce283fd124e63"),
     (("val", "--series", "stirling", "--k", "64", "--n-min", "60", "--n-max", "90"), 0,
      "28d439cdee3013e3bec3d29497b16cf1f2a806e28f30a4ce20111e0d6464336d"),
+    (("val", "--series", "stirling", "--k", "68",
+      "--n-min", "1099511627776", "--n-max", "1099511629776"), 0,
+     "f5a84b0debeb45efa3889f69a69f58dfa9cdf22696cefbc73227a8eee77582fe"),
     (("val", "--series", "factorial", "--p", "3", "--n-min", "1", "--n-max", "40"), 0,
      "4a21c4e5af31dbdccf6f93faf056b82bac05060d0b9ef5420827dc5b213e93f9"),
     (("val", "--series", "int", "--p", "2", "--n-min", "1", "--n-max", "64"), 0,
@@ -81,6 +84,8 @@ GOLDEN = [
      "fa40be87f92298c460aef0230d109485683fb504b54b1841bc9581b28cbdcdfa"),
     (("figure", "stirling-k", "--k", "7", "--n-max", "60"), 0,
      "37f41eae90af008fce40a4c3849fbd1faffd79a6a90b384989e29f2529e9ed74"),
+    (("figure", "stirling-k", "--k", "33", "--n-max", "5000"), 0,
+     "dda6ce8147d0c41f88c1fce4f6f6dbfd9ae83bb1b1d84c648135bdf0b6810d1b"),
     (("figure", "wannemacker-diff", "--k", "6", "--n-max", "60"), 0,
      "dbc19a39d0c7d43b3ded56cd8e74298c33125a3e8be814c61c523886c26e72e6"),
 ]

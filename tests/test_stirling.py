@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from stirval import (
     val2_stirling,
 )
 import stirval.stirling as stirling_module
-from stirval.stirling import exp_sum_mod, exp_sums
+from stirval.stirling import exp_sum_mod, exp_sums, recurrence_mod
 
 
 class TestTriangle:
@@ -209,6 +210,73 @@ class TestVal2Stirling:
     def test_engine_rejects_bad_order(self):
         with pytest.raises(ValueError):
             ModStirlingEngine(0)
+
+
+def _block(k: int) -> int:
+    """Terms a block of ``recurrence_mod`` adds for an order-k recurrence."""
+    return max(8 * k, 64) - k
+
+
+class TestVal2Range:
+    @pytest.mark.parametrize("k", [1, 2, 5, 64, 68, 100, 129])
+    def test_blocks_match_pointwise_and_exact(self, k):
+        engine = ModStirlingEngine(k)
+        if k == 68:
+            # nu_2(68!) = 66 and m_start = 128: the recurrence runs mod 2^62, not 2^64
+            assert engine.m_start - engine.fact_val == 62
+        stop = 2 * k + 3 * _block(k) + 5  # the first k indices, then three blocks and a bit
+        got = list(engine.val2_range(1, stop))
+        assert [n for n, _ in got] == list(range(1, stop))
+        for n, v in got:
+            assert v == engine.val2(n), n
+            if n <= 500:
+                assert v == nu_int(2, stirling_exact(n, k)), n
+
+    @pytest.mark.parametrize("k", [5, 33])
+    def test_start_near_two_to_the_seventy(self, k):
+        engine = ModStirlingEngine(k)
+        start = (1 << 70) + 3
+        stop = start + k + 2 * _block(k) + 7
+        assert list(engine.val2_range(start, stop)) == [
+            (n, engine.val2(n)) for n in range(start, stop)
+        ]
+
+    @pytest.mark.parametrize("start, stop", [(1, 40), (60, 70), (64, 100), (900, 963)])
+    def test_ranges_within_k_indices_use_no_recurrence(self, monkeypatch, start, stop):
+        def unused(*args):
+            raise AssertionError("recurrence_mod called for a range of at most k values")
+
+        monkeypatch.setattr(stirling_module, "recurrence_mod", unused)
+        engine = ModStirlingEngine(64)
+        assert list(engine.val2_range(start, stop)) == [
+            (n, engine.val2(n)) for n in range(start, stop)
+        ]
+
+    def test_zero_value_past_the_first_k_goes_to_val2(self, monkeypatch):
+        # as in test_climbs_until_the_residue_is_nonzero: nu_2(S(n,5)) = 99, far
+        # above the 61 bits the recurrence keeps, and n is 50 indices past the start
+        n = next(u for u in t2_zeros(5, 110) if u % 2 == 0) + (1 << 100)
+        engine = ModStirlingEngine(5)
+        fallbacks = []
+        real = engine.val2
+        monkeypatch.setattr(engine, "val2", lambda i: fallbacks.append(i) or real(i))
+        got = dict(engine.val2_range(n - 50, n + 50))
+        assert got[n] == 99
+        assert fallbacks == [n]
+        assert got == {i: real(i) for i in range(n - 50, n + 50)}
+
+    @pytest.mark.parametrize("M", [8, 33, 64])
+    @pytest.mark.parametrize("k", [1, 3, 20])
+    def test_recurrence_mod_matches_the_recurrence(self, k, M):
+        # arbitrary coefficients and start, checked term by term over three blocks
+        rng = random.Random(k * 100 + M)
+        mod = 1 << M
+        q = [1] + [rng.randrange(mod) for _ in range(k)]
+        a = [rng.randrange(mod) for _ in range(k)]
+        count = 3 * _block(k) + 1
+        while len(a) < k + count:
+            a.append(-sum(c * x for c, x in zip(q[1:], reversed(a[-k:]))) % mod)
+        assert list(itertools.islice(recurrence_mod(q, a[:k], M), count)) == a[k:]
 
 
 class TestVal2Columns:
