@@ -56,6 +56,17 @@ MUTANTS = [
      "terms >> (W * (L - k))", "terms >> (W * (L - k - 1))", [SCAN]),
     ("recurrence_mod slots one byte short", "stirling.py",
      "Wb = (2 * M + L.bit_length() + 8) // 8", "Wb = (2 * M + L.bit_length()) // 8", [SCAN]),
+    ("recurrence_mod reads its block from one slot early", "stirling.py",
+     "k * Wb)", "(k - 1) * Wb)", [SCAN]),
+    ("val2_range misplaces the exact window", "stirling.py",
+     "[0] * (k - 1) + [1]", "[0] * k + [1]", [SCAN]),
+    ("_extract off by one", "stirling.py",
+     "return nu_int(2, residue) - self.fact_val", "return nu_int(2, residue) - self.fact_val + 1",
+     ["tests/test_stirling.py::TestVal2Stirling::test_examples"]),
+    ("m_start without its 32 spare bits", "stirling.py",
+     "while self.m_start <= self.fact_val + 32:", "while self.m_start <= self.fact_val:",
+     ["tests/test_stirling.py::TestVal2Stirling::test_one_ladder_for_single_values_and_scans",
+      "tests/test_stirling.py::TestVal2Range::test_scan_from_two_k_takes_its_head_from_exp_sums"]),
 ]
 
 

@@ -115,12 +115,14 @@ def _k_series(rows):
     return handler
 
 
-def _p_series(value):
-    """The handler of the series n -> value(p, n) for the prime --p."""
+def _p_series(value, n_min=None):
+    """The handler of the series n -> value(p, n) for the prime --p, from n_min on."""
 
     def handler(args, ns: range):
         if not padic.is_prime(args.p):
             raise ValueError(f"--p must be prime, got {args.p}")
+        if n_min is not None and ns.start < n_min:
+            raise ValueError(f"{args.series} series needs n >= {n_min}")
         return [(n, value(args.p, n)) for n in ns]
 
     return handler
@@ -130,7 +132,7 @@ def _p_series(value):
 # from the keys, in this order.
 _SERIES = {
     "stirling": _k_series(lambda k, ns: stirling.get_engine(k).val2_range(ns.start, ns.stop)),
-    "factorial": _p_series(padic.legendre_factorial_val),
+    "factorial": _p_series(padic.legendre_factorial_val, n_min=0),
     "int": _p_series(padic.nu_int),
     "cohen": _k_series(_cohen_rows),
 }

@@ -106,6 +106,8 @@ def digit_sum(p: int, n: int) -> int:
 
 def legendre_factorial_val(p: int, m: int) -> int:
     """nu_p(m!) = (m - s_p(m)) / (p - 1), computed without forming m!."""
+    if m < 0:
+        raise ValueError(f"m! needs m >= 0, got m={m}")
     return (m - digit_sum(p, m)) // (p - 1)
 
 

@@ -5,10 +5,11 @@
   checks the closed forms and the other two routes.
 * :class:`ModStirlingEngine` evaluates T = k! * S(n,k) modulo 2**M through
   the alternating binomial sum and extracts nu_2(S(n,k)) from the residue.
-  It serves single values, and it starts a scan of one column k over a
-  long range of n: past the first k indices the scan follows the column's
-  order-k linear recurrence mod 2**P, P = min(64, m_start - nu_2(k!)), in
-  packed blocks (:func:`recurrence_mod`).
+  It serves single values, and scans of one column k over a long range
+  of n: past the first k indices a scan follows the column's order-k
+  linear recurrence mod 2**32 in packed blocks (:func:`recurrence_mod`),
+  read back with one struct unpack per block.  A scan that starts below
+  2k seeds the recurrence with the exact window S(1,k), ..., S(k,k).
 * :func:`val2_columns` runs the same recurrence as the oracle modulo 2**M,
   one step per entry, and serves the whole triangle k <= n <= n_max.
 
@@ -19,8 +20,9 @@ others; the test suite checks them against each other on a full grid.
 from __future__ import annotations
 
 import math
+import struct
 from functools import cache, lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from typing import Iterator
 
 from .padic import INFINITE, Valuation, digit_sum, legendre_factorial_val, nu_int
@@ -169,9 +171,9 @@ class ModStirlingEngine:
     there.
     val2 doubles M while the residue vanishes.  For n >= k the integer
     k! * S(n,k) lies in 1..k**n, so every M > n * log2(k) leaves a nonzero
-    residue and the doubling always ends.  val2_range evaluates its first k
-    indices at the start and carries on along the column's recurrence
-    mod 2**P, P = min(64, m_start - nu_2(k!)).
+    residue and the doubling always ends.  val2_range carries a scan on
+    along the column's recurrence mod 2**32, from the exact window or from
+    its first k indices evaluated at m_start.
     """
 
     def __init__(self, k: int):
@@ -207,14 +209,16 @@ class ModStirlingEngine:
     def val2_range(self, start: int, stop: int) -> Iterator[tuple[int, Valuation]]:
         """Yield (n, nu_2(S(n,k))) for start <= n < stop.
 
-        Batch variant for scans over n.  Every value is odd(k!) * S(n,k)
-        mod 2**P with P = min(64, m_start - nu_2(k!)), which has the
-        valuation of S(n,k) when it is nonzero; P > 32 always.  The first k
-        indices n >= k come from one exp_sums pass at the precision where
-        val2 also starts, each residue shifted right by nu_2(k!).  Past them
-        the column follows its order-k recurrence (:func:`recurrence_mod`):
-        sum_n S(n,k) x^n = x^k / Q(x) with Q(x) = prod_{j=1..k} (1 - j x).
-        Q is built only when the range reaches past those first k indices.
+        Batch variant for scans over n.  Every value is u * S(n,k) mod 2**32
+        for an odd u, which has the valuation of S(n,k) when it is nonzero.
+        Past its first k indices the column follows its order-k recurrence
+        (:func:`recurrence_mod`): sum_n S(n,k) x^n = x^k / Q(x) with
+        Q(x) = prod_{j=1..k} (1 - j x), built only when the range reaches
+        that far.  If such a range starts below 2k, the recurrence starts
+        from the exact window S(1,k), ..., S(k,k) = 0, ..., 0, 1 (u = 1)
+        and the values below start are skipped.  Any other range takes its first
+        k indices n >= k from one exp_sums pass at the precision where val2
+        also starts, each residue shifted right by nu_2(k!) (u = odd(k!)).
         An index whose value vanishes goes to val2.  Results are identical
         to per-n val2 calls.
         """
@@ -224,23 +228,30 @@ class ModStirlingEngine:
         for n in range(start, min(k, stop)):
             yield n, INFINITE
         start = max(start, k)
-        P = min(64, self.m_start - self.fact_val)
+        # A nonzero value mod 2**32 has the valuation of S(n,k), and a zero
+        # one goes to val2.  m_start keeps 32 spare bits above nu_2(k!), so
+        # a residue mod 2**m_start shifted right by nu_2(k!) is exact mod 2**32.
+        P = 32
         mask = (1 << P) - 1
-        residues = exp_sums(self._terms, start, self.m_start)
-        head = [(r >> self.fact_val) & mask for _, r in zip(range(start, stop)[:k], residues)]
+        if start + k < stop and start < 2 * k:
+            first, head = 1, [0] * (k - 1) + [1]
+        else:
+            first = start
+            residues = exp_sums(self._terms, start, self.m_start)
+            head = [(r >> self.fact_val) & mask for _, r in zip(range(start, stop)[:k], residues)]
         values = head
         if start + k < stop:
             q = [1]
             for j in range(1, k + 1):
                 q = [(a - j * b) & mask for a, b in zip(q + [0], [0] + q)]
             values = chain(head, recurrence_mod(q, head, P))
-        for n, v in zip(range(start, stop), values):
+        for n, v in zip(range(start, stop), islice(values, start - first, None)):
             yield n, (nu_int(2, v) if v else self.val2(n))
 
 
 def recurrence_mod(q: list[int], head: list[int], M: int) -> Iterator[int]:
     """Yield a_k, a_(k+1), ... mod 2**M, where head = [a_0, ..., a_(k-1)] and
-    sum_{i=0..k} q_i a_(n-i) == 0 for every n >= k, with q_0 == 1.
+    sum_{i=0..k} q_i a_(n-i) == 0 for every n >= k, with q_0 == 1 and M <= 64.
 
     With Q(x) = sum q_i x^i and A(x) = sum a_n x^n, Q * A is a polynomial R
     of degree < k, so R = Q * (a_0 + ... + a_(k-1) x^(k-1)) mod x^k and
@@ -253,12 +264,18 @@ def recurrence_mod(q: list[int], head: list[int], M: int) -> Iterator[int]:
     big-integer multiply.  A product's coefficient is a sum of fewer than L
     products of two M-bit numbers, so W = 2M + bitlen(L) + 1 bits, rounded
     up to a byte, keep the slots apart; each slot is then reduced mod 2**M.
-    The block length L is 8k, and at least 64.
+    The block length L is 8k, and at least 64.  One precompiled struct
+    reads the L - k new terms of a block: a reduced slot holds M bits, so
+    its low 1, 2, 4 or 8 bytes hold all of it.
     """
+    if not 1 <= M <= 64:
+        raise ValueError(f"recurrence_mod needs 1 <= M <= 64, got M={M}")
     k = len(head)
     L = max(8 * k, 64)
     Wb = (2 * M + L.bit_length() + 8) // 8  # slot width in bytes
     W = 8 * Wb
+    size = ((M - 1) // 8).bit_length()  # the value takes 2**size bytes of a slot
+    unpack = struct.Struct("<" + f"{'BHIQ'[size]}{Wb - (1 << size)}x" * (L - k)).unpack_from
 
     def pack(values) -> int:
         return int.from_bytes(b"".join(v.to_bytes(Wb, "little") for v in values), "little")
@@ -279,8 +296,7 @@ def recurrence_mod(q: list[int], head: list[int], M: int) -> Iterator[int]:
     window = pack(head)
     while True:
         terms = (((Q * window) & low) * inverse) & block
-        data = terms.to_bytes(L * Wb, "little")
-        yield from (int.from_bytes(data[i * Wb : (i + 1) * Wb], "little") for i in range(k, L))
+        yield from unpack(terms.to_bytes(L * Wb, "little"), k * Wb)
         window = terms >> (W * (L - k))
 
 

@@ -293,9 +293,12 @@ class TestUsageAndEnvironment:
             (("figure", "cohen", "--k", "0", "--n-max", "3"), "--k must be >= 1"),
             (("val", "--series", "stirling", "--k", "5", "--n-min", "0", "--n-max", "3"),
              "stirling series needs n >= 1"),
+            (("val", "--series", "factorial", "--n", "-1"), "factorial series needs n >= 0"),
+            (("val", "--series", "factorial", "--p", "3", "--n-min", "-3", "--n-max", "1"),
+             "factorial series needs n >= 0"),
         ],
         ids=["val-stirling-k", "figure-wannemacker-k", "val-cohen-k", "figure-cohen-k",
-             "val-stirling-n"],
+             "val-stirling-n", "val-factorial-n", "val-factorial-n-min"],
     )
     def test_k_and_n_messages_name_the_option(self, capsys, argv, message):
         # the message names what the user typed, not an engine or library parameter

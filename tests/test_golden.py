@@ -25,6 +25,8 @@ GOLDEN = [
     (("val", "--series", "stirling", "--k", "68",
       "--n-min", "1099511627776", "--n-max", "1099511629776"), 0,
      "f5a84b0debeb45efa3889f69a69f58dfa9cdf22696cefbc73227a8eee77582fe"),
+    (("val", "--series", "stirling", "--k", "150", "--n-min", "299", "--n-max", "4000"), 0,
+     "5d1a7f92da406004923f35eff4e0c517f102eb4779e5fb4a65dee605a027e7e6"),
     (("val", "--series", "factorial", "--p", "3", "--n-min", "1", "--n-max", "40"), 0,
      "4a21c4e5af31dbdccf6f93faf056b82bac05060d0b9ef5420827dc5b213e93f9"),
     (("val", "--series", "int", "--p", "2", "--n-min", "1", "--n-max", "64"), 0,

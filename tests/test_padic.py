@@ -148,6 +148,11 @@ class TestLegendre:
             fact *= m
             assert legendre_factorial_val(p, m) == nu_int(p, fact)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_rejects_negative_m(self, p):
+        with pytest.raises(ValueError, match="m! needs m >= 0"):
+            legendre_factorial_val(p, -1)
+
 
 class TestKummer:
     def test_examples(self):

@@ -222,7 +222,8 @@ class TestVal2Range:
     def test_blocks_match_pointwise_and_exact(self, k):
         engine = ModStirlingEngine(k)
         if k == 68:
-            # nu_2(68!) = 66 and m_start = 128: the recurrence runs mod 2^62, not 2^64
+            # nu_2(68!) = 66 and m_start = 128: the head keeps 62 exact bits, more
+            # than the 32 the recurrence runs at
             assert engine.m_start - engine.fact_val == 62
         stop = 2 * k + 3 * _block(k) + 5  # the first k indices, then three blocks and a bit
         got = list(engine.val2_range(1, stop))
@@ -265,7 +266,52 @@ class TestVal2Range:
         assert fallbacks == [n]
         assert got == {i: real(i) for i in range(n - 50, n + 50)}
 
-    @pytest.mark.parametrize("M", [8, 33, 64])
+    def test_value_that_vanishes_mod_two_to_the_32_goes_to_val2(self, monkeypatch):
+        # nu_2(S(n,5)) = 39 at this n: below the 61 exact bits of the head, but
+        # at or above the 32 bits of the recurrence, so the scan cannot decide it
+        n = next(u for u in t2_zeros(5, 110) if u % 2 == 0) + (1 << 40)
+        engine = ModStirlingEngine(5)
+        fallbacks = []
+        real = engine.val2
+        monkeypatch.setattr(engine, "val2", lambda i: fallbacks.append(i) or real(i))
+        got = dict(engine.val2_range(n - 50, n + 50))
+        assert got[n] == 39
+        assert fallbacks == [n]
+        assert got == {i: real(i) for i in range(n - 50, n + 50)}
+
+    @pytest.mark.parametrize("k", [5, 64, 100])
+    def test_exact_window_starts_the_scan_without_exp_sums(self, monkeypatch, k):
+        def unused(*args):
+            raise AssertionError("exp_sums called for a scan that starts below 2k")
+
+        engine = ModStirlingEngine(k)
+        stop = k + 3 * _block(k)
+        want = {n: engine.val2(n) for n in range(k, stop)}
+        monkeypatch.setattr(stirling_module, "exp_sums", unused)
+        for start in (k, 2 * k - 1):
+            assert dict(engine.val2_range(start, stop)) == {
+                n: v for n, v in want.items() if n >= start
+            }, start
+
+    @pytest.mark.parametrize("k", [5, 64, 100])
+    def test_scan_from_two_k_takes_its_head_from_exp_sums(self, monkeypatch, k):
+        scanned = []
+        monkeypatch.setattr(
+            stirling_module, "exp_sums", lambda *a: scanned.append(a[1]) or exp_sums(*a)
+        )
+        engine = ModStirlingEngine(k)
+        stop = 2 * k + 3 * _block(k)
+        assert list(engine.val2_range(2 * k, stop)) == [
+            (n, engine.val2(n)) for n in range(2 * k, stop)
+        ]
+        assert scanned == [2 * k]
+
+    @pytest.mark.parametrize("M", [0, 65])
+    def test_recurrence_mod_rejects_precision_outside_one_to_64(self, M):
+        with pytest.raises(ValueError, match="1 <= M <= 64"):
+            next(recurrence_mod([1, 1], [1], M))
+
+    @pytest.mark.parametrize("M", [8, 32, 33, 64])
     @pytest.mark.parametrize("k", [1, 3, 20])
     def test_recurrence_mod_matches_the_recurrence(self, k, M):
         # arbitrary coefficients and start, checked term by term over three blocks
