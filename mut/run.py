@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LIFTER = "tests/test_sequences.py::TestClarkeZero"
 PROOF = "tests/test_levels.py::TestProveConstant"
 SCAN = "tests/test_stirling.py::TestVal2Range"
+MAIN = "tests/test_levels.py::TestMainConjecture"
 
 # (name, module under src/stirval, old text, new text, pytest node ids)
 MUTANTS = [
@@ -50,6 +51,18 @@ MUTANTS = [
      "if any(exp_sum_mod(higher,", "if False and any(exp_sum_mod(higher,", [PROOF]),
     ("prove_constant stops s one short", "levels.py",
      "for s in range(1, a // shift + 1)", "for s in range(1, a // shift)", [PROOF]),
+    ("sampled CONSTANT restored", "levels.py",
+     "return ClassStatus(INCONCLUSIVE, samples)",
+     "return ClassStatus(CONSTANT, samples, value=first_v)",
+     ["tests/test_levels.py::TestClassify::test_no_proof_and_no_witness_is_inconclusive",
+      f"{MAIN}::test_undecided_class_makes_levels_inconclusive"]),
+    ("level size compared with >= for ==", "levels.py",
+     "ok = len(rec.survivors) == expected", "ok = len(rec.survivors) >= expected",
+     [f"{MAIN}::test_k16_counterexample"]),
+    ("--levels below m0 accepted", "levels.py",
+     "if m_max < m0:", "if False:",
+     [f"{MAIN}::test_levels_below_m0_rejected",
+      "tests/test_cli.py::TestUsageAndEnvironment::test_bad_domain_maps_to_usage"]),
     ("val2_range without its val2 fallback", "stirling.py",
      "(nu_int(2, v) if v else self.val2(n))", "nu_int(2, v)", [SCAN]),
     ("recurrence_mod shifts its window by one slot less", "stirling.py",

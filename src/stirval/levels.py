@@ -8,8 +8,10 @@ survivor of the (m-1)-level into its two children.
 
 A non-constant verdict carries a certificate: two members with provably
 different valuations.  A constant verdict is proved for every member by
-the 2-adic certificate of ``prove_constant`` when it applies, and is
-otherwise empirical: the first ``samples`` members agree.
+the 2-adic certificate of ``prove_constant``; there is no other way to
+reach it.  A class with neither a proof nor a witness pair among its
+first ``samples`` members (the witness budget) is undecided: INCONCLUSIVE,
+with no value, and not split further.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from .padic import Valuation, nu_int
-from .reports import FAIL, PASS, ConjectureReport
+from .reports import FAIL, INCONCLUSIVE, PASS, ConjectureReport
 from .stirling import exp_sum_mod, get_engine, t_terms, val2_stirling
 
 CONSTANT = "CONSTANT"
@@ -85,9 +87,10 @@ class ResidueClass:
 class ClassStatus:
     """Verdict for one residue class.
 
-    CONSTANT carries the common value and the sample bound; the value is
-    proved for every member when ``prove_constant`` applies, and sampled up
-    to the bound otherwise.  NON_CONSTANT carries a two-member certificate.
+    CONSTANT carries the common value, proved for every member by
+    ``prove_constant``.  NON_CONSTANT carries a two-member certificate.
+    INCONCLUSIVE carries neither: no proof, and no witness pair among the
+    first ``samples`` members.
     """
 
     kind: str
@@ -143,11 +146,12 @@ def prove_constant(c: ResidueClass) -> Valuation | None:
 
 
 def classify_class(c: ResidueClass, samples: int = DEFAULT_SAMPLES) -> ClassStatus:
-    """Classify c: CONSTANT by proof when ``prove_constant`` applies, else by sampling.
+    """Classify c: CONSTANT only by ``prove_constant``, else search for witnesses.
 
     Without a proof, the first ``samples`` members are evaluated: NON_CONSTANT
-    with a witness pair as soon as two members disagree, otherwise CONSTANT
-    up to the sample bound.  Members are >= k, so every valuation is finite.
+    with a witness pair as soon as two members disagree, otherwise
+    INCONCLUSIVE once the budget runs out.  Members are >= k, so every
+    valuation is finite.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -164,7 +168,7 @@ def classify_class(c: ResidueClass, samples: int = DEFAULT_SAMPLES) -> ClassStat
             return ClassStatus(
                 NON_CONSTANT, samples, witness_a=(first_n, first_v), witness_b=(n, v)
             )
-    return ClassStatus(CONSTANT, samples, value=first_v)
+    return ClassStatus(INCONCLUSIVE, samples)
 
 
 @dataclass
@@ -187,6 +191,11 @@ class LevelRecord:
             for j in sorted(self.statuses)
             if self.statuses[j].kind == NON_CONSTANT
         ]
+
+    @property
+    def undecided(self) -> list[int]:
+        """The j of each INCONCLUSIVE class, sorted."""
+        return sorted(j for j, s in self.statuses.items() if s.kind == INCONCLUSIVE)
 
     @property
     def constants(self) -> list[tuple[ResidueClass, Valuation]]:
@@ -231,7 +240,8 @@ def build_level_tree(k: int, m_max: int, samples: int = DEFAULT_SAMPLES) -> Leve
     """Build the level structure for order k up to level m_max.
 
     Level 1 starts from the two parity classes; level m+1 classifies the
-    children of the level-m survivors.
+    children of the level-m survivors.  Neither a CONSTANT nor an
+    INCONCLUSIVE class is split.
     """
     if k < 3:
         raise ValueError("level trees need k >= 3")
@@ -257,7 +267,14 @@ def verify_main_conjecture(
 
     Part 1: no constant class before level m0-1, at least one there.
     Part 2: every level m >= m0 has exactly 2**(m0-2) surviving classes,
-    and each survivor has exactly one surviving child.
+    and each survivor has exactly one surviving child.  For k >= 5,
+    ``m_max`` must be at least m0, or part 2 would go unchecked.
+
+    ``samples`` is the witness budget of ``classify_class``.  From the
+    first level that holds an INCONCLUSIVE class on, no level gets a PASS
+    or FAIL verdict: neither part is checked there, nor the one-child check
+    of the level above, and each such level is recorded as inconclusive
+    with the j of its undecided classes.
 
     For k <= 4 the valuation depends only on parity, both level-1 classes
     are constant and no level tree exists; the conjecture is not asserted
@@ -285,13 +302,28 @@ def verify_main_conjecture(
         return report
 
     m0 = m0_of(k)
+    if m_max < m0:
+        raise ValueError(f"m_max must be >= m0 ({m0}) for k = {k}")
     tree = build_level_tree(k, m_max, samples)
     report.details["m0"] = m0
     report.details["tree"] = tree.as_dict()
     level_verdicts = []
+    # the first level holding an undecided class: from it on, nothing is checked
+    first_undecided = next((rec.m for rec in tree.levels if rec.undecided), m_max + 1)
 
     for rec in tree.levels:
         m = rec.m
+        if m >= first_undecided:
+            report.record_inconclusive(
+                {
+                    "m": m,
+                    "reason": "a class at this level or above has neither a constancy "
+                    "proof nor a witness pair within the samples budget",
+                    "undecided": rec.undecided,
+                }
+            )
+            level_verdicts.append({"m": m, "verdict": INCONCLUSIVE})
+            continue
         if m <= m0 - 2:
             ok = not rec.constants
             payload = {
@@ -318,7 +350,7 @@ def verify_main_conjecture(
 
     # part 2, splitting dynamic: one surviving child per survivor
     for rec, nxt in zip(tree.levels, tree.levels[1:]):
-        if rec.m < m0:
+        if rec.m < m0 or nxt.m >= first_undecided:
             continue
         surviving_children = {c.j for c in nxt.survivors}
         for c in rec.survivors:
@@ -351,22 +383,22 @@ def k5_surviving_chain(m_max: int, samples: int = DEFAULT_SAMPLES) -> list[Chain
     """Surviving-class chain for k=5 on the branch of indices == 0 mod 4.
 
     For each level m in 2..m_max, returns the canonical residue j of the
-    non-constant child and the constant value of its sibling.  Raises if
-    the expected one-constant/one-survivor split ever fails.
+    non-constant child and the constant value of its sibling, read off
+    ``build_level_tree(5, m_max, samples)``.  Raises if the expected
+    one-constant/one-survivor split ever fails.
     """
-    if m_max < 2:
-        raise ValueError("m_max must be >= 2")
+    tree = build_level_tree(5, m_max, samples)
     chain: list[ChainLink] = []
     parent = ResidueClass(5, 1, 0)
     for m in range(2, m_max + 1):
-        a, b = parent.split()
-        status = {c: classify_class(c, samples) for c in (a, b)}
-        constant = [c for c in (a, b) if status[c].kind == CONSTANT]
-        surviving = [c for c in (a, b) if status[c].kind == NON_CONSTANT]
+        # parent survived level m - 1, so the tree classified both its children
+        status = {c: tree.level(m).statuses[c.j] for c in parent.split()}
+        constant = [c for c, s in status.items() if s.kind == CONSTANT]
+        surviving = [c for c, s in status.items() if s.kind == NON_CONSTANT]
         if len(constant) != 1 or len(surviving) != 1:
             raise ArithmeticError(
                 f"level {m}: expected one constant and one surviving child, got "
-                f"{[(c.label(), status[c].kind) for c in (a, b)]}"
+                f"{[(c.label(), s.kind) for c, s in status.items()]}"
             )
         chain.append(ChainLink(m, surviving[0].j, status[constant[0]].value))
         parent = surviving[0]

@@ -344,6 +344,7 @@ class TestUsageAndEnvironment:
             ("cohen", "--m-min", "1", "--m-max", "3"),
             ("main-conjecture", "--k", "3", "--levels", "1"),
             ("main-conjecture", "--k", "3", "--samples", "1"),
+            ("main-conjecture", "--k", "64", "--levels", "5"),
             ("k5-theorem", "--levels", "2"),
             ("k5-theorem", "--levels", "1"),
             ("k5-theorem", "--samples", "1"),

@@ -95,6 +95,15 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify_class(ResidueClass(5, 2, 1), samples=1)
 
+    def test_no_proof_and_no_witness_is_inconclusive(self, monkeypatch):
+        # C(2,1) is constant, but only the proof may say so: with the proof
+        # patched out, agreeing samples leave it undecided, with no value
+        monkeypatch.setattr(levels, "prove_constant", lambda c: None)
+        for samples in (2, 64):
+            status = classify_class(ResidueClass(5, 2, 1), samples=samples)
+            assert (status.kind, status.value) == ("INCONCLUSIVE", None)
+            assert status.as_dict() == {"status": "INCONCLUSIVE", "samples": samples}
+
     def test_certificates_agree_with_exact_oracle(self):
         for k in (5, 10, 11, 20):
             tree = build_level_tree(k, m_max=5, samples=48)
@@ -115,6 +124,7 @@ class TestProveConstant:
             engine = ModStirlingEngine(k)
             tree = build_level_tree(k, m0_of(k) + 3, samples=32)
             for rec in tree.levels:
+                assert rec.undecided == [], (k, rec.m)
                 for c, value in rec.constants:
                     assert prove_constant(c) == value
                     assert {engine.val2(n) for n in c.members(32)} == {value}
@@ -239,6 +249,29 @@ class TestMainConjecture:
         assert report.status == "CONSISTENT"
         assert report.details["m0"] == 4
 
+    def test_undecided_class_makes_levels_inconclusive(self, monkeypatch):
+        # without proofs, level 2 = m0 - 1 holds no CONSTANT class; that is
+        # no part-1 counterexample, since its classes C(2,1) and C(2,2)
+        # are undecided, and no level from there on gets a verdict
+        monkeypatch.setattr(levels, "prove_constant", lambda c: None)
+        report = verify_main_conjecture(5, m_max=4, samples=2)
+        assert report.status == "INCONCLUSIVE"
+        assert report.exit_code == 2
+        assert report.counterexamples == []
+        assert [(p["m"], p["undecided"]) for p in report.inconclusive] == [
+            (2, [1, 2]), (3, [0, 3]), (4, [4, 7])
+        ]
+        assert [lv["verdict"] for lv in report.details["levels"]] == [
+            "PASS", "INCONCLUSIVE", "INCONCLUSIVE", "INCONCLUSIVE"
+        ]
+
+    @pytest.mark.parametrize("k, m_max", [(5, 2), (11, 3), (64, 5)])
+    def test_levels_below_m0_rejected(self, k, m_max):
+        # below m0 only part 1 would be checked, and part 2 holds the
+        # counterexample of k = 64, at level m0 = 6
+        with pytest.raises(ValueError, match=rf"m_max must be >= m0 \({m0_of(k)}\)"):
+            verify_main_conjecture(k, m_max=m_max)
+
     def test_degenerate_orders_inconclusive(self):
         for k in (1, 2, 3, 4):
             report = verify_main_conjecture(k, m_max=6, samples=32)
@@ -265,6 +298,24 @@ class TestK5Chain:
         assert [link.level for link in chain] == list(range(2, 11))
         assert [link.j for link in chain] == [0, 4, 12, 28, 28, 28, 156, 156, 156]
         assert [link.sibling_value for link in chain] == [0, 1, 2, 3, 4, 5, 6, 7, 8]
+
+    def test_chain_reads_the_level_tree(self, monkeypatch):
+        calls = []
+        true_build = levels.build_level_tree
+
+        def spy(*args):
+            calls.append(args)
+            return true_build(*args)
+
+        monkeypatch.setattr(levels, "build_level_tree", spy)
+        assert [link.j for link in k5_surviving_chain(6, samples=16)] == [0, 4, 12, 28, 28]
+        assert calls == [(5, 6, 16)]
+
+    def test_chain_needs_proved_siblings(self, monkeypatch):
+        # an unproved sibling is undecided, not constant, so the chain breaks
+        monkeypatch.setattr(levels, "prove_constant", lambda c: None)
+        with pytest.raises(ArithmeticError, match="level 2"):
+            k5_surviving_chain(4)
 
     def test_c_set(self):
         assert c_set_sequence(1) == [8]
