@@ -33,6 +33,7 @@ LIFTER = "tests/test_sequences.py::TestClarkeZero"
 PROOF = "tests/test_levels.py::TestProveConstant"
 SCAN = "tests/test_stirling.py::TestVal2Range"
 MAIN = "tests/test_levels.py::TestMainConjecture"
+POWERS = "tests/test_sequences.py::TestCohenAtPowers"
 
 # (name, module under src/stirval, old text, new text, pytest node ids)
 MUTANTS = [
@@ -43,6 +44,17 @@ MUTANTS = [
     ("clarke_val_check takes distances mod 2^(M-1)", "sequences.py",
      "% (1 << (M - 2))", "% (1 << (M - 1))",
      ["tests/test_sequences.py::TestClarkeValCheck"]),
+    ("cohen_at_powers yields a zero residue instead of doubling", "sequences.py",
+     "if not top:\n            return None", "if False:\n            return None",
+     [f"{POWERS}::test_tiny_start_precision_doubles"]),
+    ("cohen_at_powers scales by 2^(kM), dropping the -ke", "sequences.py",
+     "k * (M - e)", "k * M", [f"{POWERS}::test_matches_exact_partial_sums"]),
+    ("cohen_at_powers leaves the term j = 2^m out of the prefix", "sequences.py",
+     "(d << ((1 << m) + k * (M - m)))", "(d << ((1 << m) + k * (M - m))) * (m == 0)",
+     [f"{POWERS}::test_matches_exact_partial_sums"]),
+    ("classify_class records a witness valuation one too high", "levels.py",
+     "witness_b=(n, v)", "witness_b=(n, v + 1)",
+     ["tests/test_acceptance.py::test_09_main_conjecture_nine_orders"]),
     ("prove_constant shifts by m+3", "levels.py",
      "shift = m + 2", "shift = m + 3", [PROOF]),
     ("prove_constant trusts the member n = a", "levels.py",

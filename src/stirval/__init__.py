@@ -60,6 +60,7 @@ from .sequences import (
     clarke_battery,
     clarke_conjecture_check,
     clarke_val_check,
+    cohen_at_powers,
     cohen_check,
     cohen_partial_sums,
     cohen_sum,

@@ -13,10 +13,12 @@ is validated by trial division rather than pulling in a library.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .reports import ConjectureReport
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 INFINITE = math.inf
 

@@ -7,7 +7,6 @@ counterexample and an inconclusive check says what it could not decide.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -99,4 +98,6 @@ class ConjectureReport:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.as_dict(), indent=2)

@@ -4,9 +4,11 @@ Covers four independent strands:
 
 * the triple-binomial sums b(l,m) and the integer array A(l,m) with its
   two closed-form valuation formulas,
-* partial sums of the polylogarithm-style series sum 2^j / j^k as exact
-  rationals, kept unreduced over the common denominator lcm(1..n)^k so
-  that no step reduces a large fraction to lowest terms,
+* partial sums of the polylogarithm-style series sum 2^j / j^k: at every
+  n as exact rationals, kept unreduced over the common denominator
+  lcm(1..n)^k so that no step reduces a large fraction to lowest terms,
+  and at the powers of two n = 2^m as residues mod 2^P from one truncated
+  2-adic binary splitting, enough for their 2-adic valuations,
 * Lundell's Stirling-like alternating sums T_p(n,k) and Clarke's
   conjectured valuation identity with k! * S(n,k),
 * every 2-adic zero of T_2(x,k), the odd-base part of k! * S(x,k), lifted
@@ -18,12 +20,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .padic import Ratio, digit_sum, nu_int, nu_rat, pochhammer
 from .reports import ConjectureReport
 from .stirling import exp_sum_mod, exp_sums, get_engine, t_terms, val2_stirling
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# terms per leaf of the binary splitting in cohen_at_powers, summed directly
+_COHEN_LEAF = 16
 
 
 def b_lm(l: int, m: int) -> int:
@@ -111,8 +118,77 @@ def _cohen_ratios(k: int) -> Iterator[tuple[int, Ratio]]:
         yield n, Ratio(num, den)
 
 
+def cohen_at_powers(k: int, m_max: int, P: int | None = None) -> Iterator[tuple[int, Ratio]]:
+    """Yield (m, r) for m = 0..m_max, where nu_rat(2, r) = nu_2(L_k(2^m)).
+
+    Write M = m_max and j = 2^e * o with o odd.  Scaled by 2^(kM), the term
+    2^j / j^k is 2^(j + k(M - e)) / o^k, a 2-adic integer over an odd
+    denominator.  [0, 2^M) is split at midpoints (binary splitting; Haible
+    and Papanikolaou, 1998), and a node [a, b) holds 2^a * N / D with D
+    odd and N, D kept mod 2^(P - a), since 2^a * N / D mod 2^P needs no
+    more.  The prefix [1, 2^m] is the left-spine node [0, 2^m) plus the
+    term j = 2^m, and r = Ratio(N, D << kM) with N its residue mod 2^P.  A
+    nonzero residue is below 2^P, so it has the valuation of the exact
+    scaled sum.  P starts at 2^M + 8M + 64 bits and doubles, redoing the
+    pass, while any prefix residue is zero; r is not L_k(2^m) itself, only
+    its valuation.
+    """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
+    if m_max < 0:
+        raise ValueError(f"need m_max >= 0, got m_max={m_max}")
+    if P is None:
+        P = (1 << m_max) + 8 * m_max + 64
+    elif P < 1:
+        raise ValueError(f"need P >= 1, got P={P}")
+    while not (prefixes := _cohen_prefixes(k, m_max, P)):
+        P *= 2
+    return ((m, Ratio(top, den << (k * m_max))) for m, (top, den) in enumerate(prefixes))
+
+
+def _cohen_prefixes(k: int, M: int, P: int) -> list[tuple[int, int]] | None:
+    """(N, D) of 2^(kM) * L_k(2^m) mod 2^P for m = 0..M, or None at a zero N.
+
+    See ``cohen_at_powers``.
+    """
+
+    def node(a: int, b: int) -> tuple[int, int]:
+        if a >= P:  # 2^a * N / D vanishes mod 2^P
+            return 0, 1
+        mask = (1 << (P - a)) - 1
+        if b - a <= _COHEN_LEAF:
+            n, d = 0, 1
+            for j in range(max(a, 1), b):
+                e = (j & -j).bit_length() - 1
+                t = (j >> e) ** k
+                n = n * t + (d << (j - a + k * (M - e)))
+                d *= t
+            return n & mask, d & mask
+        mid = (a + b) // 2
+        n1, d1 = node(a, mid)
+        # d2 is known mod 2^(P - mid) only; it cancels in n1 * d2 / (d1 * d2)
+        n2, d2 = node(mid, b)
+        return (n1 * d2 + (n2 * d1 << (mid - a))) & mask, d1 * d2 & mask
+
+    mask = (1 << P) - 1
+    n, d = 0, 1  # [0, 1) holds no term
+    prefixes = []
+    for m in range(M + 1):
+        if m:  # [0, 2^m) from [0, 2^(m-1)) and [2^(m-1), 2^m)
+            mid = 1 << (m - 1)
+            n2, d2 = node(mid, 2 * mid)
+            n, d = (n * d2 + (n2 * d << mid)) & mask, d * d2 & mask
+        top = (n + (d << ((1 << m) + k * (M - m)))) & mask  # plus the term j = 2^m
+        if not top:
+            return None
+        prefixes.append((top, d))
+    return prefixes
+
+
 def cohen_sum(k: int, n: int) -> Fraction:
     """Exact partial sum L_k(n) = sum_{j=1}^{n} 2^j / j^k, in lowest terms."""
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     _, total = next(itertools.islice(cohen_partial_sums(k), n - 1, None))
@@ -127,8 +203,9 @@ def cohen_check(m_min: int = 4, m_max: int = 12) -> ConjectureReport:
 
     Values of m below 4 are outside the stated range and are reported,
     not asserted; a range with no m >= 4 is rejected, since it would
-    assert nothing.  The sums are accumulated once up to 2^m_max,
-    recording the valuation at each power of two.
+    assert nothing.  The valuations at every power of two up to 2^m_max
+    come from one pass of ``cohen_at_powers`` per weight, which sums
+    residues mod 2^P by binary splitting instead of every exact L_k(n).
     """
     if m_min > m_max:
         raise ValueError("m_min must be <= m_max")
@@ -141,9 +218,8 @@ def cohen_check(m_min: int = 4, m_max: int = 12) -> ConjectureReport:
     )
     entries = []
     for k, formula in ((1, lambda m: (1 << m) + 2 * m - 4), (2, lambda m: (1 << m) + m - 1)):
-        for n, total in itertools.islice(cohen_partial_sums(k), 1 << m_max):
-            m = n.bit_length() - 1
-            if n != 1 << m or m < m_min:
+        for m, total in cohen_at_powers(k, m_max):
+            if m < m_min:
                 continue
             entry = {"k": k, "m": m, "computed": nu_rat(2, total)}
             if m < 4:

@@ -76,6 +76,8 @@ GOLDEN = [
      "0eb1054b05909944be09fb1a79ef93cb46ae9b41e90c1ac565e7bcd4d769832c"),
     (("verify", "cohen", "--m-min", "4", "--m-max", "13"), 1,
      "3a01496bcc99544a897bd350f5fe74cf310f708eca74dbc94aa0888b70270bc6"),
+    (("verify", "cohen", "--m-min", "1", "--m-max", "16"), 1,
+     "2e9ff39b28d5f6a6cde0b97778cf0af528bbc02909aedd166301c78d4f18be52"),
     (("figure", "val-n", "--n-max", "40"), 0,
      "38e210229f6b2ccb7f2e5cf915cc2697b7e94278687808616b3196ae17627525"),
     (("figure", "val-factorial", "--n-max", "40"), 0,

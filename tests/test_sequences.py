@@ -13,6 +13,7 @@ from stirval import (
     clarke_battery,
     clarke_conjecture_check,
     clarke_val_check,
+    cohen_at_powers,
     cohen_check,
     cohen_partial_sums,
     cohen_sum,
@@ -24,6 +25,7 @@ from stirval import (
     t_sums,
     t_terms,
 )
+from stirval import sequences
 from stirval.stirling import exp_sum_mod
 
 
@@ -111,6 +113,57 @@ class TestCohen:
             cohen_sum(0, 5)
         with pytest.raises(ValueError):
             cohen_partial_sums(0)  # on the call, before any value is drawn
+
+
+class TestCohenAtPowers:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_exact_partial_sums(self, k):
+        # nu_2(L_k(2^m)) for m = 0..14, read off the exact partial sums
+        exact = [
+            nu_rat(2, total)
+            for n, total in itertools.islice(cohen_partial_sums(k), 1 << 14)
+            if n & (n - 1) == 0
+        ]
+        for m_max in range(15):
+            ratios = list(cohen_at_powers(k, m_max))
+            assert [m for m, _ in ratios] == list(range(m_max + 1))
+            assert [nu_rat(2, r) for _, r in ratios] == exact[: m_max + 1], (k, m_max)
+            # the denominator is odd apart from the scale 2^(k m_max)
+            assert all(nu_int(2, r.denominator) == k * m_max for _, r in ratios)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tiny_start_precision_doubles(self, k, monkeypatch):
+        passes = []
+        prefixes = sequences._cohen_prefixes
+
+        def counted(k, M, P):
+            passes.append(P)
+            return prefixes(k, M, P)
+
+        monkeypatch.setattr(sequences, "_cohen_prefixes", counted)
+        doubled = list(cohen_at_powers(k, 10, P=8))
+        assert len(passes) > 1
+        assert all(b == 2 * a for a, b in zip(passes, passes[1:]))
+        assert all(r.numerator for _, r in doubled)
+        passes.clear()
+        default = list(cohen_at_powers(k, 10))
+        assert len(passes) == 1
+        assert [nu_rat(2, r) for _, r in doubled] == [nu_rat(2, r) for _, r in default]
+
+    def test_valuations_in_the_stated_range(self):
+        # weight 1 is 2 above the stated 2^m + 2m - 4; weight 2 is as stated
+        weight1 = [nu_rat(2, r) for m, r in cohen_at_powers(1, 16) if m >= 4]
+        weight2 = [nu_rat(2, r) for m, r in cohen_at_powers(2, 16) if m >= 4]
+        assert weight1 == [(1 << m) + 2 * m - 2 for m in range(4, 17)]
+        assert weight2 == [(1 << m) + m - 1 for m in range(4, 17)]
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            cohen_at_powers(0, 5)
+        with pytest.raises(ValueError):
+            cohen_at_powers(1, -1)
+        with pytest.raises(ValueError):
+            cohen_at_powers(1, 4, P=0)  # doubling 0 would never end
 
 
 class TestTSum:
