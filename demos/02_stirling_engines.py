@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The two Stirling routes, and why the modular one is enough.
 
-The exact triangle is the ground truth but its entries grow like n log n
+The exact recurrence is the ground truth but its entries grow like n log n
 bits.  The modular engine reduces k! * S(n,k) mod 2**M; any nonzero
 residue pins the 2-adic valuation exactly, and the precision M doubles
 automatically on the rare indices where the valuation spikes.

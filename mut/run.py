@@ -34,6 +34,7 @@ PROOF = "tests/test_levels.py::TestProveConstant"
 SCAN = "tests/test_stirling.py::TestVal2Range"
 MAIN = "tests/test_levels.py::TestMainConjecture"
 POWERS = "tests/test_sequences.py::TestCohenAtPowers"
+ORACLE = "tests/test_stirling.py::TestTriangle"
 
 # (name, module under src/stirval, old text, new text, pytest node ids)
 MUTANTS = [
@@ -75,6 +76,12 @@ MUTANTS = [
      "if m_max < m0:", "if False:",
      [f"{MAIN}::test_levels_below_m0_rejected",
       "tests/test_cli.py::TestUsageAndEnvironment::test_bad_domain_maps_to_usage"]),
+    ("stirling_exact multiplies by c - 1", "stirling.py",
+     "left[i] + c * column[i - 1]", "left[i] + (c - 1) * column[i - 1]",
+     [f"{ORACLE}::test_examples", f"{ORACLE}::test_fresh_table_in_shuffled_order"]),
+    ("stirling_exact reads the left column one index early", "stirling.py",
+     "left[i] + c", "left[i - 1] + c",
+     [f"{ORACLE}::test_examples", f"{ORACLE}::test_fresh_table_in_shuffled_order"]),
     ("val2_range without its val2 fallback", "stirling.py",
      "(nu_int(2, v) if v else self.val2(n))", "nu_int(2, v)", [SCAN]),
     ("recurrence_mod shifts its window by one slot less", "stirling.py",
@@ -85,8 +92,8 @@ MUTANTS = [
      "k * Wb)", "(k - 1) * Wb)", [SCAN]),
     ("val2_range misplaces the exact window", "stirling.py",
      "[0] * (k - 1) + [1]", "[0] * k + [1]", [SCAN]),
-    ("_extract off by one", "stirling.py",
-     "return nu_int(2, residue) - self.fact_val", "return nu_int(2, residue) - self.fact_val + 1",
+    ("val2 extracts the valuation off by one", "stirling.py",
+     "return nu_int(2, r) - self.fact_val", "return nu_int(2, r) - self.fact_val + 1",
      ["tests/test_stirling.py::TestVal2Stirling::test_examples"]),
     ("m_start without its 32 spare bits", "stirling.py",
      "while self.m_start <= self.fact_val + 32:", "while self.m_start <= self.fact_val:",

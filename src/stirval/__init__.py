@@ -1,8 +1,8 @@
 """Exact 2-adic valuations of Stirling numbers of the second kind.
 
-The package computes nu_2(S(n,k)) three independent ways (an exact
-big-integer triangle, an adaptive modular engine on the binomial sum, and
-the triangle's recurrence modulo 2**M), partitions indices
+The package computes nu_2(S(n,k)) three independent ways (the exact
+big-integer recurrence, an adaptive modular engine on the binomial sum, and
+the same recurrence modulo 2**M), partitions indices
 into residue classes mod 2**m and tracks which classes carry a constant
 valuation, and mechanically re-checks the identities and conjectures that
 describe this structure, at desk scale, with certificates.
@@ -24,7 +24,6 @@ from .padic import (
 from .reports import CONSISTENT, COUNTEREXAMPLE, INCONCLUSIVE, ConjectureReport
 from .stirling import (
     ModStirlingEngine,
-    StirlingTriangle,
     de_wannemacker_gap,
     de_wannemacker_gaps,
     get_engine,

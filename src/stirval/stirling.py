@@ -1,8 +1,9 @@
 """Stirling numbers of the second kind, and nu_2 of them by three routes.
 
-* :class:`StirlingTriangle` is the exact oracle: big-integer dynamic
-  programming on the recurrence S(n,k) = S(n-1,k-1) + k*S(n-1,k).  It
-  checks the closed forms and the other two routes.
+* :func:`stirling_exact` is the exact oracle: big-integer dynamic
+  programming on the recurrence S(n,k) = S(n-1,k-1) + k*S(n-1,k), kept
+  column by column up to the largest k asked for.  It checks the closed
+  forms and the other two routes.
 * :class:`ModStirlingEngine` evaluates T = k! * S(n,k) modulo 2**M through
   the alternating binomial sum and extracts nu_2(S(n,k)) from the residue.
   It serves single values, and scans of one column k over a long range
@@ -28,50 +29,39 @@ from typing import Iterator
 from .padic import INFINITE, Valuation, digit_sum, legendre_factorial_val, nu_int
 from .reports import ConjectureReport
 
-DEFAULT_ORACLE_BOUND = 2000
-
 # (coefficient, base) pairs of an exponential sum f(n) = sum c * b**n
 Terms = tuple[tuple[int, int], ...]
 
-
-class StirlingTriangle:
-    """Exact S(n,k) table built row by row from the recurrence.
-
-    Rows are grown lazily up to ``n_bound`` and never mutated afterwards,
-    so concurrent reads of already-built rows are safe.
-    """
-
-    def __init__(self, n_bound: int = DEFAULT_ORACLE_BOUND):
-        self.n_bound = n_bound
-        self._rows: list[list[int]] = [[1]]
-
-    def value(self, n: int, k: int) -> int:
-        if n < 0 or k < 0:
-            raise ValueError("n and k must be nonnegative")
-        if n > self.n_bound:
-            raise ValueError(f"n={n} exceeds oracle bound {self.n_bound}")
-        if k > n:
-            return 0
-        self._grow(n)
-        return self._rows[n][k]
-
-    def _grow(self, n: int) -> None:
-        while len(self._rows) <= n:
-            prev = self._rows[-1]
-            i = len(self._rows)
-            row = [0] * (i + 1)
-            for k in range(1, i):
-                row[k] = prev[k - 1] + k * prev[k]
-            row[i] = 1
-            self._rows.append(row)
-
-
-_oracle = StirlingTriangle()
+# Column c of the exact oracle: [S(c, c), S(c + 1, c), ...], only appended to.
+_columns: list[list[int]] = [[1]]
 
 
 def stirling_exact(n: int, k: int) -> int:
-    """Exact S(n,k) from the shared recurrence oracle (n <= 2000)."""
-    return _oracle.value(n, k)
+    """Exact S(n,k) from the shared table of columns, grown on a miss.
+
+    Column c holds S(c + i, c) for i = 0, 1, ....  A miss grows columns
+    0..k to n - k + 1 entries each by S(n,c) = S(n-1,c-1) + c*S(n-1,c) on
+    big integers, so the table holds O(n*k) entries.  Entries are only
+    appended, never changed.
+    """
+    if n < 0 or k < 0:
+        raise ValueError("n and k must be nonnegative")
+    if k > n:
+        return 0
+    size = n - k + 1
+    if k < len(_columns) and size <= len(_columns[k]):
+        return _columns[k][n - k]
+    left = _columns[0]
+    left.extend([0] * (size - len(left)))  # S(i, 0) = 0 for i >= 1
+    for c in range(1, k + 1):
+        if c == len(_columns):
+            _columns.append([1])  # S(c, c)
+        column = _columns[c]
+        for i in range(len(column), size):
+            # S(c + i, c) = S(c + i - 1, c - 1) + c * S(c + i - 1, c)
+            column.append(left[i] + c * column[i - 1])
+        left = column
+    return _columns[k][n - k]
 
 
 def stirling_closed_small(n: int, k: int) -> int:
@@ -194,9 +184,6 @@ class ModStirlingEngine:
             raise ValueError(f"need M >= 1, got M={M}")
         return exp_sum_mod(self._terms, n, M)
 
-    def _extract(self, residue: int) -> Valuation:
-        return nu_int(2, residue) - self.fact_val
-
     def val2(self, n: int) -> Valuation:
         """nu_2(S(n,k)); INFINITE when n < k (there S(n,k) = 0)."""
         if n < self.k:
@@ -204,7 +191,7 @@ class ModStirlingEngine:
         M = self.m_start
         while not (r := self.ksf_mod(n, M)):
             M *= 2
-        return self._extract(r)
+        return nu_int(2, r) - self.fact_val
 
     def val2_range(self, start: int, stop: int) -> Iterator[tuple[int, Valuation]]:
         """Yield (n, nu_2(S(n,k))) for start <= n < stop.
@@ -409,7 +396,7 @@ def identity_battery(n_max: int = 300, q_max: int = 10, k_max: int = 64) -> Conj
     * De Wannemacker's inequality nu_2(S(n,k)) >= s_2(k) - s_2(n) for all
       1 <= k <= n <= n_max, with nu_2 from the modular triangle
       (:func:`val2_columns`),
-    * the closed forms for k <= 5 against the exact triangle
+    * the closed forms for k <= 5 against the exact oracle
       (n <= min(n_max, 500)),
     * the parity valuation formulas for k <= 4 against the engine,
     * the special-value families near powers of two.

@@ -68,6 +68,9 @@ GOLDEN = [
      "d591c9bb3f38937ae7281829827a473994dea4e64f7954ac52562d6612ce3650"),
     (("verify", "identities", "--n-max", "260", "--q-max", "10", "--k-max", "64"), 0,
      "0ee6a5243c01f9a19be4ef6b80ae3c8ced4d04f51974ecd678687616f573e156"),
+    # crosses the closed-form bound min(n_max, 500) of the exact oracle
+    (("verify", "identities", "--n-max", "600", "--q-max", "10", "--k-max", "64"), 0,
+     "c01a67398ce66cdd678538f230e9a841844f8175a808a307067cc778a982778d"),
     (("verify", "lemmas", "--m-max", "8"), 0,
      "c1fa1c487f5b262a5af9b6c18c7bb02d8db34f858c7e1632beeb50ac775007d2"),
     (("verify", "alm", "--l-max", "8", "--m-max", "12"), 0,

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from stirval import (
     INFINITE,
     ModStirlingEngine,
-    StirlingTriangle,
     de_wannemacker_gap,
     de_wannemacker_gaps,
     get_engine,
@@ -40,11 +40,35 @@ class TestTriangle:
         assert stirling_exact(3, 7) == 0
         assert stirling_exact(5, 0) == 0
 
-    def test_bound_enforced(self):
-        small = StirlingTriangle(n_bound=50)
-        assert small.value(50, 3) == stirling_exact(50, 3)
-        with pytest.raises(ValueError):
-            small.value(51, 3)
+    def test_rejects_negative_arguments(self):
+        for n, k in ((-1, 0), (3, -1), (-2, -2)):
+            with pytest.raises(ValueError):
+                stirling_exact(n, k)
+
+    def test_fresh_table_in_shuffled_order(self, monkeypatch):
+        monkeypatch.setattr(stirling_module, "_columns", [[1]])
+        rows = [[1]]
+        for n in range(1, 301):
+            prev = rows[-1] + [0]
+            rows.append([0] + [prev[k - 1] + k * prev[k] for k in range(1, n + 1)])
+        queries = [(n, k) for n in range(301) for k in range(321)]
+        random.Random(0).shuffle(queries)
+        for n, k in queries:
+            assert stirling_exact(n, k) == (rows[n][k] if k <= n else 0), (n, k)
+
+    def test_past_the_old_cap(self):
+        assert stirling_exact(2500, 3) == stirling_closed_small(2500, 3)
+
+    def test_memory_grows_with_n_times_k(self, monkeypatch):
+        monkeypatch.setattr(stirling_module, "_columns", [[1]])
+        tracemalloc.start()
+        try:
+            assert stirling_exact(2000, 5) == stirling_closed_small(2000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # columns 0..5 to n = 2000 trace about 2 MB; rows of full width take about 1.6 GB
+        assert peak < 16 << 20, peak
 
     def test_row_symmetry_anchor(self):
         # S(n,2) counts proper nonempty subset pairs
