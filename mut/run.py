@@ -35,6 +35,7 @@ SCAN = "tests/test_stirling.py::TestVal2Range"
 MAIN = "tests/test_levels.py::TestMainConjecture"
 POWERS = "tests/test_sequences.py::TestCohenAtPowers"
 ORACLE = "tests/test_stirling.py::TestTriangle"
+ROWS = "tests/test_stirling.py::TestVal2Rows"
 
 # (name, module under src/stirval, old text, new text, pytest node ids)
 MUTANTS = [
@@ -92,6 +93,12 @@ MUTANTS = [
      "k * Wb)", "(k - 1) * Wb)", [SCAN]),
     ("val2_range misplaces the exact window", "stirling.py",
      "[0] * (k - 1) + [1]", "[0] * k + [1]", [SCAN]),
+    ("val2_rows decides a zero residue as INFINITE", "stirling.py",
+     "if r else val2_stirling(n, k))", "if r else INFINITE)",
+     [f"{ROWS}::test_zero_residue_goes_to_val2_stirling"]),
+    ("val2_rows reads the coefficients of k - 1", "stirling.py",
+     "for c, _ in ksf_terms(k)]", "for c, _ in ksf_terms(k - 1)]",
+     [f"{ROWS}::test_matches_val2_stirling_near_powers_of_two"]),
     ("val2 extracts the valuation off by one", "stirling.py",
      "return nu_int(2, r) - self.fact_val", "return nu_int(2, r) - self.fact_val + 1",
      ["tests/test_stirling.py::TestVal2Stirling::test_examples"]),

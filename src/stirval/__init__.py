@@ -35,6 +35,7 @@ from .stirling import (
     t_terms,
     val2_closed_small,
     val2_columns,
+    val2_rows,
     val2_stirling,
 )
 from .levels import (

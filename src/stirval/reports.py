@@ -57,6 +57,11 @@ class ConjectureReport:
         if not ok:
             self.counterexamples.append(payload)
 
+    def record_many(self, count: int, failures: list) -> None:
+        """Record count checks at once; failures holds the payloads of those that failed."""
+        self.checked += count
+        self.counterexamples.extend(failures)
+
     def record_inconclusive(self, payload: Any) -> None:
         self.inconclusive.append(payload)
 

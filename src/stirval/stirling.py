@@ -11,6 +11,8 @@
   linear recurrence mod 2**32 in packed blocks (:func:`recurrence_mod`),
   read back with one struct unpack per block.  A scan that starts below
   2k seeds the recurrence with the exact window S(1,k), ..., S(k,k).
+  :func:`val2_rows` evaluates the same sum for every k <= k_max at a few
+  n, from one row of powers b**n mod 2**M per n.
 * :func:`val2_columns` runs the same recurrence as the oracle modulo 2**M,
   one step per entry, and serves the whole triangle k <= n <= n_max.
 
@@ -24,7 +26,8 @@ import math
 import struct
 from functools import cache, lru_cache
 from itertools import accumulate, chain, islice
-from typing import Iterator
+from operator import mul
+from typing import Iterable, Iterator
 
 from .padic import INFINITE, Valuation, digit_sum, legendre_factorial_val, nu_int
 from .reports import ConjectureReport
@@ -317,6 +320,35 @@ def val2_stirling(n: int, k: int) -> Valuation:
     return get_engine(k).val2(n)
 
 
+def val2_rows(ns: Iterable[int], k_max: int) -> dict[int, list[Valuation]]:
+    """{n: [nu_2(S(n,k)) for k = 1..k_max]} for each n in ns, one power row per n.
+
+    Each n takes one row b**n mod 2**M for b <= min(n, k_max); k! * S(n,k)
+    mod 2**M is then the coefficients of ``ksf_terms(k)`` dotted with the
+    row's first k powers.  M is the engine's start precision for k_max,
+    which is at least that of every k <= k_max since m_start does not
+    decrease in k.  A nonzero residue fixes the valuation exactly, a zero
+    one goes to val2_stirling, and k > n gives INFINITE.
+    """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    mod = 1 << get_engine(k_max).m_start
+    by_k = [
+        ([c for c, _ in ksf_terms(k)], legendre_factorial_val(2, k)) for k in range(1, k_max + 1)
+    ]
+    rows = {}
+    for n in ns:
+        if n < 0:
+            raise ValueError(f"need n >= 0, got n={n}")
+        powers = [pow(b, n, mod) for b in range(1, min(n, k_max) + 1)]
+        row = []
+        for k, (coefs, fact_val) in enumerate(by_k[: len(powers)], 1):
+            r = sum(map(mul, coefs, powers)) % mod
+            row.append(nu_int(2, r) - fact_val if r else val2_stirling(n, k))
+        rows[n] = row + [INFINITE] * (k_max - len(row))
+    return rows
+
+
 def de_wannemacker_gap(n: int, k: int) -> int:
     """Slack in De Wannemacker's inequality: nu_2(S(n,k)) - s_2(k) + s_2(n).
 
@@ -355,6 +387,10 @@ def special_values_check(q_max: int, k_max: int) -> ConjectureReport:
                                 == s_2(k+1) - 1 when k == 3 (mod 4)
       D. nu_2(k! * S(a*2^q, k)) == k - 1        for odd a, q >= k - 2
          (family D scans a in {1,3,5,7} with a*2^q >= k)
+
+    Families A-C read one :func:`val2_rows` call over n in {2^q, 2^q + 1,
+    2^q + 2}.  Family D reads the engine (:func:`val2_stirling`) per value:
+    it needs only k <= q + 2 at each n, so a shared row would save nothing.
     """
     if q_max < 3:
         raise ValueError("q_max must be >= 3")
@@ -370,16 +406,19 @@ def special_values_check(q_max: int, k_max: int) -> ConjectureReport:
             {"family": family, "n": n, "k": k, "computed": got, "expected": want},
         )
 
+    # row r of n = 2^q + i holds nu_2(S(n, k)) at r[k - 1]
+    rows = val2_rows({(1 << q) + i for q in range(1, q_max + 1) for i in range(3)}, k_max + 2)
     for q in range(1, q_max + 1):
         n = 1 << q
+        row_a, row_b, row_c = rows[n], rows[n + 1], rows[n + 2]
         for k in range(1, min(n, k_max) + 1):
             s = digit_sum(2, k)
-            expect("A", n, k, val2_stirling(n, k), s - 1)
-            expect("B", n + 1, k + 1, val2_stirling(n + 1, k + 1), s - 1)
+            expect("A", n, k, row_a[k - 1], s - 1)
+            expect("B", n + 1, k + 1, row_b[k], s - 1)
             if k % 2 == 0:
-                expect("C", n + 2, k + 2, val2_stirling(n + 2, k + 2), s - 1)
+                expect("C", n + 2, k + 2, row_c[k + 1], s - 1)
             elif (k + 1) % 4 == 0:
-                expect("C", n + 2, k + 2, val2_stirling(n + 2, k + 2), digit_sum(2, k + 1) - 1)
+                expect("C", n + 2, k + 2, row_c[k + 1], digit_sum(2, k + 1) - 1)
     for k in range(1, k_max + 1):
         for q in range(max(k - 2, 0), q_max + 1):
             for a in (1, 3, 5, 7):
@@ -395,11 +434,12 @@ def identity_battery(n_max: int = 300, q_max: int = 10, k_max: int = 64) -> Conj
 
     * De Wannemacker's inequality nu_2(S(n,k)) >= s_2(k) - s_2(n) for all
       1 <= k <= n <= n_max, with nu_2 from the modular triangle
-      (:func:`val2_columns`),
+      (:func:`val2_columns`), checked and recorded a column at a time,
     * the closed forms for k <= 5 against the exact oracle
       (n <= min(n_max, 500)),
     * the parity valuation formulas for k <= 4 against the engine,
-    * the special-value families near powers of two.
+    * the special-value families near powers of two
+      (:func:`special_values_check`: power rows for A-C, the engine for D).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -409,9 +449,15 @@ def identity_battery(n_max: int = 300, q_max: int = 10, k_max: int = 64) -> Conj
     )
     for k, column in val2_columns(n_max):
         s_k = digit_sum(2, k)
-        for n, v in enumerate(column, k):
-            gap = _gap(v, s_k, n)
-            report.record(gap >= 0, {"identity": "inequality gap", "n": n, "k": k, "gap": gap})
+        gaps = [v - s_k + n.bit_count() for n, v in enumerate(column, k)]
+        report.record_many(
+            len(gaps),
+            [
+                {"identity": "inequality gap", "n": n, "k": k, "gap": gap}
+                for n, gap in enumerate(gaps, k)
+                if gap < 0
+            ],
+        )
     closed_bound = min(n_max, 500)
     for k in range(1, 6):
         for n in range(k, closed_bound + 1):

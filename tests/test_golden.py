@@ -71,6 +71,9 @@ GOLDEN = [
     # crosses the closed-form bound min(n_max, 500) of the exact oracle
     (("verify", "identities", "--n-max", "600", "--q-max", "10", "--k-max", "64"), 0,
      "c01a67398ce66cdd678538f230e9a841844f8175a808a307067cc778a982778d"),
+    # special-value rows up to k = 130 at n = 2^12 + 2
+    (("verify", "identities", "--n-max", "100", "--q-max", "12", "--k-max", "128"), 0,
+     "867838e17794be6bc3c42fb98adedf8b807f0f7d177c262e1a798e87f2c0fa3c"),
     (("verify", "lemmas", "--m-max", "8"), 0,
      "c1fa1c487f5b262a5af9b6c18c7bb02d8db34f858c7e1632beeb50ac775007d2"),
     (("verify", "alm", "--l-max", "8", "--m-max", "12"), 0,

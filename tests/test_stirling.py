@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stirval import (
+    ConjectureReport,
     INFINITE,
     ModStirlingEngine,
     de_wannemacker_gap,
@@ -25,6 +26,7 @@ from stirval import (
     t_terms,
     val2_closed_small,
     val2_columns,
+    val2_rows,
     val2_stirling,
 )
 import stirval.stirling as stirling_module
@@ -423,6 +425,40 @@ class TestDeWannemacker:
             de_wannemacker_gap(5, 6)
 
 
+class TestVal2Rows:
+    @pytest.mark.parametrize("k_max", [1, 5, 66, 130])
+    def test_matches_val2_stirling_near_powers_of_two(self, k_max):
+        ns = [(1 << q) + i for q in range(13) for i in range(3)]
+        rows = val2_rows(ns, k_max)
+        assert set(rows) == set(ns)
+        for n in ns:
+            assert rows[n] == [val2_stirling(n, k) for k in range(1, k_max + 1)]
+        assert rows[1] == [0] + [INFINITE] * (k_max - 1)
+
+    def test_zero_residue_goes_to_val2_stirling(self, monkeypatch):
+        # zeros of T_2(x, 5) mod 2^68, shifted by 2^68: 5! * S(n, 5) vanishes mod 2^64
+        ns = [x + (1 << 68) for x in t2_zeros(5, 70)]
+        assert get_engine(5).m_start == 64
+        assert [get_engine(5).ksf_mod(n, 64) for n in ns] == [0, 0]
+        engine_val2 = stirling_module.val2_stirling
+        calls = []
+
+        def spy(n, k):
+            calls.append((n, k))
+            return engine_val2(n, k)
+
+        monkeypatch.setattr(stirling_module, "val2_stirling", spy)
+        rows = val2_rows(ns, 5)
+        assert calls == [(n, 5) for n in ns]
+        assert [rows[n][4] for n in ns] == [68, 67]
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            val2_rows([4], 0)
+        with pytest.raises(ValueError):
+            val2_rows([-1], 3)
+
+
 class TestSpecialValues:
     def test_spot_values(self):
         assert val2_stirling(33, 6) == 1  # s_2(5) - 1
@@ -446,3 +482,15 @@ def test_identity_battery_consistent():
     assert report.status == "CONSISTENT"
     names = [sub["name"] for sub in report.details["subchecks"]]
     assert "special values" in names
+
+
+def test_record_many_matches_per_entry_records():
+    entries = [(n, n % 7 != 3) for n in range(10)]  # n = 3 fails
+    one_by_one, batched = ConjectureReport("a"), ConjectureReport("a")
+    for report in (one_by_one, batched):
+        report.record(False, {"n": -1})
+    for n, ok in entries:
+        one_by_one.record(ok, {"n": n})
+    batched.record_many(len(entries), [{"n": n} for n, ok in entries if not ok])
+    assert batched.checked == one_by_one.checked == 11
+    assert batched.counterexamples == one_by_one.counterexamples == [{"n": -1}, {"n": 3}]
