@@ -36,6 +36,7 @@ MAIN = "tests/test_levels.py::TestMainConjecture"
 POWERS = "tests/test_sequences.py::TestCohenAtPowers"
 ORACLE = "tests/test_stirling.py::TestTriangle"
 ROWS = "tests/test_stirling.py::TestVal2Rows"
+K5 = "tests/test_levels.py::TestK5StructureReadsTheTree"
 
 # (name, module under src/stirval, old text, new text, pytest node ids)
 MUTANTS = [
@@ -77,6 +78,12 @@ MUTANTS = [
      "if m_max < m0:", "if False:",
      [f"{MAIN}::test_levels_below_m0_rejected",
       "tests/test_cli.py::TestUsageAndEnvironment::test_bad_domain_maps_to_usage"]),
+    ("k5_structure_report takes any CONSTANT child as the one at m - 2", "levels.py",
+     "s.kind == CONSTANT and s.value == m - 2", "s.kind == CONSTANT",
+     [f"{K5}::test_constant_child_value_comes_from_the_proof"]),
+    ("k5_structure_report treats an undecided child as decided", "levels.py",
+     "            if undecided:\n", "            if False:\n",
+     [f"{K5}::test_undecided_child_is_inconclusive"]),
     ("stirling_exact multiplies by c - 1", "stirling.py",
      "left[i] + c * column[i - 1]", "left[i] + (c - 1) * column[i - 1]",
      [f"{ORACLE}::test_examples", f"{ORACLE}::test_fresh_table_in_shuffled_order"]),

@@ -227,6 +227,11 @@ class LevelTree:
     def level(self, m: int) -> LevelRecord:
         return self.levels[m - 1]
 
+    def children(self, c: ResidueClass) -> list[tuple[ResidueClass, ClassStatus]]:
+        """The two children of a survivor c below the deepest level, with their verdicts."""
+        statuses = self.level(c.m + 1).statuses
+        return [(child, statuses[child.j]) for child in c.split()]
+
     def as_dict(self) -> dict:
         return {
             "k": self.k,
@@ -349,12 +354,11 @@ def verify_main_conjecture(
         level_verdicts.append({"m": m, "verdict": PASS if ok else FAIL})
 
     # part 2, splitting dynamic: one surviving child per survivor
-    for rec, nxt in zip(tree.levels, tree.levels[1:]):
-        if rec.m < m0 or nxt.m >= first_undecided:
+    for rec in tree.levels[:-1]:
+        if rec.m < m0 or rec.m + 1 >= first_undecided:
             continue
-        surviving_children = {c.j for c in nxt.survivors}
         for c in rec.survivors:
-            kids = [ch.j for ch in c.split() if ch.j in surviving_children]
+            kids = [ch.j for ch, s in tree.children(c) if s.kind == NON_CONSTANT]
             ok = len(kids) == 1
             report.record(
                 ok,
@@ -391,8 +395,7 @@ def k5_surviving_chain(m_max: int, samples: int = DEFAULT_SAMPLES) -> list[Chain
     chain: list[ChainLink] = []
     parent = ResidueClass(5, 1, 0)
     for m in range(2, m_max + 1):
-        # parent survived level m - 1, so the tree classified both its children
-        status = {c: tree.level(m).statuses[c.j] for c in parent.split()}
+        status = dict(tree.children(parent))
         constant = [c for c, s in status.items() if s.kind == CONSTANT]
         surviving = [c for c, s in status.items() if s.kind == NON_CONSTANT]
         if len(constant) != 1 or len(surviving) != 1:
@@ -448,16 +451,19 @@ def k5_structure_report(
 ) -> ConjectureReport:
     """Verify the proved k=5 splitting structure level by level.
 
-    On both branches (indices 0 and 3 mod 4), for each level m in
-    3..m_max the two children of the previous survivor must satisfy,
-    over member indices i <= i_max:
+    Every verdict comes from ``build_level_tree(5, m_max, samples)``.  For
+    m in 3..m_max, the two children of each level-(m-1) survivor (branch
+    ``parent.j % 4``, 0 or 3) must be one CONSTANT child with value m - 2,
+    proved for every member by ``prove_constant`` and not sampled, and one
+    surviving child whose members with index i <= i_max all exceed m - 2.
+    The "child floor" check asks for values above m - 3: the proved value
+    of the constant child and the sampled ones of the other.  An undecided
+    child is recorded as inconclusive, never as a counterexample.
 
-      * every member valuation exceeds m - 3,
-      * exactly one child is constant with value m - 2,
-      * every sampled member of the other child exceeds m - 2.
-
-    Also rechecks the eight fixed congruence-class facts for the classes
-    mod 8 and mod 16 (values 1, 1, >=2, >=2, 2, 2, >=3, >=3).
+    Also rechecks, member by member for i <= i_max, the eight fixed
+    congruence-class facts for the classes mod 8 and mod 16 (values 1, 1,
+    >=2, >=2, 2, 2, >=3, >=3).  ``details["surviving_chain"]`` is read
+    only when nothing failed and nothing was undecided.
     """
     if m_max < 3:
         raise ValueError("m_max must be >= 3")
@@ -474,42 +480,34 @@ def k5_structure_report(
         members = (c.modulus * i + c.j for i in range(bound + 1))
         return [(n, val2_stirling(n, c.k)) for n in members if n >= c.k]
 
-    for branch_j in (0, 3):
-        parent = ResidueClass(5, 2, branch_j)
-        for m in range(3, m_max + 1):
-            a, b = parent.split()
-            pairs = {c: vals_up_to(c, i_max) for c in (a, b)}
-            floor_ok = all(v > m - 3 for vs in pairs.values() for _, v in vs)
+    tree = build_level_tree(5, m_max, samples)
+    split_check = "one constant child at m-2, one child above"
+    for rec in tree.levels[1:-1]:
+        m = rec.m + 1
+        for parent in rec.survivors:
+            where = {"m": m, "branch": parent.j % 4}
+            kids = tree.children(parent)
+            undecided = [c.j for c, s in kids if s.kind == INCONCLUSIVE]
+            if undecided:
+                report.record_inconclusive({"check": split_check, **where, "undecided": undecided})
+                continue
+            # a proved value holds on every member; the smallest stands for them
+            pairs = {
+                c: [(c.members(1)[0], s.value)] if s.kind == CONSTANT else vals_up_to(c, i_max)
+                for c, s in kids
+            }
+            bad = [(c.j, n, v) for c, vs in pairs.items() for n, v in vs if v <= m - 3]
+            report.record(not bad, {"check": "child floor", **where, "bad": bad})
+            constant = [c.j for c, s in kids if s.kind == CONSTANT and s.value == m - 2]
+            above = [
+                c.j
+                for c, s in kids
+                if s.kind == NON_CONSTANT and all(v > m - 2 for _, v in pairs[c])
+            ]
             report.record(
-                floor_ok,
-                {
-                    "check": "child floor",
-                    "m": m,
-                    "branch": branch_j,
-                    "bad": [
-                        (c.j, n, v)
-                        for c, vs in pairs.items()
-                        for n, v in vs
-                        if v <= m - 3
-                    ],
-                },
+                len(constant) == 1 and len(above) == 1,
+                {"check": split_check, **where, "constant": constant, "above": above},
             )
-            constant = [c for c in (a, b) if all(v == m - 2 for _, v in pairs[c])]
-            above = [c for c in (a, b) if all(v > m - 2 for _, v in pairs[c])]
-            split_ok = len(constant) == 1 and len(above) == 1
-            report.record(
-                split_ok,
-                {
-                    "check": "one constant child at m-2, one child above",
-                    "m": m,
-                    "branch": branch_j,
-                    "constant": [c.j for c in constant],
-                    "above": [c.j for c in above],
-                },
-            )
-            if not split_ok:
-                break
-            parent = above[0]
 
     # (m, r, op, bound): nu_2(S(n,5)) op bound on the class C(m, r)
     facts = (
@@ -524,8 +522,9 @@ def k5_structure_report(
                 {"check": f"nu2(S({c.modulus}i+{r},5)) {op} {bound}", "n": n, "computed": v},
             )
 
-    report.details["surviving_chain"] = [
-        {"level": link.level, "j": link.j, "sibling_value": link.sibling_value}
-        for link in k5_surviving_chain(m_max, samples)
-    ]
+    if not report.counterexamples and not report.inconclusive:
+        report.details["surviving_chain"] = [
+            {"level": link.level, "j": link.j, "sibling_value": link.sibling_value}
+            for link in k5_surviving_chain(m_max, samples)
+        ]
     return report

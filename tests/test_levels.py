@@ -352,3 +352,40 @@ def test_k5_structure_report_downsized():
     assert report.status == "CONSISTENT"
     chain = report.details["surviving_chain"]
     assert [c["j"] for c in chain] == [0, 4, 12, 28, 28]
+
+
+class TestK5StructureReadsTheTree:
+    def test_undecided_child_is_inconclusive(self, monkeypatch):
+        # without proofs, C(3,0), C(3,3), C(4,4) and C(4,7) are undecided
+        monkeypatch.setattr(levels, "prove_constant", lambda c: None)
+        report = k5_structure_report(m_max=4, samples=2, i_max=20)
+        assert report.status == "INCONCLUSIVE"
+        assert report.exit_code == 2
+        assert report.counterexamples == []
+        assert [(p["m"], p["branch"], p["undecided"]) for p in report.inconclusive] == [
+            (3, 0, [0]), (3, 3, [3]), (4, 0, [4]), (4, 3, [7])
+        ]
+        assert "surviving_chain" not in report.details
+
+    def test_constant_child_value_comes_from_the_proof(self, monkeypatch):
+        # a proof that says 3 on C(4,4), whose members all have value 2,
+        # must break the split at m = 4 although no sampled member disagrees
+        true_proof = levels.prove_constant
+
+        def off_by_one(c):
+            value = true_proof(c)
+            return value + 1 if (c.m, c.j) == (4, 4) else value
+
+        monkeypatch.setattr(levels, "prove_constant", off_by_one)
+        report = k5_structure_report(6, 32, 50)
+        assert report.status == "COUNTEREXAMPLE"
+        assert report.exit_code == 1
+        assert report.counterexamples == [
+            {
+                "check": "one constant child at m-2, one child above",
+                "m": 4,
+                "branch": 0,
+                "constant": [],
+                "above": [12],
+            }
+        ]

@@ -484,6 +484,35 @@ def test_identity_battery_consistent():
     assert "special values" in names
 
 
+def test_identity_battery_records_closed_forms_and_parity_a_column_at_a_time(monkeypatch):
+    closed, parity = stirling_module.stirling_closed_small, stirling_module.val2_closed_small
+    monkeypatch.setattr(
+        stirling_module,
+        "stirling_closed_small",
+        lambda n, k: closed(n, k) + ((n, k) in {(30, 2), (10, 3)}),
+    )
+    monkeypatch.setattr(
+        stirling_module, "val2_closed_small", lambda n, k: parity(n, k) + ((n, k) == (20, 2))
+    )
+    calls = []
+    record = ConjectureReport.record
+    monkeypatch.setattr(
+        ConjectureReport, "record", lambda self, *args: calls.append(args) or record(self, *args)
+    )
+    special = special_values_check(q_max=4, k_max=16)
+    special_calls = len(calls)
+    report = identity_battery(n_max=80, q_max=4, k_max=16)
+    # the special values are the only checks still recorded one by one
+    assert len(calls) == 2 * special_calls
+    grid, closed_forms, parities = 80 * 81 // 2, 80 + 79 + 78 + 77 + 76, 80 + 79 + 78 + 77
+    assert report.checked == grid + closed_forms + parities + special.checked
+    assert report.counterexamples == [
+        {"identity": "closed form", "n": 30, "k": 2},
+        {"identity": "closed form", "n": 10, "k": 3},
+        {"identity": "parity valuation", "n": 20, "k": 2},
+    ]
+
+
 def test_record_many_matches_per_entry_records():
     entries = [(n, n % 7 != 3) for n in range(10)]  # n = 3 fails
     one_by_one, batched = ConjectureReport("a"), ConjectureReport("a")
