@@ -34,13 +34,16 @@ def main():
     M = 24
     u0 = next(u for u in t2_zeros(5, M) if u % 2 == 0)
     for n in (28, 92, 156, 412):
-        d = (n - u0) % (1 << (M - 2))
         print(
-            f"  n={n:4d}: nu_2(n - u0) - 1 = {nu_int(2, d) - 1}, "
+            f"  n={n:4d}: nu_2(n - u0) - 1 = {nu_int(2, n - u0) - 1}, "
             f"engine says {val2_stirling(n, 5)}"
         )
-    check = clarke_val_check(2000, M=M)
-    print(f"  replay to n=2000: {check.status}, inconclusive: {len(check.inconclusive)}")
+    check = clarke_val_check(2000)
+    zeros = check.details["zeros"]
+    print(
+        f"  replay to n=2000: {check.status} ({check.checked} instances), "
+        f"zeros {zeros['even']}, {zeros['odd']} mod 2^{zeros['modulus_bits']}"
+    )
 
     print("\n== deeper ramification keeps every root ==")
     print(f"  T_2(x,6), {M} bits: x = {t2_zeros(6, M)} mod 2^{M - 2}")

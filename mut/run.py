@@ -37,6 +37,7 @@ POWERS = "tests/test_sequences.py::TestCohenAtPowers"
 ORACLE = "tests/test_stirling.py::TestTriangle"
 ROWS = "tests/test_stirling.py::TestVal2Rows"
 K5 = "tests/test_levels.py::TestK5StructureReadsTheTree"
+CLARKE = "tests/test_sequences.py::TestClarkeValCheck::test_lift_passes_n_max"
 
 # (name, module under src/stirval, old text, new text, pytest node ids)
 MUTANTS = [
@@ -44,9 +45,11 @@ MUTANTS = [
      "for x in (r, r + step)", "for x in (r,)", [LIFTER]),
     ("t2_zeros steps by 2^(P-2)", "sequences.py",
      "step = 1 << (P - 3)", "step = 1 << (P - 2)", [LIFTER]),
-    ("clarke_val_check takes distances mod 2^(M-1)", "sequences.py",
-     "% (1 << (M - 2))", "% (1 << (M - 1))",
-     ["tests/test_sequences.py::TestClarkeValCheck"]),
+    ("clarke_val_check stops the lift at the bit length of n_max", "sequences.py",
+     "<= n_max:\n        M += 1", "<= n_max:\n        break", [f"{CLARKE}[156]"]),
+    ("clarke_val_check lifts only while a residue is below n_max", "sequences.py",
+     "min(zeros := t2_zeros(5, M)) <= n_max", "min(zeros := t2_zeros(5, M)) < n_max",
+     [f"{CLARKE}[156]"]),
     ("cohen_at_powers yields a zero residue instead of doubling", "sequences.py",
      "if not top:\n            return None", "if False:\n            return None",
      [f"{POWERS}::test_tiny_start_precision_doubles"]),

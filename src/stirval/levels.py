@@ -391,10 +391,14 @@ def k5_surviving_chain(m_max: int, samples: int = DEFAULT_SAMPLES) -> list[Chain
     ``build_level_tree(5, m_max, samples)``.  Raises if the expected
     one-constant/one-survivor split ever fails.
     """
-    tree = build_level_tree(5, m_max, samples)
+    return _surviving_chain(build_level_tree(5, m_max, samples))
+
+
+def _surviving_chain(tree: LevelTree) -> list[ChainLink]:
+    """The k=5 chain of ``k5_surviving_chain``, read off a tree already built."""
     chain: list[ChainLink] = []
     parent = ResidueClass(5, 1, 0)
-    for m in range(2, m_max + 1):
+    for m in range(2, len(tree.levels) + 1):
         status = dict(tree.children(parent))
         constant = [c for c, s in status.items() if s.kind == CONSTANT]
         surviving = [c for c, s in status.items() if s.kind == NON_CONSTANT]
@@ -463,7 +467,7 @@ def k5_structure_report(
     Also rechecks, member by member for i <= i_max, the eight fixed
     congruence-class facts for the classes mod 8 and mod 16 (values 1, 1,
     >=2, >=2, 2, 2, >=3, >=3).  ``details["surviving_chain"]`` is read
-    only when nothing failed and nothing was undecided.
+    off the same tree, only when nothing failed and nothing was undecided.
     """
     if m_max < 3:
         raise ValueError("m_max must be >= 3")
@@ -525,6 +529,6 @@ def k5_structure_report(
     if not report.counterexamples and not report.inconclusive:
         report.details["surviving_chain"] = [
             {"level": link.level, "j": link.j, "sibling_value": link.sibling_value}
-            for link in k5_surviving_chain(m_max, samples)
+            for link in _surviving_chain(tree)
         ]
     return report

@@ -42,7 +42,7 @@ class ConjectureReport:
     status is CONSISTENT when every checked instance agreed,
     COUNTEREXAMPLE when at least one concrete violation was found, and
     INCONCLUSIVE when some instances could not be decided (for example a
-    Clarke distance below the lift's resolution) and none failed.
+    level class with neither a proof nor a witness) and none failed.
     """
 
     name: str

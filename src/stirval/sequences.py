@@ -296,29 +296,28 @@ def t2_zeros(k: int, M: int) -> list[int]:
     return sorted(roots)
 
 
-def clarke_val_check(n_max: int, M: int = 24) -> ConjectureReport:
+def clarke_val_check(n_max: int) -> ConjectureReport:
     """Check nu_2(S(n,5)) == -1 + nu_2(n - u) for 5 <= n <= n_max.
 
-    u is the root of T_2(x, 5) with the parity of n, from ``t2_zeros(5, M)``:
-    a residue mod 2**(M-2).  When n - u vanishes mod 2**(M-2) the distance
-    is not determined at this precision and the index is flagged
-    inconclusive.
+    u is the 2-adic zero of T_2(x, 5) with the parity of n, read as its
+    residue u_B mod 2**(M-2) from ``t2_zeros(5, M)``.  M starts at
+    n_max.bit_length() + 2 and grows while a residue is <= n_max.  Once both
+    are above n_max, n - u_B is nonzero and below 2**(M-2) in size, so its
+    valuation is that of n - u and every n in range is decided.  The lift
+    ends: T_2(x, 5) > 0 at every natural x, so neither zero is a natural
+    number, and the residues of a 2-adic integer that is not one grow
+    without bound.
     """
     if n_max < 5:
         raise ValueError("n_max must be >= 5")
-    report = ConjectureReport(
-        "valuation from 2-adic zeros (k=5)", params={"n_max": n_max, "precision": M}
-    )
-    even, odd = sorted(t2_zeros(5, M), key=lambda u: u % 2)
+    report = ConjectureReport("valuation from 2-adic zeros (k=5)", params={"n_max": n_max})
+    M = n_max.bit_length() + 2
+    while min(zeros := t2_zeros(5, M)) <= n_max:
+        M += 1
+    even, odd = sorted(zeros, key=lambda u: u % 2)
     report.details["zeros"] = {"even": even, "odd": odd, "modulus_bits": M - 2}
     for n in range(5, n_max + 1):
-        d = (n - (odd if n % 2 else even)) % (1 << (M - 2))
-        if d == 0:
-            report.record_inconclusive(
-                {"n": n, "reason": f"n == u mod 2^{M-2}; distance below resolution"}
-            )
-            continue
-        predicted = nu_int(2, d) - 1
+        predicted = nu_int(2, n - (odd if n % 2 else even)) - 1
         computed = val2_stirling(n, 5)
         report.record(
             computed == predicted,
@@ -327,33 +326,23 @@ def clarke_val_check(n_max: int, M: int = 24) -> ConjectureReport:
     return report
 
 
-def clarke_battery(
-    scan_n_max: int = 500, k_max: int = 5, n_max: int = 2000, precision: int = 24
-) -> ConjectureReport:
+def clarke_battery(scan_n_max: int = 500, k_max: int = 5, n_max: int = 2000) -> ConjectureReport:
     """Full Clarke check: identity scan, zero congruences, distance formula.
 
     Runs the T-sum valuation scan up to scan_n_max, replays the distance
     formula for nu_2(S(n,5)) up to n_max, and asserts the residues mod 4
-    of the two zeros of T_2(x, 5) that it lifted to ``precision``
-    bits (0 on the even branch, 3 on the odd one).
+    of the two zeros of T_2(x, 5) that it lifted (0 on the even branch, 3
+    on the odd one).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if scan_n_max < k_max:
         raise ValueError(f"scan_n_max must be >= k_max ({k_max})")
-    if precision < 4:
-        raise ValueError("precision must be >= 4")
     report = ConjectureReport(
-        "Clarke battery",
-        params={
-            "scan_n_max": scan_n_max,
-            "k_max": k_max,
-            "n_max": n_max,
-            "precision": precision,
-        },
+        "Clarke battery", params={"scan_n_max": scan_n_max, "k_max": k_max, "n_max": n_max}
     )
     report.merge_child(clarke_conjecture_check(scan_n_max, k_max), "t-sum identity")
-    distance = clarke_val_check(n_max, precision)
+    distance = clarke_val_check(n_max)
     zeros = distance.details["zeros"]
     report.details["zeros"] = {"even": zeros["even"], "odd": zeros["odd"]}
     for parity, expected in (("even", 0), ("odd", 3)):

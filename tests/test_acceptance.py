@@ -299,13 +299,13 @@ def test_14_clarke():
     assert u0 % 4 == 0
     assert u1 % 4 == 3
 
-    report = clarke_val_check(2000, M=24)
-    assert report.status in ("CONSISTENT", "INCONCLUSIVE"), report.counterexamples[:3]
-    assert not report.counterexamples
-    for entry in report.inconclusive:
-        n = entry["n"]
-        u = u0 if n % 2 == 0 else u1
-        assert (n - u) % (1 << 22) == 0
+    report = clarke_val_check(2000)
+    assert report.status == "CONSISTENT", report.counterexamples[:3]
+    assert report.inconclusive == []
+    assert report.checked == 1996
+    zeros = report.details["zeros"]
+    mask = (1 << zeros["modulus_bits"]) - 1
+    assert (zeros["even"], zeros["odd"]) == (u0 & mask, u1 & mask)
     _report(14, "t-sum identity, zero congruences, distance formula")
 
 

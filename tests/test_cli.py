@@ -140,7 +140,7 @@ class TestVerify:
         [
             ("k5-theorem", "--levels", "4", "--samples", "16", "--i-max", "20"),
             ("approx", "--m-max", "300"),
-            ("clarke", "--scan-n-max", "20", "--n-max", "100", "--precision", "16"),
+            ("clarke", "--scan-n-max", "20", "--n-max", "100"),
             ("identities", "--n-max", "40", "--q-max", "4", "--k-max", "8"),
         ],
     )
@@ -183,7 +183,7 @@ class TestTargetDefaults:
             (("exceptional",), levels, "exceptional_indices", {"i_max": 200}),
             (("approx",), approx, "approx_report", {"m_max": 2000}),
             (("clarke",), sequences, "clarke_battery",
-             {"scan_n_max": 500, "k_max": 5, "n_max": 2000, "precision": 24}),
+             {"scan_n_max": 500, "k_max": 5, "n_max": 2000}),
             (("identities",), stirling, "identity_battery",
              {"n_max": 300, "q_max": 10, "k_max": 64}),
             (("lemmas",), padic, "power_lemma_report", {"m_max": 20}),
@@ -348,7 +348,7 @@ class TestUsageAndEnvironment:
             ("k5-theorem", "--levels", "2"),
             ("k5-theorem", "--levels", "1"),
             ("k5-theorem", "--samples", "1"),
-            ("clarke", "--precision", "3"),
+            ("clarke", "--n-max", "4"),
             ("clarke", "--scan-n-max", "3"),
             ("approx", "--m-max", "10"),
             ("alm", "--l-max", "-1"),
@@ -387,13 +387,18 @@ class TestUsageAndEnvironment:
             (("lemmas", "--k", "5"), padic, "power_lemma_report"),
             (("main-conjecture", "--k", "11", "--precision", "3"), levels,
              "verify_main_conjecture"),
+            # the zeros are lifted as far as --n-max needs, so precision is no option
+            (("clarke", "--precision", "24"), sequences, "clarke_battery"),
         ],
-        ids=["cohen", "lemmas", "main-conjecture"],
+        ids=["cohen", "lemmas", "main-conjecture", "clarke"],
     )
     def test_unread_option_is_usage(self, capsys, monkeypatch, argv, module, name):
         # an option the target does not read would be silently ignored
         calls = _spy(monkeypatch, module, name)
-        assert run_usage_error(capsys, "verify", *argv) == 64
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", *argv])
+        assert exc.value.code == 64
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
         assert calls == []
 
     @pytest.mark.parametrize(

@@ -58,12 +58,12 @@ GOLDEN = [
      "bf6a8337c4a19dcbf93f541343e2a8b94dacc4bfaf5aa6262eadc9d674e14295"),
     (("verify", "approx", "--m-max", "400"), 0,
      "f6674388d431c868bb3948cc7a5752683825ee1741409bc46260be355294ad5c"),
-    (("verify", "clarke", "--scan-n-max", "40", "--n-max", "200", "--precision", "20"), 0,
-     "0e2355b06614ce422163bb6aa88daa92de469046c09ee66a4e6ad79876648aca"),
+    (("verify", "clarke", "--scan-n-max", "40", "--n-max", "200"), 0,
+     "20cce7834cd362442d46dca6528b9c04d9f2fc4fd0e447e14e8cc8a613e90d5a"),
     (("verify", "clarke"), 0,
-     "c8d1094d423ed873a4a453f0ed8e30ce207e550441908152ad4a47430745f66b"),
-    (("verify", "clarke", "--scan-n-max", "5", "--n-max", "300", "--precision", "80"), 0,
-     "b82794f3ab394e1c054b2f5f8399a04d062bfdf9ef56ca3b71ae0ee06af51f5e"),
+     "4bf93c1638c680529b17533de8b633547567ac6a568d24f723ce773c2115405f"),
+    (("verify", "clarke", "--scan-n-max", "5", "--n-max", "300"), 0,
+     "4729c2004e29f077461f97e19c036b997f7b4c854db2f533d52df0225764f848"),
     (("verify", "identities", "--n-max", "40", "--q-max", "5", "--k-max", "8"), 0,
      "d591c9bb3f38937ae7281829827a473994dea4e64f7954ac52562d6612ce3650"),
     (("verify", "identities", "--n-max", "260", "--q-max", "10", "--k-max", "64"), 0,

@@ -355,6 +355,24 @@ def test_k5_structure_report_downsized():
 
 
 class TestK5StructureReadsTheTree:
+    def test_one_tree_per_report(self, monkeypatch):
+        # the surviving chain is read off the tree the checks used, not a second build
+        calls = []
+        true_classify = levels.classify_class
+        monkeypatch.setattr(
+            levels, "classify_class", lambda *args: calls.append(args) or true_classify(*args)
+        )
+        levels.build_level_tree(5, 10, 64)
+        one_tree = calls[:]
+        calls.clear()
+        report = k5_structure_report()
+        assert report.status == "CONSISTENT"
+        assert [link["j"] for link in report.details["surviving_chain"]] == [
+            0, 4, 12, 28, 28, 28, 156, 156, 156
+        ]
+        assert len(one_tree) == 38
+        assert calls == one_tree
+
     def test_undecided_child_is_inconclusive(self, monkeypatch):
         # without proofs, C(3,0), C(3,3), C(4,4) and C(4,7) are undecided
         monkeypatch.setattr(levels, "prove_constant", lambda c: None)

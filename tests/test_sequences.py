@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from stirval import (
+    ConjectureReport,
     a_lm,
     a_lm_val_check,
     b_lm,
@@ -24,6 +25,7 @@ from stirval import (
     t_sum,
     t_sums,
     t_terms,
+    val2_stirling,
 )
 from stirval import sequences
 from stirval.stirling import exp_sum_mod
@@ -260,21 +262,37 @@ class TestClarkeZero:
 
 class TestClarkeValCheck:
     def test_distance_formula_to_300(self):
-        report = clarke_val_check(300, M=24)
+        report = clarke_val_check(300)
         assert report.status == "CONSISTENT"
         assert not report.inconclusive
-        assert report.details["zeros"]["even"] == 3084444
+        assert report.details["zeros"] == {"even": 4252, "odd": 2335, "modulus_bits": 13}
 
-    def test_unresolved_distances_are_inconclusive(self):
-        # at M = 8 the zeros are residues mod 2^6: exactly the n == u mod 64
-        # are below resolution, and every other n is decided and agrees
-        u = {z % 2: z for z in t2_zeros(5, 8)}
-        report = clarke_val_check(300, M=8)
-        assert report.status == "INCONCLUSIVE"
-        assert not report.counterexamples
-        unresolved = [n for n in range(5, 301) if (n - u[n % 2]) % 64 == 0]
-        assert [e["n"] for e in report.inconclusive] == unresolved
-        assert report.checked == 296 - len(unresolved) > 0
+    @pytest.mark.parametrize("n_max", [156, 2335, 4252])
+    def test_lift_passes_n_max(self, n_max, monkeypatch):
+        # a zero's residue mod 2^bit_length(n_max) is n_max itself, so the
+        # first modulus past n_max cannot tell n_max from the zero
+        bits = n_max.bit_length()
+        assert n_max in t2_zeros(5, bits + 2)
+        recorded = []
+        true_record = ConjectureReport.record
+        monkeypatch.setattr(
+            ConjectureReport,
+            "record",
+            lambda self, ok, payload=None: recorded.append(payload)
+            or true_record(self, ok, payload),
+        )
+        report = clarke_val_check(n_max)
+        assert report.status == "CONSISTENT"
+        assert report.inconclusive == []
+        assert [p["n"] for p in recorded] == list(range(5, n_max + 1))
+        zeros = report.details["zeros"]
+        assert min(zeros["even"], zeros["odd"]) > n_max
+        assert zeros["modulus_bits"] > bits
+        assert {zeros["even"] % (1 << bits), zeros["odd"] % (1 << bits)} == set(
+            t2_zeros(5, bits + 2)
+        )
+        last = recorded[-1]
+        assert last["computed"] == last["predicted"] == val2_stirling(n_max, 5)
 
     def test_battery(self, monkeypatch):
         import stirval.sequences as sequences_module
@@ -283,10 +301,11 @@ class TestClarkeValCheck:
         monkeypatch.setattr(
             sequences_module, "t2_zeros", lambda k, M: lifted.append((k, M)) or t2_zeros(k, M)
         )
-        report = clarke_battery(scan_n_max=100, k_max=5, n_max=300, precision=24)
+        report = clarke_battery(scan_n_max=100, k_max=5, n_max=300)
         assert report.status == "CONSISTENT"
         names = [s["name"] for s in report.details["subchecks"]]
         assert names == ["t-sum identity", "distance formula"]
+        # the even zero is 156 mod 2^9 .. 2^12, so 300 needs the lift to 2^13;
         # the mod-4 checks read the zeros the distance formula lifted
-        assert lifted == [(5, 24)]
-        assert report.details["zeros"] == {"even": 3084444, "odd": 1657119}
+        assert lifted == [(5, M) for M in range(11, 16)]
+        assert report.details["zeros"] == {"even": 4252, "odd": 2335}
