@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 LIFTER = "tests/test_sequences.py::TestClarkeZero"
 PROOF = "tests/test_levels.py::TestProveConstant"
+CARRIED = f"{PROOF}::test_carried_powers_match_pow_at_every_node"
 SCAN = "tests/test_stirling.py::TestVal2Range"
 MAIN = "tests/test_levels.py::TestMainConjecture"
 POWERS = "tests/test_sequences.py::TestCohenAtPowers"
@@ -66,9 +67,17 @@ MUTANTS = [
     ("prove_constant trusts the member n = a", "levels.py",
      "if n > a:", "if n >= a:", [PROOF]),
     ("prove_constant drops the A_s check", "levels.py",
-     "if any(exp_sum_mod(higher,", "if False and any(exp_sum_mod(higher,", [PROOF]),
+     "if sum(terms) & (mask >> s * shift):", "if False:", [PROOF]),
     ("prove_constant stops s one short", "levels.py",
      "for s in range(1, a // shift + 1)", "for s in range(1, a // shift)", [PROOF]),
+    ("prove_constant reuses the carried powers when it doubles P", "levels.py",
+     "P *= 2\n        powers = odd_powers(c, P)", "P *= 2",
+     [f"{PROOF}::test_vanishing_carried_sum_recomputes_the_powers"]),
+    ("split_powers shifts w^2 by 2^m for 2^(m+1)", "levels.py",
+     "(w * w << (m + 1))", "(w * w << m)", [CARRIED]),
+    ("split_powers keeps the parent's u in the child j + 2^m", "levels.py",
+     "high.append(((u + (u * w << (m + 2))) & mask, w2))", "high.append((u, w2))",
+     [CARRIED]),
     ("sampled CONSTANT restored", "levels.py",
      "return ClassStatus(INCONCLUSIVE, samples)",
      "return ClassStatus(CONSTANT, samples, value=first_v)",

@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple
 
 from .padic import Valuation, nu_int
 from .reports import FAIL, INCONCLUSIVE, PASS, ConjectureReport
-from .stirling import exp_sum_mod, get_engine, t_terms, val2_stirling
+from .stirling import get_engine, t_terms, val2_stirling
 
 CONSTANT = "CONSTANT"
 NON_CONSTANT = "NON_CONSTANT"
@@ -108,7 +108,30 @@ class ClassStatus:
         return out
 
 
-def prove_constant(c: ResidueClass) -> Valuation | None:
+Powers = tuple[tuple[int, int], ...]
+
+
+def odd_powers(c: ResidueClass, P: int) -> Powers:
+    """(c_b b**j, (b**(2**m) - 1) / 2**(m+2)) mod 2**P for each odd base b <= c.k."""
+    m, j, mask = c.m, c.j, (1 << P) - 1
+    return tuple(
+        (cb * pow(b, j, 1 << P) & mask, (pow(b, 1 << m, 1 << (P + m + 2)) - 1) >> (m + 2))
+        for cb, b in t_terms(2, c.k)
+    )
+
+
+def split_powers(powers: Powers, m: int, P: int) -> tuple[Powers, Powers]:
+    """The odd powers of the children j and j + 2**m of a class C(m, j), mod 2**P."""
+    mask = (1 << P) - 1
+    low, high = [], []
+    for u, w in powers:
+        w2 = (w + (w * w << (m + 1))) & mask
+        low.append((u, w2))
+        high.append(((u + (u * w << (m + 2))) & mask, w2))
+    return tuple(low), tuple(high)
+
+
+def prove_constant(c: ResidueClass, powers: Powers | None = None) -> Valuation | None:
     """The value of nu_2(S(n,k)) on every member n of c, proved; None if no proof.
 
     A 2-adic certificate after Clarke, *Hensel's lemma and the divisibility
@@ -121,22 +144,32 @@ def prove_constant(c: ResidueClass) -> Valuation | None:
     With a = nu_2(A_0), if A_s == 0 mod 2**(a+1-s(m+2)) for 1 <= s <= a/(m+2),
     then nu_2(g(n)) = a for every t, so nu_2(k! S(n,k)) = a for every
     member n > a.  The members k <= n <= a are checked exactly.
+
+    ``powers`` are c's ``odd_powers`` (u_b, w_b) mod 2**P, P the engine's
+    start precision, computed by ``pow`` when not given.  ``split_powers``
+    hands them to the children: b**(2**(m+1)) - 1 = 2**(m+3) w_b (1 + 2**(m+1) w_b)
+    gives both w_b + 2**(m+1) w_b**2, the child j keeps u_b, and the child
+    j + 2**m takes u_b b**(2**m) = u_b (1 + 2**(m+2) w_b).  A_0 == sum u_b
+    mod 2**P, and a nonzero residue puts a + 1 <= P, so running products
+    u_b w_b**s mod 2**(a+1) give each A_s exactly.  A zero residue doubles P
+    and recomputes the powers by ``pow``.
     """
-    k, m, j = c.k, c.m, c.j
+    k, m = c.k, c.m
     engine = get_engine(k)
-    odd = t_terms(2, k)
     P = engine.m_start
-    while not (r := exp_sum_mod(odd, j, P)):
+    if powers is None:
+        powers = odd_powers(c, P)
+    while not (r := sum(u for u, _ in powers) & ((1 << P) - 1)):
         P *= 2
+        powers = odd_powers(c, P)
     a = nu_int(2, r)
     shift = m + 2
-    lift = 1 << (a + 1 + shift)
-    # (c_b b^j, w_b) mod 2^(a+1), so that A_s = exp_sum_mod(higher, s, .)
-    higher = tuple(
-        (cb * pow(b, j, 1 << (a + 1)), (pow(b, 1 << m, lift) - 1) >> shift) for cb, b in odd
-    )
-    if any(exp_sum_mod(higher, s, a + 1 - s * shift) for s in range(1, a // shift + 1)):
-        return None
+    mask = (1 << (a + 1)) - 1
+    terms = [u for u, _ in powers]  # u_b w_b^s mod 2^(a+1), summing to A_s
+    for s in range(1, a // shift + 1):
+        terms = [t * w & mask for t, (_, w) in zip(terms, powers)]
+        if sum(terms) & (mask >> s * shift):
+            return None
     value = a - engine.fact_val
     for n in c.iter_members():
         if n > a:
@@ -145,8 +178,10 @@ def prove_constant(c: ResidueClass) -> Valuation | None:
             return None
 
 
-def classify_class(c: ResidueClass, samples: int = DEFAULT_SAMPLES) -> ClassStatus:
-    """Classify c: CONSTANT only by ``prove_constant``, else search for witnesses.
+def classify_class(
+    c: ResidueClass, samples: int = DEFAULT_SAMPLES, powers: Powers | None = None
+) -> ClassStatus:
+    """Classify c: CONSTANT only by ``prove_constant(c, powers)``, else search for witnesses.
 
     Without a proof, the first ``samples`` members are evaluated: NON_CONSTANT
     with a witness pair as soon as two members disagree, otherwise
@@ -155,7 +190,7 @@ def classify_class(c: ResidueClass, samples: int = DEFAULT_SAMPLES) -> ClassStat
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    value = prove_constant(c)
+    value = prove_constant(c, powers)
     if value is not None:
         return ClassStatus(CONSTANT, samples, value=value)
     it = c.iter_members()
@@ -253,13 +288,17 @@ def build_level_tree(k: int, m_max: int, samples: int = DEFAULT_SAMPLES) -> Leve
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     tree = LevelTree(k=k, m0=m0_of(k), samples=samples)
-    candidates = [ResidueClass(k, 1, 0), ResidueClass(k, 1, 1)]
+    P = get_engine(k).m_start
+    # j -> the odd powers of C(m, j), one level at a time
+    candidates = {j: odd_powers(ResidueClass(k, 1, j), P) for j in (0, 1)}
     for m in range(1, m_max + 1):
         rec = LevelRecord(k, m)
-        for c in candidates:
-            rec.statuses[c.j] = classify_class(c, samples)
+        for j, powers in candidates.items():
+            rec.statuses[j] = classify_class(ResidueClass(k, m, j), samples, powers)
         tree.levels.append(rec)
-        candidates = [child for c in rec.survivors for child in c.split()]
+        parents, candidates = candidates, {}
+        for c in rec.survivors:
+            candidates[c.j], candidates[c.j + c.modulus] = split_powers(parents[c.j], m, P)
         if not candidates:
             break
     return tree

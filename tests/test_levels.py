@@ -11,6 +11,7 @@ from stirval import (
     c_set_sequence,
     classify_class,
     exceptional_indices,
+    get_engine,
     in_I1,
     k5_structure_report,
     k5_surviving_chain,
@@ -19,6 +20,7 @@ from stirval import (
     nu_int,
     prove_constant,
     stirling_exact,
+    t_terms,
     verify_main_conjecture,
 )
 from stirval import levels
@@ -98,7 +100,7 @@ class TestClassify:
     def test_no_proof_and_no_witness_is_inconclusive(self, monkeypatch):
         # C(2,1) is constant, but only the proof may say so: with the proof
         # patched out, agreeing samples leave it undecided, with no value
-        monkeypatch.setattr(levels, "prove_constant", lambda c: None)
+        monkeypatch.setattr(levels, "prove_constant", lambda c, powers=None: None)
         for samples in (2, 64):
             status = classify_class(ResidueClass(5, 2, 1), samples=samples)
             assert (status.kind, status.value) == ("INCONCLUSIVE", None)
@@ -150,7 +152,7 @@ class TestProveConstant:
     def test_no_proof_of_a_sampled_non_constant_class(self, monkeypatch):
         # the tree sampled without the certificate: each NON_CONSTANT class
         # there carries a witness pair, so no proof may exist for it
-        monkeypatch.setattr(levels, "prove_constant", lambda c: None)
+        monkeypatch.setattr(levels, "prove_constant", lambda c, powers=None: None)
         tree = build_level_tree(16, m_max=6, samples=64)
         monkeypatch.undo()
         survivors = [c for rec in tree.levels for c in rec.survivors]
@@ -189,6 +191,52 @@ class TestProveConstant:
         assert (status.kind, status.samples, status.value) == ("CONSTANT", 64, 9)
         a = status.value + legendre_factorial_val(2, 64)
         assert seen == [n for n in c.members(64) if n <= a] == [67]
+
+
+    def test_carried_powers_match_pow_at_every_node(self, monkeypatch):
+        # the tree hands each class the odd powers its parent carried; at
+        # every node they are the powers pow gives at that (m, j), and the
+        # verdict is the one the one-argument proof gives
+        seen = []
+        true_proof = levels.prove_constant
+
+        def spy(c, powers=None):
+            value = true_proof(c, powers)
+            seen.append((c, powers, value))
+            return value
+
+        monkeypatch.setattr(levels, "prove_constant", spy)
+        for k in range(5, 65):
+            build_level_tree(k, m0_of(k) + 2)
+        monkeypatch.undo()
+        assert len(seen) > 8000
+        for c, powers, value in seen:
+            P, shift = get_engine(c.k).m_start, c.m + 2
+            assert powers == tuple(
+                (cb * pow(b, c.j, 1 << P) % (1 << P),
+                 (pow(b, 1 << c.m, 1 << (P + shift)) - 1) >> shift)
+                for cb, b in t_terms(2, c.k)
+            ), c
+            assert value == prove_constant(c), c
+
+    @pytest.mark.parametrize("k", [5, 16, 45])
+    def test_vanishing_carried_sum_recomputes_the_powers(self, k):
+        # carried powers whose u_b sum to 0 mod 2^P do not fix nu_2(A_0): the
+        # proof doubles P and recomputes the powers by pow, so any such
+        # powers give the one-argument verdict
+        P = get_engine(k).m_start
+        proved = 0
+        for m in range(1, 6):
+            for j in range(1 << m):
+                c = ResidueClass(k, m, j)
+                (u, w), *rest = levels.odd_powers(c, P)
+                total = u + sum(v for v, _ in rest)
+                powers = (((u - total) % (1 << P), w), *rest)
+                assert sum(v for v, _ in powers) % (1 << P) == 0
+                value = prove_constant(c)
+                assert prove_constant(c, powers) == value, c
+                proved += value is not None
+        assert proved
 
 
 class TestLevelTree:
@@ -253,7 +301,7 @@ class TestMainConjecture:
         # without proofs, level 2 = m0 - 1 holds no CONSTANT class; that is
         # no part-1 counterexample, since its classes C(2,1) and C(2,2)
         # are undecided, and no level from there on gets a verdict
-        monkeypatch.setattr(levels, "prove_constant", lambda c: None)
+        monkeypatch.setattr(levels, "prove_constant", lambda c, powers=None: None)
         report = verify_main_conjecture(5, m_max=4, samples=2)
         assert report.status == "INCONCLUSIVE"
         assert report.exit_code == 2
@@ -313,7 +361,7 @@ class TestK5Chain:
 
     def test_chain_needs_proved_siblings(self, monkeypatch):
         # an unproved sibling is undecided, not constant, so the chain breaks
-        monkeypatch.setattr(levels, "prove_constant", lambda c: None)
+        monkeypatch.setattr(levels, "prove_constant", lambda c, powers=None: None)
         with pytest.raises(ArithmeticError, match="level 2"):
             k5_surviving_chain(4)
 
@@ -375,7 +423,7 @@ class TestK5StructureReadsTheTree:
 
     def test_undecided_child_is_inconclusive(self, monkeypatch):
         # without proofs, C(3,0), C(3,3), C(4,4) and C(4,7) are undecided
-        monkeypatch.setattr(levels, "prove_constant", lambda c: None)
+        monkeypatch.setattr(levels, "prove_constant", lambda c, powers=None: None)
         report = k5_structure_report(m_max=4, samples=2, i_max=20)
         assert report.status == "INCONCLUSIVE"
         assert report.exit_code == 2
@@ -390,8 +438,8 @@ class TestK5StructureReadsTheTree:
         # must break the split at m = 4 although no sampled member disagrees
         true_proof = levels.prove_constant
 
-        def off_by_one(c):
-            value = true_proof(c)
+        def off_by_one(c, powers=None):
+            value = true_proof(c, powers)
             return value + 1 if (c.m, c.j) == (4, 4) else value
 
         monkeypatch.setattr(levels, "prove_constant", off_by_one)
