@@ -51,6 +51,9 @@ MUTANTS = [
     ("clarke_val_check lifts only while a residue is below n_max", "sequences.py",
      "min(zeros := t2_zeros(5, M)) <= n_max", "min(zeros := t2_zeros(5, M)) < n_max",
      [f"{CLARKE}[156]"]),
+    ("clarke scan takes a zero T_2 residue as INFINITE", "sequences.py",
+     "nu_int(2, t or t_sum(2, n, k))", "nu_int(2, t)",
+     ["tests/test_sequences.py::TestTSum::test_zero_residue_falls_back_to_the_exact_sum"]),
     ("cohen_at_powers yields a zero residue instead of doubling", "sequences.py",
      "if not top:\n            return None", "if False:\n            return None",
      [f"{POWERS}::test_tiny_start_precision_doubles"]),
@@ -102,6 +105,9 @@ MUTANTS = [
     ("stirling_exact reads the left column one index early", "stirling.py",
      "left[i] + c", "left[i - 1] + c",
      [f"{ORACLE}::test_examples", f"{ORACLE}::test_fresh_table_in_shuffled_order"]),
+    ("closed forms stop one short of n_max", "stirling.py",
+     "ns = range(k, n_max + 1)", "ns = range(k, n_max)",
+     ["tests/test_stirling.py::test_identity_battery_checks_closed_forms_to_n_max"]),
     ("val2_range without its val2 fallback", "stirling.py",
      "(nu_int(2, v) if v else self.val2(n))", "nu_int(2, v)", [SCAN]),
     ("recurrence_mod shifts its window by one slot less", "stirling.py",

@@ -66,7 +66,6 @@ from .sequences import (
     cohen_sum,
     t2_zeros,
     t_sum,
-    t_sums,
 )
 from .approx import (
     approx_report,

@@ -422,15 +422,15 @@ class ChainLink(NamedTuple):
     sibling_value: Valuation
 
 
-def k5_surviving_chain(m_max: int, samples: int = DEFAULT_SAMPLES) -> list[ChainLink]:
+def k5_surviving_chain(m_max: int) -> list[ChainLink]:
     """Surviving-class chain for k=5 on the branch of indices == 0 mod 4.
 
     For each level m in 2..m_max, returns the canonical residue j of the
     non-constant child and the constant value of its sibling, read off
-    ``build_level_tree(5, m_max, samples)``.  Raises if the expected
+    ``build_level_tree(5, m_max)``.  Raises if the expected
     one-constant/one-survivor split ever fails.
     """
-    return _surviving_chain(build_level_tree(5, m_max, samples))
+    return _surviving_chain(build_level_tree(5, m_max))
 
 
 def _surviving_chain(tree: LevelTree) -> list[ChainLink]:
@@ -451,7 +451,7 @@ def _surviving_chain(tree: LevelTree) -> list[ChainLink]:
     return chain
 
 
-def c_set_sequence(count: int, samples: int = DEFAULT_SAMPLES) -> list[int]:
+def c_set_sequence(count: int) -> list[int]:
     """First ``count`` values of the index sequence read off the k=5 chain.
 
     The first value is the smallest member of the level-2 survivor; each
@@ -461,7 +461,7 @@ def c_set_sequence(count: int, samples: int = DEFAULT_SAMPLES) -> list[int]:
     if count < 1:
         raise ValueError("count must be >= 1")
     values: list[int] = []
-    for link in k5_surviving_chain(count + 1, samples):
+    for link in k5_surviving_chain(count + 1):
         floor = values[-1] if values else 0
         members = ResidueClass(5, link.level, link.j).iter_members()
         values.append(next(n for n in members if n > floor))
@@ -489,19 +489,22 @@ def exceptional_indices(i_max: int = 200) -> ConjectureReport:
     return report
 
 
-def k5_structure_report(
-    m_max: int = 10, samples: int = DEFAULT_SAMPLES, i_max: int = 200
-) -> ConjectureReport:
+def k5_structure_report(m_max: int = 10, i_max: int = 200) -> ConjectureReport:
     """Verify the proved k=5 splitting structure level by level.
 
-    Every verdict comes from ``build_level_tree(5, m_max, samples)``.  For
-    m in 3..m_max, the two children of each level-(m-1) survivor (branch
+    Every verdict comes from ``build_level_tree(5, m_max)``, at the
+    default witness budget.  Through level 22 every k = 5 class is decided
+    by a proof or by a witness pair among its first two members, so the
+    budget is no option here.
+
+    For m in 3..m_max, the two children of each level-(m-1) survivor (branch
     ``parent.j % 4``, 0 or 3) must be one CONSTANT child with value m - 2,
     proved for every member by ``prove_constant`` and not sampled, and one
     surviving child whose members with index i <= i_max all exceed m - 2.
     The "child floor" check asks for values above m - 3: the proved value
-    of the constant child and the sampled ones of the other.  An undecided
-    child is recorded as inconclusive, never as a counterexample.
+    of the constant child and the computed ones (i <= i_max) of the other.
+    An undecided child is recorded as inconclusive, never as a
+    counterexample.
 
     Also rechecks, member by member for i <= i_max, the eight fixed
     congruence-class facts for the classes mod 8 and mod 16 (values 1, 1,
@@ -510,20 +513,18 @@ def k5_structure_report(
     """
     if m_max < 3:
         raise ValueError("m_max must be >= 3")
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
     report = ConjectureReport(
         "k=5 level structure",
-        params={"m_max": m_max, "samples": samples, "i_max": i_max},
+        params={"m_max": m_max, "i_max": i_max},
     )
 
     def vals_up_to(c: ResidueClass, bound: int) -> list[tuple[int, Valuation]]:
         members = (c.modulus * i + c.j for i in range(bound + 1))
         return [(n, val2_stirling(n, c.k)) for n in members if n >= c.k]
 
-    tree = build_level_tree(5, m_max, samples)
+    tree = build_level_tree(5, m_max)
     split_check = "one constant child at m-2, one child above"
     for rec in tree.levels[1:-1]:
         m = rec.m + 1

@@ -132,21 +132,17 @@ def exp_sum_mod(terms: Terms, n: int, M: int) -> int:
     return sum(c * pow(b, n, mod) for c, b in terms) % mod
 
 
-def exp_sums(terms: Terms, start: int, M: int | None = None) -> Iterator[int]:
-    """Yield f(start), f(start + 1), ... mod 2**M, or exactly when M is None.
+def exp_sums(terms: Terms, start: int, M: int) -> Iterator[int]:
+    """Yield f(start), f(start + 1), ... mod 2**M for f(n) = sum c * b**n.
 
-    Each step updates each term c * b**n by one multiplication.
+    Each step updates each term c * b**n mod 2**M by one multiplication.
     """
     bases = [b for _, b in terms]
-    mod = None if M is None else 1 << M
+    mod = 1 << M
     values = [c * pow(b, start, mod) for c, b in terms]
     while True:
-        if mod is None:
-            yield sum(values)
-            values = [v * b for v, b in zip(values, bases)]
-        else:
-            yield sum(values) % mod
-            values = [v * b % mod for v, b in zip(values, bases)]
+        yield sum(values) % mod
+        values = [v * b % mod for v, b in zip(values, bases)]
 
 
 class ModStirlingEngine:
@@ -302,16 +298,15 @@ def val2_columns(n_max: int, M: int = 64) -> Iterator[tuple[int, list[Valuation]
     Column k comes from column k-1 by S(n,k) = S(n-1,k-1) + k*S(n-1,k)
     mod 2**M, one step per entry, and only two columns are held.  A
     nonzero residue fixes nu_2(S(n,k)) exactly: the valuation is then
-    below M and equals the residue's.  At a zero residue the engine decides.
+    below M and equals the residue's.  A zero residue goes to val2_stirling;
+    at M = 64 none occurs for n_max <= 1500, where nu_2 stays below 28.
     """
     mask = (1 << M) - 1
     column = [1] + [0] * n_max  # S(n, 0) for 0 <= n <= n_max
     for k in range(1, n_max + 1):
         # entry j is S(k + j, k) = S(k + j - 1, k - 1) + k * S(k + j - 1, k)
         column = list(accumulate(column[: n_max - k + 1], lambda s, prev: (prev + k * s) & mask))
-        # not the shared engine: it would keep the terms of every column's engine alive
-        val2 = ModStirlingEngine(k).val2 if 0 in column else None
-        yield k, [nu_int(2, r) if r else val2(n) for n, r in enumerate(column, k)]
+        yield k, [nu_int(2, r) if r else val2_stirling(n, k) for n, r in enumerate(column, k)]
 
 
 @lru_cache(maxsize=None)
@@ -366,8 +361,7 @@ def de_wannemacker_gap(n: int, k: int) -> int:
 def de_wannemacker_gaps(k: int, n_max: int) -> Iterator[tuple[int, int]]:
     """Yield (n, de_wannemacker_gap(n, k)) for k <= n <= n_max from one val2_range scan."""
     s_k = digit_sum(2, k)
-    # not the shared engine: a grid over every k would keep all their terms alive
-    for n, v in ModStirlingEngine(k).val2_range(k, n_max + 1):
+    for n, v in get_engine(k).val2_range(k, n_max + 1):
         yield n, _gap(v, s_k, n)
 
 
@@ -435,8 +429,7 @@ def identity_battery(n_max: int = 300, q_max: int = 10, k_max: int = 64) -> Conj
     * De Wannemacker's inequality nu_2(S(n,k)) >= s_2(k) - s_2(n) for all
       1 <= k <= n <= n_max, with nu_2 from the modular triangle
       (:func:`val2_columns`),
-    * the closed forms for k <= 5 against the exact oracle
-      (n <= min(n_max, 500)),
+    * the closed forms for k <= 5 against the exact oracle,
     * the parity valuation formulas for k <= 4 against the engine,
     * the special-value families near powers of two
       (:func:`special_values_check`: power rows for A-C, the engine for D).
@@ -459,7 +452,7 @@ def identity_battery(n_max: int = 300, q_max: int = 10, k_max: int = 64) -> Conj
             ],
         )
     for k in range(1, 6):
-        ns = range(k, min(n_max, 500) + 1)
+        ns = range(k, n_max + 1)
         bad = [n for n in ns if stirling_closed_small(n, k) != stirling_exact(n, k)]
         report.record_many(len(ns), [{"identity": "closed form", "n": n, "k": k} for n in bad])
     for k in range(1, 5):

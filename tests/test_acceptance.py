@@ -107,9 +107,9 @@ def test_06_small_order_closed_forms():
 
 
 def test_07_order5_structure():
-    report = k5_structure_report(m_max=10, samples=SAMPLES, i_max=200)
+    report = k5_structure_report(m_max=10, i_max=200)
     assert report.status == "CONSISTENT", report.counterexamples[:3]
-    chain = k5_surviving_chain(10, SAMPLES)
+    chain = k5_surviving_chain(10)
     assert [link.j for link in chain] == [0, 4, 12, 28, 28, 28, 156, 156, 156]
     assert [link.sibling_value for link in chain[1:]] == [1, 2, 3, 4, 5, 6, 7, 8]
     _report(7, "order-5 splitting structure")

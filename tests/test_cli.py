@@ -138,7 +138,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("k5-theorem", "--levels", "4", "--samples", "16", "--i-max", "20"),
+            ("k5-theorem", "--levels", "4", "--i-max", "20"),
             ("approx", "--m-max", "300"),
             ("clarke", "--scan-n-max", "20", "--n-max", "100"),
             ("identities", "--n-max", "40", "--q-max", "4", "--k-max", "8"),
@@ -179,7 +179,7 @@ class TestTargetDefaults:
             (("main-conjecture", "--k", "11"), levels, "verify_main_conjecture",
              {"k": 11, "m_max": 10, "samples": 64}),
             (("k5-theorem",), levels, "k5_structure_report",
-             {"m_max": 10, "samples": 64, "i_max": 200}),
+             {"m_max": 10, "i_max": 200}),
             (("exceptional",), levels, "exceptional_indices", {"i_max": 200}),
             (("approx",), approx, "approx_report", {"m_max": 2000}),
             (("clarke",), sequences, "clarke_battery",
@@ -347,7 +347,6 @@ class TestUsageAndEnvironment:
             ("main-conjecture", "--k", "64", "--levels", "5"),
             ("k5-theorem", "--levels", "2"),
             ("k5-theorem", "--levels", "1"),
-            ("k5-theorem", "--samples", "1"),
             ("clarke", "--n-max", "4"),
             ("clarke", "--scan-n-max", "3"),
             ("approx", "--m-max", "10"),
@@ -389,8 +388,10 @@ class TestUsageAndEnvironment:
              "verify_main_conjecture"),
             # the zeros are lifted as far as --n-max needs, so precision is no option
             (("clarke", "--precision", "24"), sequences, "clarke_battery"),
+            # every k = 5 class is decided within the default witness budget
+            (("k5-theorem", "--samples", "1"), levels, "k5_structure_report"),
         ],
-        ids=["cohen", "lemmas", "main-conjecture", "clarke"],
+        ids=["cohen", "lemmas", "main-conjecture", "clarke", "k5-theorem"],
     )
     def test_unread_option_is_usage(self, capsys, monkeypatch, argv, module, name):
         # an option the target does not read would be silently ignored

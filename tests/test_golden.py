@@ -52,8 +52,8 @@ GOLDEN = [
      "8797f7977c07937a6893f481e929debcdc4e16110fd5eb9fb9c5d25bd9c974f3"),
     (("verify", "main-conjecture", "--k", "3"), 2,
      "0048ae1cb745c9bb2de2dda4f4fbb75bdd576fcbc4e2a642445b7c493342146e"),
-    (("verify", "k5-theorem", "--levels", "4", "--samples", "16", "--i-max", "20"), 0,
-     "2068dfc891fc4347b4ab149a558253048884306d18cabaf823b8c5a6f741e27a"),
+    (("verify", "k5-theorem", "--levels", "4", "--i-max", "20"), 0,
+     "9b5a2b26c650d783ba4774eed64a917fad8e3428714559f812110c3b7bb0d5d8"),
     (("verify", "exceptional", "--i-max", "110"), 0,
      "bf6a8337c4a19dcbf93f541343e2a8b94dacc4bfaf5aa6262eadc9d674e14295"),
     (("verify", "approx", "--m-max", "400"), 0,
@@ -68,9 +68,9 @@ GOLDEN = [
      "d591c9bb3f38937ae7281829827a473994dea4e64f7954ac52562d6612ce3650"),
     (("verify", "identities", "--n-max", "260", "--q-max", "10", "--k-max", "64"), 0,
      "0ee6a5243c01f9a19be4ef6b80ae3c8ced4d04f51974ecd678687616f573e156"),
-    # crosses the closed-form bound min(n_max, 500) of the exact oracle
+    # closed forms for every n <= n_max, above 500
     (("verify", "identities", "--n-max", "600", "--q-max", "10", "--k-max", "64"), 0,
-     "c01a67398ce66cdd678538f230e9a841844f8175a808a307067cc778a982778d"),
+     "20dd2b86167635c3ca0736331cd8c8540b7283321f5087d13f625fcde150e963"),
     # special-value rows up to k = 130 at n = 2^12 + 2
     (("verify", "identities", "--n-max", "100", "--q-max", "12", "--k-max", "128"), 0,
      "867838e17794be6bc3c42fb98adedf8b807f0f7d177c262e1a798e87f2c0fa3c"),

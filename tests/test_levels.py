@@ -356,8 +356,8 @@ class TestK5Chain:
             return true_build(*args)
 
         monkeypatch.setattr(levels, "build_level_tree", spy)
-        assert [link.j for link in k5_surviving_chain(6, samples=16)] == [0, 4, 12, 28, 28]
-        assert calls == [(5, 6, 16)]
+        assert [link.j for link in k5_surviving_chain(6)] == [0, 4, 12, 28, 28]
+        assert calls == [(5, 6)]
 
     def test_chain_needs_proved_siblings(self, monkeypatch):
         # an unproved sibling is undecided, not constant, so the chain breaks
@@ -396,7 +396,7 @@ class TestExceptional:
 
 
 def test_k5_structure_report_downsized():
-    report = k5_structure_report(m_max=6, samples=32, i_max=50)
+    report = k5_structure_report(m_max=6, i_max=50)
     assert report.status == "CONSISTENT"
     chain = report.details["surviving_chain"]
     assert [c["j"] for c in chain] == [0, 4, 12, 28, 28]
@@ -424,7 +424,7 @@ class TestK5StructureReadsTheTree:
     def test_undecided_child_is_inconclusive(self, monkeypatch):
         # without proofs, C(3,0), C(3,3), C(4,4) and C(4,7) are undecided
         monkeypatch.setattr(levels, "prove_constant", lambda c, powers=None: None)
-        report = k5_structure_report(m_max=4, samples=2, i_max=20)
+        report = k5_structure_report(m_max=4, i_max=20)
         assert report.status == "INCONCLUSIVE"
         assert report.exit_code == 2
         assert report.counterexamples == []
@@ -443,7 +443,7 @@ class TestK5StructureReadsTheTree:
             return value + 1 if (c.m, c.j) == (4, 4) else value
 
         monkeypatch.setattr(levels, "prove_constant", off_by_one)
-        report = k5_structure_report(6, 32, 50)
+        report = k5_structure_report(6, 50)
         assert report.status == "COUNTEREXAMPLE"
         assert report.exit_code == 1
         assert report.counterexamples == [

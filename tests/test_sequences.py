@@ -23,12 +23,11 @@ from stirval import (
     nu_rat,
     t2_zeros,
     t_sum,
-    t_sums,
     t_terms,
     val2_stirling,
 )
 from stirval import sequences
-from stirval.stirling import exp_sum_mod
+from stirval.stirling import exp_sum_mod, exp_sums
 
 
 class TestBlmAlm:
@@ -179,12 +178,14 @@ class TestTSum:
 
     @pytest.mark.parametrize("p,k", [(2, 5), (2, 8), (3, 7)])
     def test_incremental_matches_single(self, p, k):
-        series = list(itertools.islice(t_sums(p, 3, k), 60))
+        # the stepped residues the identity scan reads, against the exact sum
+        series = list(itertools.islice(exp_sums(t_terms(p, k), 3, 64), 60))
         for n in (3, 4, 17, 40, 62):
             direct = sum(
                 (-1) ** (k - j) * math.comb(k, j) * j**n for j in range(1, k + 1) if j % p
             )
-            assert series[n - 3] == t_sum(p, n, k) == direct
+            assert t_sum(p, n, k) == direct
+            assert series[n - 3] == direct % (1 << 64)
 
     def test_below_order_value(self):
         # T_2(4,5) is nonzero even though 5! * S(4,5) = 0, which is why
@@ -195,6 +196,23 @@ class TestTSum:
         report = clarke_conjecture_check(200, k_max=8)
         assert report.status == "CONSISTENT"
         assert report.checked == sum(200 - k + 1 for k in range(1, 9))
+
+    def test_zero_residue_falls_back_to_the_exact_sum(self, monkeypatch):
+        # a T_2 residue that vanishes mod 2**M says nothing about T_2(n,k) itself
+        monkeypatch.setattr(sequences, "exp_sums", lambda terms, start, M: itertools.repeat(0))
+        exact = []
+        true_t_sum = sequences.t_sum
+        monkeypatch.setattr(
+            sequences, "t_sum", lambda p, n, k: exact.append((n, k)) or true_t_sum(p, n, k)
+        )
+        report = clarke_conjecture_check(60, k_max=6)
+        assert report.status == "CONSISTENT"
+        assert exact == [(n, k) for k in range(1, 7) for n in range(k, 61)]
+
+    def test_rejects_bad_arguments(self):
+        for n, k in ((0, 5), (5, 0)):
+            with pytest.raises(ValueError):
+                t_sum(2, n, k)
 
 
 class TestOddBaseForm:

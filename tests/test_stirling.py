@@ -129,7 +129,7 @@ class TestKsfMod:
             terms = ksf_terms(k)
             assert get_engine(k)._terms == terms
             for n in range(1, 41):
-                assert next(exp_sums(terms, n)) == math.factorial(k) * stirling_exact(n, k)
+                assert sum(c * b**n for c, b in terms) == math.factorial(k) * stirling_exact(n, k)
 
     @pytest.mark.parametrize("M", [16, 64])
     def test_matches_factorial_times_triangle_to_200(self, M):
@@ -149,11 +149,10 @@ class TestExpSum:
             # k! * S(n,k) = sum_i (-1)^i C(k,i) (k-i)^n, the engine's sum
             terms = tuple(((-1) ** i * math.comb(k, i), k - i) for i in range(k))
         start, count = 3, 90
-        exact = list(itertools.islice(exp_sums(terms, start), count))
         for M in (8, 64):
             stepped = list(itertools.islice(exp_sums(terms, start, M), count))
-            for n, f, r in zip(range(start, start + count), exact, stepped):
-                assert f == sum(c * b**n for c, b in terms)
+            for n, r in zip(range(start, start + count), stepped):
+                f = sum(c * b**n for c, b in terms)
                 assert r == exp_sum_mod(terms, n, M) == f % (1 << M)
                 if k is not None and n >= k:
                     assert f == math.factorial(k) * stirling_exact(n, k)
@@ -370,9 +369,9 @@ class TestVal2Columns:
     def test_zero_residues_fall_back_to_the_engine(self, monkeypatch, M):
         # at these precisions many residues vanish; each must still be decided exactly
         fallbacks = []
-        val2 = ModStirlingEngine.val2
+        val2 = stirling_module.val2_stirling
         monkeypatch.setattr(
-            ModStirlingEngine, "val2", lambda self, n: fallbacks.append(n) or val2(self, n)
+            stirling_module, "val2_stirling", lambda n, k: fallbacks.append(n) or val2(n, k)
         )
         for k, column in val2_columns(120, M):
             assert column == [nu_int(2, stirling_exact(n, k)) for n in range(k, 121)], k
@@ -511,6 +510,24 @@ def test_identity_battery_records_closed_forms_and_parity_a_column_at_a_time(mon
         {"identity": "closed form", "n": 10, "k": 3},
         {"identity": "parity valuation", "n": 20, "k": 2},
     ]
+
+
+def test_identity_battery_checks_closed_forms_to_n_max(monkeypatch):
+    # every n <= n_max is checked, above 500 and n_max itself included
+    closed = stirling_module.stirling_closed_small
+    monkeypatch.setattr(
+        stirling_module,
+        "stirling_closed_small",
+        lambda n, k: closed(n, k) + ((n, k) in {(501, 1), (520, 5)}),
+    )
+    report = identity_battery(n_max=520, q_max=3, k_max=2)
+    assert report.counterexamples == [
+        {"identity": "closed form", "n": 501, "k": 1},
+        {"identity": "closed form", "n": 520, "k": 5},
+    ]
+    special = special_values_check(q_max=3, k_max=2)
+    grid, closed_forms, parities = 520 * 521 // 2, 5 * 521 - 15, 4 * 521 - 10
+    assert report.checked == grid + closed_forms + parities + special.checked
 
 
 def test_record_many_matches_per_entry_records():
