@@ -39,6 +39,7 @@ ORACLE = "tests/test_stirling.py::TestTriangle"
 ROWS = "tests/test_stirling.py::TestVal2Rows"
 K5 = "tests/test_levels.py::TestK5StructureReadsTheTree"
 CLARKE = "tests/test_sequences.py::TestClarkeValCheck::test_lift_passes_n_max"
+STREAM = "tests/test_cli.py::TestStreaming::test_rows_reach_stdout_as_they_are_computed"
 
 # (name, module under src/stirval, old text, new text, pytest node ids)
 MUTANTS = [
@@ -113,7 +114,7 @@ MUTANTS = [
     ("recurrence_mod shifts its window by one slot less", "stirling.py",
      "terms >> (W * (L - k))", "terms >> (W * (L - k - 1))", [SCAN]),
     ("recurrence_mod slots one byte short", "stirling.py",
-     "Wb = (2 * M + L.bit_length() + 8) // 8", "Wb = (2 * M + L.bit_length()) // 8", [SCAN]),
+     "Wb = (64 + L.bit_length() + 8) // 8", "Wb = (64 + L.bit_length()) // 8", [SCAN]),
     ("recurrence_mod reads its block from one slot early", "stirling.py",
      "k * Wb)", "(k - 1) * Wb)", [SCAN]),
     ("val2_range misplaces the exact window", "stirling.py",
@@ -131,6 +132,8 @@ MUTANTS = [
      "while self.m_start <= self.fact_val + 32:", "while self.m_start <= self.fact_val:",
      ["tests/test_stirling.py::TestVal2Stirling::test_one_ladder_for_single_values_and_scans",
       "tests/test_stirling.py::TestVal2Range::test_scan_from_two_k_takes_its_head_from_exp_sums"]),
+    ("_emit joins the lines before writing", "cli.py",
+     "sys.stdout.writelines(lines)", 'sys.stdout.write("".join(lines))', [STREAM]),
 ]
 
 

@@ -3,8 +3,9 @@
 Exit codes follow the verification convention throughout: 0 when every
 check was consistent, 1 when a counterexample was found, 2 when some
 instance was inconclusive, 64 on usage errors.  CSV output is UTF-8 with
-LF line endings, a header row and no trailing whitespace; an infinite
-valuation serializes as an empty CSV field and as "inf" in JSON.
+LF line endings, a header row and no trailing whitespace, written a row
+at a time as it is computed, after every check of the arguments; an
+infinite valuation serializes as an empty CSV field and as "inf" in JSON.
 
 Each ``verify`` target is one library function that returns a
 ``ConjectureReport``.  Its options are the function's parameters, each an
@@ -21,6 +22,7 @@ import itertools
 import re
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import approx, levels, padic, sequences, stirling
 from .padic import INFINITE
@@ -41,10 +43,10 @@ def _fmt(value) -> str:
     return "" if value is INFINITE else str(value)
 
 
-def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], rows) -> Iterator[str]:
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(_fmt(v) for v in row) + "\n"
 
 
 def _check_out(out: str | None) -> None:
@@ -58,14 +60,14 @@ def _check_out(out: str | None) -> None:
         raise ValueError(f"cannot write --out {out}: no directory {path.parent}")
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write text to the --out path, LF line endings kept, or to stdout."""
+def _emit(lines: Iterable[str], out: str | None) -> None:
+    """Write lines to the --out path, LF line endings kept, or to stdout, as they come."""
     if not out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     except OSError as exc:
         raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
 
@@ -94,13 +96,13 @@ def _required_k(args) -> int:
     return args.k
 
 
-def _cohen_rows(k: int, ns: range) -> list[tuple[int, int]]:
-    """(n, nu_2(L_k(n))) for n in ns; ns starts at 1 or above."""
+def _cohen_rows(k: int, ns: range) -> Iterator[tuple[int, int]]:
+    """(n, nu_2(L_k(n))) for n in ns, lazily; ns starts at 1 or above, k is checked now."""
     sums = sequences.cohen_partial_sums(k)
-    return [
+    return (
         (n, padic.nu_rat(2, total))
         for n, total in itertools.islice(sums, ns.start - 1, ns.stop - 1)
-    ]
+    )
 
 
 def _k_series(rows):
@@ -123,7 +125,7 @@ def _p_series(value, n_min=None):
             raise ValueError(f"--p must be prime, got {args.p}")
         if n_min is not None and ns.start < n_min:
             raise ValueError(f"{args.series} series needs n >= {n_min}")
-        return [(n, value(args.p, n)) for n in ns]
+        return ((n, value(args.p, n)) for n in ns)
 
     return handler
 
@@ -165,28 +167,29 @@ def _target(name: str):
     }
 
 
-# figure: (CSV header, handler)
+# figure: (CSV header, handler).  A handler returns an iterator of rows and
+# checks --k when called: a generator expression evaluates its first iterable.
 _FIGURES = {
     "val-n": (
         ["n", "value"],
-        lambda a: [(n, padic.nu_int(2, n)) for n in range(1, a.n_max + 1)],
+        lambda a: ((n, padic.nu_int(2, n)) for n in range(1, a.n_max + 1)),
     ),
     "val-factorial": (
         ["m", "value"],
-        lambda a: [(m, padic.legendre_factorial_val(2, m)) for m in range(1, a.n_max + 1)],
+        lambda a: ((m, padic.legendre_factorial_val(2, m)) for m in range(1, a.n_max + 1)),
     ),
     "err-factorial": (
         ["m", "s2"],
-        lambda a: [(m, padic.digit_sum(2, m)) for m in range(1, a.n_max + 1)],
+        lambda a: ((m, padic.digit_sum(2, m)) for m in range(1, a.n_max + 1)),
     ),
     "cohen": (
         ["n", "value", "err"],
-        lambda a: [
+        lambda a: (
             (n, v, v - n)
             for n, v in _cohen_rows(
                 1 if a.k is None else _required_k(a), range(1, a.n_max + 1)
             )
-        ],
+        ),
     ),
     "stirling-k": (
         ["n", "value"],
@@ -213,7 +216,7 @@ def _cmd_verify(args) -> int:
         # each parameter the message names, as a whole word, becomes the option typed
         names = re.compile(r"\b(?:" + "|".join(options) + r")\b")
         raise ValueError(names.sub(lambda m: options[m[0]][0], str(exc))) from exc
-    _emit(report.to_json() + "\n", args.out)
+    _emit([report.to_json() + "\n"], args.out)
     return report.exit_code
 
 

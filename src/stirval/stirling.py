@@ -6,13 +6,16 @@
   forms and the other two routes.
 * :class:`ModStirlingEngine` evaluates T = k! * S(n,k) modulo 2**M through
   the alternating binomial sum and extracts nu_2(S(n,k)) from the residue.
-  It serves single values, and scans of one column k over a long range
-  of n: past the first k indices a scan follows the column's order-k
-  linear recurrence mod 2**32 in packed blocks (:func:`recurrence_mod`),
-  read back with one struct unpack per block.  A scan that starts below
-  2k seeds the recurrence with the exact window S(1,k), ..., S(k,k).
+  :func:`exp_sums`, the one kernel for such sums, gives a single n by
+  its first value and the first k indices of a scan by its steps.  Past
+  those a scan of one column k follows the column's order-k linear
+  recurrence mod 2**32 in packed blocks (:func:`recurrence_mod`), read
+  back with one struct unpack per block.  A scan that starts below 2k
+  seeds it with the exact window S(1,k), ..., S(k,k) instead, which
+  saves an exp_sums head: k powers and k**2 products at m_start bits.
   :func:`val2_rows` evaluates the same sum for every k <= k_max at a few
-  n, from one row of powers b**n mod 2**M per n.
+  n from one row of powers b**n mod 2**M per n, shared by every k, where
+  exp_sums per k would take about k_max**2 / 2 powers per n.
 * :func:`val2_columns` runs the same recurrence as the oracle modulo 2**M,
   one step per entry, and serves the whole triangle k <= n <= n_max.
 
@@ -126,16 +129,12 @@ def t_terms(p: int, k: int) -> Terms:
     return tuple((c, b) for c, b in ksf_terms(k) if b % p)
 
 
-def exp_sum_mod(terms: Terms, n: int, M: int) -> int:
-    """f(n) mod 2**M for the exponential sum f(n) = sum c * b**n over (c, b) in terms."""
-    mod = 1 << M
-    return sum(c * pow(b, n, mod) for c, b in terms) % mod
-
-
 def exp_sums(terms: Terms, start: int, M: int) -> Iterator[int]:
     """Yield f(start), f(start + 1), ... mod 2**M for f(n) = sum c * b**n.
 
-    Each step updates each term c * b**n mod 2**M by one multiplication.
+    The first value takes one modular power per term, so
+    ``next(exp_sums(terms, n, M))`` is f(n) mod 2**M; each later step
+    updates each term c * b**n mod 2**M by one multiplication.
     """
     bases = [b for _, b in terms]
     mod = 1 << M
@@ -148,11 +147,11 @@ def exp_sums(terms: Terms, start: int, M: int) -> Iterator[int]:
 class ModStirlingEngine:
     """Evaluates k! * S(n,k) mod 2**M and extracts 2-adic valuations.
 
-    The alternating sum ``ksf_terms(k)`` is reduced mod 2**M with
-    square-and-multiply exponentiation, so a single call costs O(k log n)
-    word operations.  If the residue is nonzero then nu_2 of the full
-    integer equals nu_2 of the residue, which makes the extraction sound
-    at any precision.
+    The alternating sum ``ksf_terms(k)`` is reduced mod 2**M by the first
+    value of :func:`exp_sums`, one square-and-multiply power per term, so
+    a single call costs O(k log n) word operations.  If the residue is
+    nonzero then nu_2 of the full integer equals nu_2 of the residue,
+    which makes the extraction sound at any precision.
 
     Precision starts at ``m_start``: 64 bits, doubled until it is more
     than 32 bits above nu_2(k!).  Legendre's formula makes every residue
@@ -181,7 +180,7 @@ class ModStirlingEngine:
             raise ValueError("ksf_mod requires n >= 1")
         if M < 1:
             raise ValueError(f"need M >= 1, got M={M}")
-        return exp_sum_mod(self._terms, n, M)
+        return next(exp_sums(self._terms, n, M))
 
     def val2(self, n: int) -> Valuation:
         """nu_2(S(n,k)); INFINITE when n < k (there S(n,k) = 0)."""
@@ -217,8 +216,7 @@ class ModStirlingEngine:
         # A nonzero value mod 2**32 has the valuation of S(n,k), and a zero
         # one goes to val2.  m_start keeps 32 spare bits above nu_2(k!), so
         # a residue mod 2**m_start shifted right by nu_2(k!) is exact mod 2**32.
-        P = 32
-        mask = (1 << P) - 1
+        mask = (1 << 32) - 1
         if start + k < stop and start < 2 * k:
             first, head = 1, [0] * (k - 1) + [1]
         else:
@@ -230,14 +228,15 @@ class ModStirlingEngine:
             q = [1]
             for j in range(1, k + 1):
                 q = [(a - j * b) & mask for a, b in zip(q + [0], [0] + q)]
-            values = chain(head, recurrence_mod(q, head, P))
+            values = chain(head, recurrence_mod(q, head))
         for n, v in zip(range(start, stop), islice(values, start - first, None)):
             yield n, (nu_int(2, v) if v else self.val2(n))
 
 
-def recurrence_mod(q: list[int], head: list[int], M: int) -> Iterator[int]:
-    """Yield a_k, a_(k+1), ... mod 2**M, where head = [a_0, ..., a_(k-1)] and
-    sum_{i=0..k} q_i a_(n-i) == 0 for every n >= k, with q_0 == 1 and M <= 64.
+def recurrence_mod(q: list[int], head: list[int]) -> Iterator[int]:
+    """Yield a_k, a_(k+1), ... mod 2**32, where head = [a_0, ..., a_(k-1)] and
+    sum_{i=0..k} q_i a_(n-i) == 0 mod 2**32 for every n >= k, with q_0 == 1,
+    q read mod 2**32 and every a_i in head below 2**32.
 
     With Q(x) = sum q_i x^i and A(x) = sum a_n x^n, Q * A is a polynomial R
     of degree < k, so R = Q * (a_0 + ... + a_(k-1) x^(k-1)) mod x^k and
@@ -248,20 +247,17 @@ def recurrence_mod(q: list[int], head: list[int], M: int) -> Iterator[int]:
     A polynomial is packed into one int with one W-bit slot per
     coefficient (Kronecker substitution), so each product is one
     big-integer multiply.  A product's coefficient is a sum of fewer than L
-    products of two M-bit numbers, so W = 2M + bitlen(L) + 1 bits, rounded
-    up to a byte, keep the slots apart; each slot is then reduced mod 2**M.
+    products of two 32-bit numbers, so W = 64 + bitlen(L) + 1 bits, rounded
+    up to a byte, keep the slots apart; each slot is then reduced mod 2**32.
     The block length L is 8k, and at least 64.  One precompiled struct
-    reads the L - k new terms of a block: a reduced slot holds M bits, so
-    its low 1, 2, 4 or 8 bytes hold all of it.
+    reads the L - k new terms of a block, each from the low 4 bytes of its
+    reduced slot.
     """
-    if not 1 <= M <= 64:
-        raise ValueError(f"recurrence_mod needs 1 <= M <= 64, got M={M}")
     k = len(head)
     L = max(8 * k, 64)
-    Wb = (2 * M + L.bit_length() + 8) // 8  # slot width in bytes
+    Wb = (64 + L.bit_length() + 8) // 8  # slot width in bytes
     W = 8 * Wb
-    size = ((M - 1) // 8).bit_length()  # the value takes 2**size bytes of a slot
-    unpack = struct.Struct("<" + f"{'BHIQ'[size]}{Wb - (1 << size)}x" * (L - k)).unpack_from
+    unpack = struct.Struct("<" + f"I{Wb - 4}x" * (L - k)).unpack_from
 
     def pack(values) -> int:
         return int.from_bytes(b"".join(v.to_bytes(Wb, "little") for v in values), "little")
@@ -269,14 +265,14 @@ def recurrence_mod(q: list[int], head: list[int], M: int) -> Iterator[int]:
     def slots(count: int, value: int) -> int:
         return pack([value] * count)
 
-    top = (1 << M) - 1
+    top = (1 << 32) - 1
     Q = pack(c & top for c in q)
     inverse, m = 1, 1
     while m < L:
         m = min(2 * m, L)
         reduce = slots(m, top)
         t = (inverse * ((Q * inverse) & reduce)) & reduce
-        # 2g - t per slot: top - t_i never borrows, and the added 1 makes it 2**M - t_i
+        # 2g - t per slot: top - t_i never borrows, and the added 1 makes it 2**32 - t_i
         inverse = ((inverse << 1) + (reduce - t) + slots(m, 1)) & reduce
     low, block = slots(k, top), slots(L, top)
     window = pack(head)

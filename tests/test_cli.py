@@ -2,6 +2,8 @@
 
 import functools
 import inspect
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -259,6 +261,35 @@ class TestFigure:
         assert first == second
 
 
+class TestStreaming:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("val", "--series", "stirling", "--k", "5", "--n-min", "1", "--n-max", "40"),
+            ("figure", "stirling-k", "--k", "5", "--n-max", "40"),
+        ],
+        ids=["val", "figure"],
+    )
+    def test_rows_reach_stdout_as_they_are_computed(self, monkeypatch, argv):
+        # each time the scan yields a row, stdout already holds the header and
+        # every earlier row: the output is not gathered before it is written
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        written = []
+        scan = stirling.ModStirlingEngine.val2_range
+
+        def recording(self, start, stop):
+            for row in scan(self, start, stop):
+                written.append(len(stdout.getvalue()))
+                yield row
+
+        monkeypatch.setattr(stirling.ModStirlingEngine, "val2_range", recording)
+        assert cli.main(list(argv)) == 0
+        lines = stdout.getvalue().splitlines(keepends=True)
+        assert lines[0] == "n,value\n" and len(lines) == len(written) + 1
+        assert written == list(itertools.accumulate(map(len, lines[:-1])))
+
+
 class TestUsageAndEnvironment:
     def test_missing_k_for_stirling(self, capsys):
         assert run_usage_error(capsys, "val", "--series", "stirling", "--n", "9") == 64
@@ -305,7 +336,9 @@ class TestUsageAndEnvironment:
         with pytest.raises(SystemExit) as exc:
             cli.main(list(argv))
         assert exc.value.code == 64
-        assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
+        captured = capsys.readouterr()
+        assert captured.err.rstrip().endswith(f"error: {message}")
+        assert captured.out == ""  # every option is checked before the CSV header
 
     @pytest.mark.parametrize("series", ["factorial", "int"])
     @pytest.mark.parametrize("p", ["4", "1", "0"])
@@ -313,7 +346,9 @@ class TestUsageAndEnvironment:
         with pytest.raises(SystemExit) as exc:
             cli.main(["val", "--series", series, "--p", p, "--n", "5"])
         assert exc.value.code == 64
-        assert capsys.readouterr().err.rstrip().endswith(f"error: --p must be prime, got {p}")
+        captured = capsys.readouterr()
+        assert captured.err.rstrip().endswith(f"error: --p must be prime, got {p}")
+        assert captured.out == ""
 
     def test_unknown_target(self, capsys):
         assert run_usage_error(capsys, "verify", "nonsense") == 64
