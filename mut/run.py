@@ -40,6 +40,8 @@ ROWS = "tests/test_stirling.py::TestVal2Rows"
 K5 = "tests/test_levels.py::TestK5StructureReadsTheTree"
 CLARKE = "tests/test_sequences.py::TestClarkeValCheck::test_lift_passes_n_max"
 STREAM = "tests/test_cli.py::TestStreaming::test_rows_reach_stdout_as_they_are_computed"
+START_UP = ("tests/test_cli.py::TestUsageAndEnvironment::"
+            "test_start_up_imports_neither_dataclasses_nor_inspect")
 
 # (name, module under src/stirval, old text, new text, pytest node ids)
 MUTANTS = [
@@ -134,6 +136,11 @@ MUTANTS = [
       "tests/test_stirling.py::TestVal2Range::test_scan_from_two_k_takes_its_head_from_exp_sums"]),
     ("_emit joins the lines before writing", "cli.py",
      "sys.stdout.writelines(lines)", 'sys.stdout.write("".join(lines))', [STREAM]),
+    ("cli imports inspect at start-up", "cli.py",
+     "import argparse\n", "import argparse\nimport inspect\n", [START_UP]),
+    ("_target reads a functools.wraps wrapper's own parameters", "cli.py",
+     '    while hasattr(inner, "__wrapped__"):\n        inner = inner.__wrapped__\n', "",
+     ["tests/test_cli.py::TestTargetDefaults"]),
 ]
 
 

@@ -9,15 +9,15 @@ infinite valuation serializes as an empty CSV field and as "inf" in JSON.
 
 Each ``verify`` target is one library function that returns a
 ``ConjectureReport``.  Its options are the function's parameters, each an
-int with the signature's default, so ``stirval verify <target> --help``
-lists them; an option the target does not read is a usage error, and so
-is a ``ValueError`` from the function, reworded to name the options typed.
+int with its default, read off ``__code__`` after ``__wrapped__`` so that
+start-up imports no ``inspect``; ``stirval verify <target> --help`` lists
+them.  An option the target does not read is a usage error, and so is a
+``ValueError`` from the function, reworded to name the options typed.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import itertools
 import re
 import sys
@@ -29,6 +29,7 @@ from .padic import INFINITE
 
 EX_OK = 0
 EX_USAGE = 64
+_REQUIRED = object()  # the default of a parameter that has none
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,7 +47,7 @@ def _fmt(value) -> str:
 def _csv(header: list[str], rows) -> Iterator[str]:
     yield ",".join(header) + "\n"
     for row in rows:
-        yield ",".join(_fmt(v) for v in row) + "\n"
+        yield ",".join(map(_fmt, row)) + "\n"
 
 
 def _check_out(out: str | None) -> None:
@@ -142,8 +143,8 @@ _SERIES = {
 
 # target: (module, name of the function it runs, {parameter: option} for the
 # options not named --<parameter>).  The function is looked up on each use,
-# so a wrapper put in its place (functools.wraps keeps the signature) is the
-# one the parser reads and the run calls.
+# so a wrapper put in its place is the one the run calls, and the parser reads
+# the parameters of the function its __wrapped__ chain (functools.wraps) ends at.
 _TARGETS = {
     "main-conjecture": (levels, "verify_main_conjecture", {"m_max": "--levels"}),
     "k5-theorem": (levels, "k5_structure_report", {"m_max": "--levels"}),
@@ -158,12 +159,19 @@ _TARGETS = {
 
 
 def _target(name: str):
-    """The function a target runs, and {parameter: (option, default)} for it."""
+    """The function a target runs, and {parameter: (option, default)} for it.
+
+    Read off ``__code__`` after ``__wrapped__``: start-up does not import ``inspect``.
+    """
     module, attr, renames = _TARGETS[name]
-    function = getattr(module, attr)
+    function = inner = getattr(module, attr)
+    while hasattr(inner, "__wrapped__"):
+        inner = inner.__wrapped__
+    params = inner.__code__.co_varnames[: inner.__code__.co_argcount]
+    defaults = dict(zip(reversed(params), reversed(inner.__defaults__ or ())))
     return function, {
-        p.name: (renames.get(p.name, "--" + p.name.replace("_", "-")), p.default)
-        for p in inspect.signature(function).parameters.values()
+        p: (renames.get(p, "--" + p.replace("_", "-")), defaults.get(p, _REQUIRED))
+        for p in params
     }
 
 
@@ -252,7 +260,7 @@ def build_parser() -> _Parser:
     for name in _TARGETS:
         p_target = targets.add_parser(name)
         for param, (option, default) in _target(name)[1].items():
-            required = default is inspect.Parameter.empty
+            required = default is _REQUIRED
             p_target.add_argument(
                 option, dest=param, type=int, metavar="INT", required=required, default=default,
                 help="required" if required else "default: %(default)s",

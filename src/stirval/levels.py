@@ -16,7 +16,6 @@ with no value, and not split further.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from .padic import Valuation, nu_int
@@ -36,22 +35,25 @@ def m0_of(k: int) -> int:
     return (k - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class ResidueClass:
+class _ResidueFields(NamedTuple):
+    k: int
+    m: int
+    j: int
+
+
+class ResidueClass(_ResidueFields):
     """The class C(m, j) for Stirling order k, with j canonical mod 2**m.
 
     Labels with j >= 2**m (which occur naturally when a progression is
     written with a shifted index) are reduced on construction.
     """
 
-    k: int
-    m: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1 or self.m < 1:
+    def __new__(cls, k: int, m: int, j: int):
+        if k < 1 or m < 1:
             raise ValueError("need k >= 1 and m >= 1")
-        object.__setattr__(self, "j", self.j % (1 << self.m))
+        return super().__new__(cls, k, m, j % (1 << m))
 
     @property
     def modulus(self) -> int:
@@ -83,8 +85,7 @@ class ResidueClass:
         return f"C({self.m},{self.j})"
 
 
-@dataclass(frozen=True)
-class ClassStatus:
+class ClassStatus(NamedTuple):
     """Verdict for one residue class.
 
     CONSTANT carries the common value, proved for every member by
@@ -206,7 +207,6 @@ def classify_class(
     return ClassStatus(INCONCLUSIVE, samples)
 
 
-@dataclass
 class LevelRecord:
     """Verdicts for all candidate classes C(m, j) of order k at one level.
 
@@ -214,9 +214,9 @@ class LevelRecord:
     lists below are read off it.
     """
 
-    k: int
-    m: int
-    statuses: dict[int, ClassStatus] = field(default_factory=dict)
+    def __init__(self, k: int, m: int) -> None:
+        self.k, self.m = k, m
+        self.statuses: dict[int, ClassStatus] = {}
 
     @property
     def survivors(self) -> list[ResidueClass]:
@@ -250,14 +250,12 @@ class LevelRecord:
         return {"m": self.m, "classes": classes}
 
 
-@dataclass
 class LevelTree:
     """Level structure for one Stirling order, up to a chosen depth."""
 
-    k: int
-    m0: int
-    samples: int
-    levels: list[LevelRecord] = field(default_factory=list)
+    def __init__(self, k: int, m0: int, samples: int) -> None:
+        self.k, self.m0, self.samples = k, m0, samples
+        self.levels: list[LevelRecord] = []
 
     def level(self, m: int) -> LevelRecord:
         return self.levels[m - 1]

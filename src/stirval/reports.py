@@ -8,7 +8,6 @@ counterexample and an inconclusive check says what it could not decide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any
 
 CONSISTENT = "CONSISTENT"
@@ -35,7 +34,6 @@ def jsonable(value: Any) -> Any:
     return value
 
 
-@dataclass
 class ConjectureReport:
     """Outcome of one verification run.
 
@@ -45,12 +43,13 @@ class ConjectureReport:
     level class with neither a proof nor a witness) and none failed.
     """
 
-    name: str
-    params: dict = field(default_factory=dict)
-    checked: int = 0
-    counterexamples: list = field(default_factory=list)
-    inconclusive: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    def __init__(self, name: str, params: dict | None = None) -> None:
+        self.name = name
+        self.params = {} if params is None else params
+        self.checked = 0
+        self.counterexamples: list = []
+        self.inconclusive: list = []
+        self.details: dict = {}
 
     def record(self, ok: bool, payload: Any = None) -> None:
         self.checked += 1

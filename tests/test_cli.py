@@ -201,6 +201,25 @@ class TestTargetDefaults:
             cli.main(["verify", *argv])
         assert calls == [expected]
 
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["plain", "wrapped"])
+    @pytest.mark.parametrize("target", list(cli._TARGETS))
+    def test_options_match_the_signature(self, monkeypatch, target, wrapped):
+        # _target reads what inspect.signature reads, through a functools.wraps wrapper too
+        module, name, renames = cli._TARGETS[target]
+        original = getattr(module, name)
+        expected = {
+            p.name: (
+                renames.get(p.name, "--" + p.name.replace("_", "-")),
+                cli._REQUIRED if p.default is p.empty else p.default,
+            )
+            for p in inspect.signature(original).parameters.values()
+        }
+        if wrapped:
+            monkeypatch.setattr(
+                module, name, functools.wraps(original)(lambda *args, **kwargs: None)
+            )
+        assert cli._target(target) == (getattr(module, name), expected)
+
 
 class TestFigure:
     def test_wannemacker_diff_shape(self, capsys):
@@ -467,6 +486,16 @@ class TestUsageAndEnvironment:
         argv = ("verify", "exceptional", "--i-max", "1", "--out", str(kept))
         assert run_usage_error(capsys, *argv) == 64
         assert kept.read_text() == "old"
+
+    def test_start_up_imports_neither_dataclasses_nor_inspect(self):
+        # both cost every cold call milliseconds; -S keeps out what site imports
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import stirval.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
     @pytest.mark.parametrize(
         "argv, code",

@@ -61,6 +61,18 @@ class TestResidueClass:
         assert merged == parent.members(64)
         assert not set(a.members(32)) & set(b.members(32))
 
+    def test_value_semantics(self):
+        # equal labels are one class: equal, hashed alike, immutable, shown by field
+        a, b = ResidueClass(5, 7, 156), ResidueClass(5, 7, 28)
+        assert a == b and hash(a) == hash(b)
+        for attr in ("j", "colour"):
+            with pytest.raises(AttributeError):
+                setattr(a, attr, 0)
+        assert repr(a) == "ResidueClass(k=5, m=7, j=28)"
+        assert repr(levels.ClassStatus("CONSTANT", 64, value=2)) == (
+            "ClassStatus(kind='CONSTANT', samples=64, value=2, witness_a=None, witness_b=None)"
+        )
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ResidueClass(5, 0, 0)
