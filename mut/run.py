@@ -136,6 +136,11 @@ MUTANTS = [
       "tests/test_stirling.py::TestVal2Range::test_scan_from_two_k_takes_its_head_from_exp_sums"]),
     ("_emit joins the lines before writing", "cli.py",
      "sys.stdout.writelines(lines)", 'sys.stdout.write("".join(lines))', [STREAM]),
+    ("_csv sends a row holding INFINITE through the template", "cli.py",
+     'if INFINITE in row else', 'if False else',
+     ["tests/test_cli.py::TestVal::test_stirling_below_order_is_blank"]),
+    ("_csv template has one field fewer than the header", "cli.py",
+     '["%s"] * len(header)', '["%s"] * (len(header) - 1)', ["tests/test_cli.py::TestCsv"]),
     ("cli imports inspect at start-up", "cli.py",
      "import argparse\n", "import argparse\nimport inspect\n", [START_UP]),
     ("_target reads a functools.wraps wrapper's own parameters", "cli.py",

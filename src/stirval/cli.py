@@ -4,8 +4,10 @@ Exit codes follow the verification convention throughout: 0 when every
 check was consistent, 1 when a counterexample was found, 2 when some
 instance was inconclusive, 64 on usage errors.  CSV output is UTF-8 with
 LF line endings, a header row and no trailing whitespace, written a row
-at a time as it is computed, after every check of the arguments; an
-infinite valuation serializes as an empty CSV field and as "inf" in JSON.
+at a time as it is computed, after every check of the arguments.  Each
+row (a tuple) is formatted by one ``%s`` template built from the header;
+a row holding INFINITE is joined field by field instead, so an infinite
+valuation serializes as an empty CSV field (and as "inf" in JSON).
 
 Each ``verify`` target is one library function that returns a
 ``ConjectureReport``.  Its options are the function's parameters, each an
@@ -46,8 +48,9 @@ def _fmt(value) -> str:
 
 def _csv(header: list[str], rows) -> Iterator[str]:
     yield ",".join(header) + "\n"
+    line = ",".join(["%s"] * len(header)) + "\n"
     for row in rows:
-        yield ",".join(map(_fmt, row)) + "\n"
+        yield ",".join(map(_fmt, row)) + "\n" if INFINITE in row else line % row
 
 
 def _check_out(out: str | None) -> None:

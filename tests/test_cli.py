@@ -74,6 +74,10 @@ class TestVal:
         _, out = run(capsys, "val", "--series", "cohen", "--k", "1", "--n", "16")
         assert out == "n,value\n16,22\n"
 
+    def test_int_at_zero_is_blank(self, capsys):
+        _, out = run(capsys, "val", "--series", "int", "--p", "2", "--n-min", "0", "--n-max", "3")
+        assert out == "n,value\n0,\n1,0\n2,1\n3,0\n"
+
     def test_no_trailing_whitespace(self, capsys):
         _, out = run(
             capsys, "val", "--series", "int", "--n-min", "1", "--n-max", "32"
@@ -81,6 +85,24 @@ class TestVal:
         for line in out.splitlines():
             assert line == line.strip()
         assert out.endswith("\n") and not out.endswith("\n\n")
+
+
+class TestCsv:
+    @pytest.mark.parametrize(
+        "row",
+        [(5, padic.INFINITE), (1, padic.INFINITE, 7), (3, 2, -1),
+         (70852429451248237777821285421212, 3)],
+        ids=["infinite-last", "infinite-middle", "negative", "big"],
+    )
+    def test_row_equals_the_per_field_join(self, row):
+        header = [f"c{i}" for i in range(len(row))]
+        fields = ["" if v is padic.INFINITE else str(v) for v in row]
+        assert list(cli._csv(header, iter([row]))) == [
+            ",".join(header) + "\n", ",".join(fields) + "\n"
+        ]
+
+    def test_no_rows_gives_the_header_alone(self):
+        assert list(cli._csv(["n", "value"], iter(()))) == ["n,value\n"]
 
 
 class TestVerify:
