@@ -37,6 +37,8 @@ MAIN = "tests/test_levels.py::TestMainConjecture"
 POWERS = "tests/test_sequences.py::TestCohenAtPowers"
 ORACLE = "tests/test_stirling.py::TestTriangle"
 ROWS = "tests/test_stirling.py::TestVal2Rows"
+TRIANGLE = "tests/test_stirling.py::TestTriangleRows::test_slots_equal_exact_residues_to_300"
+INJECTED = "tests/test_stirling.py::test_identity_battery_reports_injected_inequality_failures"
 K5 = "tests/test_levels.py::TestK5StructureReadsTheTree"
 CLARKE = "tests/test_sequences.py::TestClarkeValCheck::test_lift_passes_n_max"
 STREAM = "tests/test_cli.py::TestStreaming::test_rows_reach_stdout_as_they_are_computed"
@@ -111,6 +113,14 @@ MUTANTS = [
     ("closed forms stop one short of n_max", "stirling.py",
      "ns = range(k, n_max + 1)", "ns = range(k, n_max)",
      ["tests/test_stirling.py::test_identity_battery_checks_closed_forms_to_n_max"]),
+    ("triangle_rows shifts plane b by b + 1", "stirling.py",
+     "(row & plane) << b for", "(row & plane) << (b + 1) for", [TRIANGLE]),
+    ("triangle slots one bit below the carry bound", "stirling.py",
+     "return M + n_max.bit_length()", "return M + n_max.bit_length() - 1", [TRIANGLE]),
+    ("identity_battery masks one bit below s_2(k) - s_2(n)", "stirling.py",
+     "(1 << max(s_k - c, 0)) - 1", "(1 << max(s_k - c - 1, 0)) - 1", [INJECTED]),
+    ("identity_battery leaves its inequality failures unsorted", "stirling.py",
+     "for k, n, gap in sorted(failures)", "for k, n, gap in failures", [INJECTED]),
     ("val2_range without its val2 fallback", "stirling.py",
      "(nu_int(2, v) if v else self.val2(n))", "nu_int(2, v)", [SCAN]),
     ("recurrence_mod shifts its window by one slot less", "stirling.py",

@@ -33,8 +33,9 @@ from .stirling import (
     stirling_closed_small,
     stirling_exact,
     t_terms,
+    triangle_rows,
+    triangle_width,
     val2_closed_small,
-    val2_columns,
     val2_rows,
     val2_stirling,
 )

@@ -16,8 +16,10 @@
   :func:`val2_rows` evaluates the same sum for every k <= k_max at a few
   n from one row of powers b**n mod 2**M per n, shared by every k, where
   exp_sums per k would take about k_max**2 / 2 powers per n.
-* :func:`val2_columns` runs the same recurrence as the oracle modulo 2**M,
-  one step per entry, and serves the whole triangle k <= n <= n_max.
+* :func:`triangle_rows` runs the same recurrence as the oracle modulo 2**M
+  on whole rows, each packed into one int with a slot per k, so one step
+  is a few big-integer shifts, ANDs and adds.  It serves the inequality of
+  the identity battery over the whole triangle k <= n <= n_max.
 
 The routes are kept deliberately separate so each can certify the
 others; the test suite checks them against each other on a full grid.
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 import struct
 from functools import cache, lru_cache
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -288,21 +290,50 @@ def get_engine(k: int) -> ModStirlingEngine:
     return ModStirlingEngine(k)
 
 
-def val2_columns(n_max: int, M: int = 64) -> Iterator[tuple[int, list[Valuation]]]:
-    """Yield (k, [nu_2(S(n,k)) for k <= n <= n_max]) for k = 1..n_max.
+def _pack(values: list[int], W: int) -> int:
+    """One int holding values[i] in the W-bit slot at bit W*i; each 0 <= value < 2**W.
 
-    Column k comes from column k-1 by S(n,k) = S(n-1,k-1) + k*S(n-1,k)
-    mod 2**M, one step per entry, and only two columns are held.  A
-    nonzero residue fixes nu_2(S(n,k)) exactly: the valuation is then
-    below M and equals the residue's.  A zero residue goes to val2_stirling;
-    at M = 64 none occurs for n_max <= 1500, where nu_2 stays below 28.
+    Each distinct value is formatted once: the triangle's values take a few.
     """
-    mask = (1 << M) - 1
-    column = [1] + [0] * n_max  # S(n, 0) for 0 <= n <= n_max
-    for k in range(1, n_max + 1):
-        # entry j is S(k + j, k) = S(k + j - 1, k - 1) + k * S(k + j - 1, k)
-        column = list(accumulate(column[: n_max - k + 1], lambda s, prev: (prev + k * s) & mask))
-        yield k, [nu_int(2, r) if r else val2_stirling(n, k) for n, r in enumerate(column, k)]
+    digits = {v: format(v, f"0{W}b") for v in set(values)}
+    return int("".join([digits[v] for v in reversed(values)]), 2)
+
+
+def triangle_width(n_max: int, M: int) -> int:
+    """Slot width W of :func:`triangle_rows`: M + n_max.bit_length() bits.
+
+    One step puts S(n-1,k-1) + k*S(n-1,k) into slot k, with both residues
+    below 2**M and k <= n_max, so at most (n_max + 1) * (2**M - 1).  That is
+    below 2**W, since n_max + 1 <= 2**n_max.bit_length(), so no step carries
+    into the next slot.
+    """
+    return M + n_max.bit_length()
+
+
+def triangle_rows(n_max: int, M: int) -> Iterator[tuple[int, int]]:
+    """Yield (n, row) for n = 1..n_max, where row packs S(n,k) mod 2**M for k = 0..n_max.
+
+    Slot k is the W-bit field at bit W*k, W = :func:`triangle_width`, and
+    holds the residue in its low M bits; slots k > n are 0.  One step applies
+    S(n,k) = S(n-1,k-1) + k*S(n-1,k) to every slot at once: the row shifted
+    up one slot gives S(n-1,k-1), and k*S(n-1,k) is the sum over bits b of
+    the slots whose index k has bit b set (``planes[b]`` keeps their M-bit
+    fields), each shifted left by b.  ``field`` keeps the low M bits of
+    slots 0..n_max, which reduces every slot mod 2**M.
+    """
+    if n_max < 1 or M < 1:
+        raise ValueError(f"need n_max >= 1 and M >= 1, got n_max={n_max}, M={M}")
+    W = triangle_width(n_max, M)
+    top = (1 << M) - 1
+    field = _pack([top] * (n_max + 1), W)
+    planes = [
+        (b, _pack([top if k >> b & 1 else 0 for k in range(n_max + 1)], W))
+        for b in range(n_max.bit_length())
+    ]
+    row = 1  # S(0, 0)
+    for n in range(1, n_max + 1):
+        row = ((row << W) + sum((row & plane) << b for b, plane in planes)) & field
+        yield n, row
 
 
 @lru_cache(maxsize=None)
@@ -436,17 +467,25 @@ def identity_battery(n_max: int = 300, q_max: int = 10, k_max: int = 64) -> Conj
     report = ConjectureReport(
         "identity battery", params={"n_max": n_max, "q_max": q_max, "k_max": k_max}
     )
-    for k, column in val2_columns(n_max):
-        s_k = digit_sum(2, k)
-        gaps = [v - s_k + n.bit_count() for n, v in enumerate(column, k)]
-        report.record_many(
-            len(gaps),
-            [
-                {"identity": "inequality gap", "n": n, "k": k, "gap": gap}
-                for n, gap in enumerate(gaps, k)
-                if gap < 0
-            ],
-        )
+    M = n_max.bit_length()
+    W, top = triangle_width(n_max, M), (1 << M) - 1
+    s = [k.bit_count() for k in range(n_max + 1)]
+    masks = [_pack([(1 << max(s_k - c, 0)) - 1 for s_k in s], W) for c in range(M + 1)]
+    failures = []
+    for n, row in triangle_rows(n_max, M):
+        flagged = row & masks[s[n]]
+        while flagged:
+            k = (flagged.bit_length() - 1) // W
+            v = nu_int(2, (row >> (W * k)) & top)
+            failures.append((k, n, v - s[k] + s[n]))
+            flagged &= (1 << (W * k)) - 1
+    report.record_many(
+        n_max * (n_max + 1) // 2,
+        [
+            {"identity": "inequality gap", "n": n, "k": k, "gap": gap}
+            for k, n, gap in sorted(failures)
+        ],
+    )
     for k in range(1, 6):
         ns = range(k, n_max + 1)
         bad = [n for n in ns if stirling_closed_small(n, k) != stirling_exact(n, k)]

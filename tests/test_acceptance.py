@@ -42,8 +42,9 @@ from stirval import (
     prove_constant,
     stirling_exact,
     t2_zeros,
+    triangle_rows,
+    triangle_width,
     val2_closed_small,
-    val2_columns,
     val2_stirling,
     verify_main_conjecture,
 )
@@ -314,7 +315,9 @@ def test_15_oracle_equivalence():
         for n, v in get_engine(k).val2_range(k, 201):
             assert v == nu_int(2, stirling_exact(n, k)), (n, k)
     # the third route: the recurrence modulo 2^64, against both of the others
-    for k, column in val2_columns(200):
+    W, rows = triangle_width(200, 64), dict(triangle_rows(200, 64))
+    for k in range(1, 201):
+        column = [nu_int(2, (rows[n] >> (W * k)) & ((1 << 64) - 1)) for n in range(k, 201)]
         exact = [nu_int(2, stirling_exact(n, k)) for n in range(k, 201)]
         assert column == exact == [v for _, v in get_engine(k).val2_range(k, 201)], k
     _report(15, "modular engine and modular triangle equal exact triangle to 200")

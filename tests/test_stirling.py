@@ -24,8 +24,9 @@ from stirval import (
     stirling_exact,
     t2_zeros,
     t_terms,
+    triangle_rows,
+    triangle_width,
     val2_closed_small,
-    val2_columns,
     val2_rows,
     val2_stirling,
 )
@@ -347,35 +348,41 @@ class TestVal2Range:
         assert list(itertools.islice(recurrence_mod(q, a[:k]), count)) == a[k:]
 
 
-class TestVal2Columns:
-    def test_matches_exact_triangle_to_300(self):
-        columns = list(val2_columns(300))
-        assert [k for k, _ in columns] == list(range(1, 301))
-        for k, column in columns:
-            assert column == [nu_int(2, stirling_exact(n, k)) for n in range(k, 301)], k
+def _slots(row: int, n_max: int, M: int) -> list[int]:
+    """The residues S(n,k) mod 2**M, k = 0..n_max, packed in a row of triangle_rows."""
+    W = triangle_width(n_max, M)
+    return [(row >> (W * k)) & ((1 << M) - 1) for k in range(n_max + 1)]
 
-    def test_matches_engine_to_600(self):
-        wanted = {1, 2, 7, 64, 129, 300, 511, 600}
-        for k, column in val2_columns(600):
-            if k in wanted:
-                assert list(enumerate(column, k)) == list(
-                    ModStirlingEngine(k).val2_range(k, 601)
-                ), k
 
-    @pytest.mark.parametrize("M", [4, 8])
-    def test_zero_residues_fall_back_to_the_engine(self, monkeypatch, M):
-        # at these precisions many residues vanish; each must still be decided exactly
-        fallbacks = []
-        val2 = stirling_module.val2_stirling
-        monkeypatch.setattr(
-            stirling_module, "val2_stirling", lambda n, k: fallbacks.append(n) or val2(n, k)
-        )
-        for k, column in val2_columns(120, M):
-            assert column == [nu_int(2, stirling_exact(n, k)) for n in range(k, 121)], k
-        assert len(fallbacks) > 100
+class TestTriangleRows:
+    @pytest.mark.parametrize("M", [4, 8, 64])
+    def test_slots_equal_exact_residues_to_300(self, M):
+        # every slot k <= n is S(n,k) mod 2**M, zero residues included; slots k > n are 0
+        rows = list(triangle_rows(300, M))
+        assert [n for n, _ in rows] == list(range(1, 301))
+        for n, row in rows:
+            assert row >> (triangle_width(300, M) * 301) == 0, n
+            want = [stirling_exact(n, k) % (1 << M) for k in range(n + 1)] + [0] * (300 - n)
+            assert _slots(row, 300, M) == want, n
 
-    def test_single_column(self):
-        assert list(val2_columns(1)) == [(1, [0])]
+    def test_valuations_match_engine_to_600(self):
+        columns = {k: [] for k in (1, 2, 7, 64, 129, 300, 511, 600)}
+        for n, row in triangle_rows(600, 64):
+            slots = _slots(row, 600, 64)
+            for k, column in columns.items():
+                if k <= n:
+                    column.append((n, nu_int(2, slots[k])))
+        for k, column in columns.items():
+            assert column == list(ModStirlingEngine(k).val2_range(k, 601)), k
+
+    def test_single_row(self):
+        assert list(triangle_rows(1, 64)) == [(1, 1 << triangle_width(1, 64))]
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            next(triangle_rows(0, 8))
+        with pytest.raises(ValueError):
+            next(triangle_rows(10, 0))
 
 
 class TestVal2ClosedSmall:
@@ -507,6 +514,41 @@ def test_identity_battery_records_closed_forms_and_parity_a_column_at_a_time(mon
         {"identity": "closed form", "n": 10, "k": 3},
         {"identity": "parity valuation", "n": 20, "k": 2},
     ]
+
+
+def test_identity_battery_reports_injected_inequality_failures(monkeypatch):
+    # S(64,63) = 2016 has nu_2 = 5 = s_2(63) - s_2(64): valuation 4 fails with gap -1.
+    # S(80,31) needs nu_2 >= 5 - 2: valuation 1 gives gap -2, at a smaller k and a larger n.
+    inject = {64: (63, 1 << 4), 80: (31, 1 << 1)}  # n: (k, residue put in slot k)
+    rows = stirling_module.triangle_rows
+
+    def perturbed(n_max, M):
+        W = triangle_width(n_max, M)
+        for n, row in rows(n_max, M):
+            if n in inject:
+                k, value = inject[n]
+                row = row & ~(((1 << M) - 1) << (W * k)) | value << (W * k)
+            yield n, row
+
+    checked = identity_battery(n_max=80, q_max=4, k_max=16).checked
+    monkeypatch.setattr(stirling_module, "triangle_rows", perturbed)
+    report = identity_battery(n_max=80, q_max=4, k_max=16)
+    assert report.counterexamples == [
+        {"identity": "inequality gap", "n": 80, "k": 31, "gap": -2},
+        {"identity": "inequality gap", "n": 64, "k": 63, "gap": -1},
+    ]
+    assert report.checked == checked
+
+
+def test_identity_battery_decodes_no_slot_of_a_consistent_grid(monkeypatch):
+    # nu_int runs for the parity scans and the special-value rows, not for the
+    # 45150 entries of the inequality grid
+    calls = []
+    nu = stirling_module.nu_int
+    monkeypatch.setattr(stirling_module, "nu_int", lambda p, x: calls.append(x) or nu(p, x))
+    report = identity_battery(n_max=300, q_max=3, k_max=2)
+    assert report.status == "CONSISTENT"
+    assert len(calls) < 1500
 
 
 def test_identity_battery_checks_closed_forms_to_n_max(monkeypatch):
