@@ -61,12 +61,14 @@ MUTANTS = [
      ["tests/test_sequences.py::TestTSum::test_zero_residue_falls_back_to_the_exact_sum"]),
     ("cohen_at_powers yields a zero residue instead of doubling", "sequences.py",
      "if not top:\n            return None", "if False:\n            return None",
-     [f"{POWERS}::test_tiny_start_precision_doubles"]),
+     [f"{POWERS}::test_tiny_precision_gives_no_prefixes"]),
     ("cohen_at_powers scales by 2^(kM), dropping the -ke", "sequences.py",
      "k * (M - e)", "k * M", [f"{POWERS}::test_matches_exact_partial_sums"]),
     ("cohen_at_powers leaves the term j = 2^m out of the prefix", "sequences.py",
      "(d << ((1 << m) + k * (M - m)))", "(d << ((1 << m) + k * (M - m))) * (m == 0)",
      [f"{POWERS}::test_matches_exact_partial_sums"]),
+    ("power_lemma_report reads the powers mod 2^(m+3)", "padic.py",
+     "1 << (m + 5)", "1 << (m + 3)", ["tests/test_padic.py::TestPowerLemmas"]),
     ("classify_class records a witness valuation one too high", "levels.py",
      "witness_b=(n, v)", "witness_b=(n, v + 1)",
      ["tests/test_acceptance.py::test_09_main_conjecture_nine_orders"]),
@@ -129,6 +131,8 @@ MUTANTS = [
      "Wb = (64 + L.bit_length() + 8) // 8", "Wb = (64 + L.bit_length()) // 8", [SCAN]),
     ("recurrence_mod reads its block from one slot early", "stirling.py",
      "k * Wb)", "(k - 1) * Wb)", [SCAN]),
+    ("recurrence_mod adds Newton's ones to one slot fewer", "stirling.py",
+     "(ones & reduce)", "(ones & (reduce >> W))", [SCAN]),
     ("val2_range misplaces the exact window", "stirling.py",
      "[0] * (k - 1) + [1]", "[0] * k + [1]", [SCAN]),
     ("val2_rows decides a zero residue as INFINITE", "stirling.py",

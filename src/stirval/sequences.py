@@ -118,7 +118,7 @@ def _cohen_ratios(k: int) -> Iterator[tuple[int, Ratio]]:
         yield n, Ratio(num, den)
 
 
-def cohen_at_powers(k: int, m_max: int, P: int | None = None) -> Iterator[tuple[int, Ratio]]:
+def cohen_at_powers(k: int, m_max: int) -> Iterator[tuple[int, Ratio]]:
     """Yield (m, r) for m = 0..m_max, where nu_rat(2, r) = nu_2(L_k(2^m)).
 
     Write M = m_max and j = 2^e * o with o odd.  Scaled by 2^(kM), the term
@@ -137,10 +137,7 @@ def cohen_at_powers(k: int, m_max: int, P: int | None = None) -> Iterator[tuple[
         raise ValueError(f"need k >= 1, got k={k}")
     if m_max < 0:
         raise ValueError(f"need m_max >= 0, got m_max={m_max}")
-    if P is None:
-        P = (1 << m_max) + 8 * m_max + 64
-    elif P < 1:
-        raise ValueError(f"need P >= 1, got P={P}")
+    P = (1 << m_max) + 8 * m_max + 64
     while not (prefixes := _cohen_prefixes(k, m_max, P)):
         P *= 2
     return ((m, Ratio(top, den << (k * m_max))) for m, (top, den) in enumerate(prefixes))

@@ -235,6 +235,16 @@ class ModStirlingEngine:
             yield n, (nu_int(2, v) if v else self.val2(n))
 
 
+def _pack(values: list[int], W: int) -> int:
+    """One int holding values[i] in the W-bit slot at bit W*i; each 0 <= value < 2**W.
+
+    The one slot packer of both packed kernels, :func:`recurrence_mod` and
+    :func:`triangle_rows`.  Each distinct value is formatted once: most hold a few.
+    """
+    digits = {v: format(v, f"0{W}b") for v in set(values)}
+    return int("".join([digits[v] for v in reversed(values)]), 2)
+
+
 def recurrence_mod(q: list[int], head: list[int]) -> Iterator[int]:
     """Yield a_k, a_(k+1), ... mod 2**32, where head = [a_0, ..., a_(k-1)] and
     sum_{i=0..k} q_i a_(n-i) == 0 mod 2**32 for every n >= k, with q_0 == 1,
@@ -246,12 +256,13 @@ def recurrence_mod(q: list[int], head: list[int]) -> Iterator[int]:
     SIAM J. Comput. 14, 1985).  The last k terms of a block start the next.
     1/Q mod x^L is computed once, by Newton's iteration g <- g (2 - Q g).
 
-    A polynomial is packed into one int with one W-bit slot per
-    coefficient (Kronecker substitution), so each product is one
+    A polynomial is packed by :func:`_pack` into one int with one W-bit
+    slot per coefficient (Kronecker substitution), so each product is one
     big-integer multiply.  A product's coefficient is a sum of fewer than L
     products of two 32-bit numbers, so W = 64 + bitlen(L) + 1 bits, rounded
-    up to a byte, keep the slots apart; each slot is then reduced mod 2**32.
-    The block length L is 8k, and at least 64.  One precompiled struct
+    up to a byte, keep the slots apart; each slot is then reduced mod 2**32
+    by an AND with ``block`` (2**32 - 1 in each of L slots) cut to the slots
+    in use.  The block length L is 8k, and at least 64.  One precompiled struct
     reads the L - k new terms of a block, each from the low 4 bytes of its
     reduced slot.
     """
@@ -260,24 +271,17 @@ def recurrence_mod(q: list[int], head: list[int]) -> Iterator[int]:
     Wb = (64 + L.bit_length() + 8) // 8  # slot width in bytes
     W = 8 * Wb
     unpack = struct.Struct("<" + f"I{Wb - 4}x" * (L - k)).unpack_from
-
-    def pack(values) -> int:
-        return int.from_bytes(b"".join(v.to_bytes(Wb, "little") for v in values), "little")
-
-    def slots(count: int, value: int) -> int:
-        return pack([value] * count)
-
     top = (1 << 32) - 1
-    Q = pack(c & top for c in q)
+    Q, block, ones = _pack([c & top for c in q], W), _pack([top] * L, W), _pack([1] * L, W)
     inverse, m = 1, 1
     while m < L:
         m = min(2 * m, L)
-        reduce = slots(m, top)
+        reduce = block & ((1 << (W * m)) - 1)  # top in slots 0..m-1
         t = (inverse * ((Q * inverse) & reduce)) & reduce
         # 2g - t per slot: top - t_i never borrows, and the added 1 makes it 2**32 - t_i
-        inverse = ((inverse << 1) + (reduce - t) + slots(m, 1)) & reduce
-    low, block = slots(k, top), slots(L, top)
-    window = pack(head)
+        inverse = ((inverse << 1) + (reduce - t) + (ones & reduce)) & reduce
+    low = block & ((1 << (W * k)) - 1)
+    window = _pack(head, W)
     while True:
         terms = (((Q * window) & low) * inverse) & block
         yield from unpack(terms.to_bytes(L * Wb, "little"), k * Wb)
@@ -288,15 +292,6 @@ def recurrence_mod(q: list[int], head: list[int]) -> Iterator[int]:
 def get_engine(k: int) -> ModStirlingEngine:
     """Shared engine for order k (engines are stateless)."""
     return ModStirlingEngine(k)
-
-
-def _pack(values: list[int], W: int) -> int:
-    """One int holding values[i] in the W-bit slot at bit W*i; each 0 <= value < 2**W.
-
-    Each distinct value is formatted once: the triangle's values take a few.
-    """
-    digits = {v: format(v, f"0{W}b") for v in set(values)}
-    return int("".join([digits[v] for v in reversed(values)]), 2)
 
 
 def triangle_width(n_max: int, M: int) -> int:
@@ -336,9 +331,9 @@ def triangle_rows(n_max: int, M: int) -> Iterator[tuple[int, int]]:
         yield n, row
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def val2_stirling(n: int, k: int) -> Valuation:
-    """nu_2(S(n,k)) via the adaptive modular engine; INFINITE for n < k."""
+    """nu_2(S(n,k)) via the adaptive modular engine; INFINITE for n < k.  Caches 2**16 values."""
     return get_engine(k).val2(n)
 
 
@@ -477,7 +472,7 @@ def identity_battery(n_max: int = 300, q_max: int = 10, k_max: int = 64) -> Conj
         while flagged:
             k = (flagged.bit_length() - 1) // W
             v = nu_int(2, (row >> (W * k)) & top)
-            failures.append((k, n, v - s[k] + s[n]))
+            failures.append((k, n, _gap(v, s[k], n)))
             flagged &= (1 << (W * k)) - 1
     report.record_many(
         n_max * (n_max + 1) // 2,

@@ -1,6 +1,7 @@
 """The three-stage approximation tower for nu_2(S(n,5))."""
 
 import csv
+import math
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from stirval import (
     in_I1,
     in_I2,
     lambda_p,
+    nu_int,
     x1,
     x2,
 )
@@ -126,6 +128,19 @@ class TestTower:
         assert stage3["total"] == len(stage3["census"]) > 0
         for entry in stage3["census"]:
             assert entry["agrees"] == (entry["err2"] == entry["predicted"])
+
+    def test_stage2_refuted_at_m_301(self):
+        report = approx_report(52000)
+        assert report.status == "COUNTEREXAMPLE"
+        assert report.counterexamples == [
+            {"stage": 2, "m": 301, "x1": 51487, "err1": 6, "predicted": 7, "m_in_I2": False}
+        ]
+        # err1 again from the exact sum 5! S(n, 5) = sum (-1)^(5-b) C(5,b) b^n, not the engine
+        n = 51487
+        total = sum((-1) ** (5 - b) * math.comb(5, b) * b**n for b in range(1, 6))
+        v = nu_int(2, total) - nu_int(2, math.factorial(5))
+        assert (v, nu_int(2, f1(n))) == (14, 8)
+        assert v - nu_int(2, f1(n)) == 6
 
     def test_report_rejects_small_bound(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from stirval import (
     pochhammer,
     power_lemma_report,
 )
+from stirval import padic
 
 
 class TestNuInt:
@@ -193,6 +194,28 @@ class TestPowerLemmas:
         report = power_lemma_report(8)
         assert report.status == "CONSISTENT"
         assert report.checked == 24
+
+    def test_residues_give_the_exact_valuations(self, monkeypatch):
+        computed = []
+
+        def spy(p, n):
+            computed.append(nu_int(p, n))
+            return computed[-1]
+
+        monkeypatch.setattr(padic, "nu_int", spy)
+        report = power_lemma_report(12)
+        exact = []
+        for m in range(1, 13):
+            a, b = 5 ** (1 << m), 3 ** (1 << m)
+            exact += [nu_int(2, a - 1), nu_int(2, b - 1), nu_int(2, a - b)]
+        assert computed == exact
+        assert exact == [v for m in range(1, 13) for v in (m + 2, m + 2, m + 3)]
+        assert report.status == "CONSISTENT"
+
+    def test_report_consistent_to_24(self):
+        report = power_lemma_report(24)
+        assert report.status == "CONSISTENT"
+        assert report.checked == 72
 
     def test_base_cases(self):
         assert nu_int(2, 5**2 - 1) == 3
