@@ -42,6 +42,7 @@ INJECTED = "tests/test_stirling.py::test_identity_battery_reports_injected_inequ
 K5 = "tests/test_levels.py::TestK5StructureReadsTheTree"
 CLARKE = "tests/test_sequences.py::TestClarkeValCheck::test_lift_passes_n_max"
 STREAM = "tests/test_cli.py::TestStreaming::test_rows_reach_stdout_as_they_are_computed"
+WALKED = "tests/test_approx.py::TestExceptionSets::test_residue_tests_match_the_walked_sets"
 START_UP = ("tests/test_cli.py::TestUsageAndEnvironment::"
             "test_start_up_imports_neither_dataclasses_nor_inspect")
 
@@ -148,6 +149,13 @@ MUTANTS = [
      "while self.m_start <= self.fact_val + 32:", "while self.m_start <= self.fact_val:",
      ["tests/test_stirling.py::TestVal2Stirling::test_one_ladder_for_single_values_and_scans",
       "tests/test_stirling.py::TestVal2Range::test_scan_from_two_k_takes_its_head_from_exp_sums"]),
+    ("I1 repeats every 511 instead of 512", "approx.py",
+     "(x1(i), 512)", "(x1(i), 511)", [WALKED]),
+    ("I1 keeps two of its three residue classes", "approx.py",
+     "_I1 = [(x1(i), 512) for i in range(3)]", "_I1 = [(x1(i), 512) for i in range(2)]",
+     [WALKED]),
+    ("a residue class leaves out its first element", "approx.py",
+     "n >= a and", "n > a and", [WALKED]),
     ("_emit joins the lines before writing", "cli.py",
      "sys.stdout.writelines(lines)", 'sys.stdout.write("".join(lines))', [STREAM]),
     ("_csv sends a row holding INFINITE through the template", "cli.py",

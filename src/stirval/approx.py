@@ -10,9 +10,8 @@ derives them.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator
 
-from .padic import INFINITE, Valuation, nu_int
+from .padic import Valuation, nu_int
 from .reports import ConjectureReport
 from .stirling import val2_stirling
 
@@ -45,27 +44,33 @@ def _check_domain(m: int) -> None:
         raise ValueError("m must be >= 0")
 
 
-def _up_to(x: Callable[[int], int], bound: int) -> Iterator[tuple[int, int]]:
-    """Yield (m, x(m)) for m = 0, 1, ... while x(m) <= bound; x strictly increasing."""
-    m = 0
-    while (v := x(m)) <= bound:
-        yield m, v
-        m += 1
+# x1(m + 3) = x1(m) + 512 and x2(m + 3) = x2(m) + 768 (the floors grow by 4 and 2, and
+# by 4 and 4), so each set is three residue classes, counted from x(0), x(1) and x(2) on.
+_I1 = [(x1(i), 512) for i in range(3)]
+_I2 = [(x2(i), 768) for i in range(3)]
+
+
+def _member(n: int, classes: list[tuple[int, int]]) -> bool:
+    return any(n >= a and (n - a) % period == 0 for a, period in classes)
+
+
+def _elements(classes: list[tuple[int, int]], bound: int) -> list[int]:
+    return sorted(v for a, period in classes for v in range(a, bound + 1, period))
 
 
 def in_I1(n: int) -> bool:
-    """Membership in I1 = {x1(m) : m >= 0} by bounded enumeration."""
-    return any(v == n for _, v in _up_to(x1, n))
+    """Membership in I1 = {x1(m) : m >= 0}, from its residue classes mod 512."""
+    return _member(n, _I1)
 
 
 def in_I2(n: int) -> bool:
-    """Membership in I2 = {x2(m) : m >= 0} by bounded enumeration."""
-    return any(v == n for _, v in _up_to(x2, n))
+    """Membership in I2 = {x2(m) : m >= 0}, from its residue classes mod 768."""
+    return _member(n, _I2)
 
 
 def i1_elements(bound: int) -> list[int]:
-    """All elements of I1 that are <= bound."""
-    return [v for _, v in _up_to(x1, bound)]
+    """All elements of I1 that are <= bound, in increasing order, so enumerate gives m."""
+    return _elements(_I1, bound)
 
 
 def aux_indicators(m: int) -> tuple[int, int, int]:
@@ -93,7 +98,7 @@ def f2(m: int) -> int:
 
 
 def f3(m: int) -> int:
-    """Third-stage predictor; may be 0, in which case its valuation is INFINITE."""
+    """Third-stage predictor; f3(0) = 0, and f3(m) >= 4 for every m >= 1."""
     _check_domain(m)
     l3 = lambda_p(3, m)
     return 4 ** (1 - l3) * ((m + 2) // 3) + l3 * (
@@ -148,7 +153,7 @@ def approx_report(m_max: int = 2000) -> ConjectureReport:
     )
 
     stage2 = []
-    for m, point in _up_to(x1, m_max):
+    for m, point in enumerate(i1_elements(m_max)):
         _, alpha, _ = aux_indicators(m)
         predicted = _sign(alpha) * nu_int(2, f2(m))
         actual = err1(point)
@@ -165,12 +170,10 @@ def approx_report(m_max: int = 2000) -> ConjectureReport:
     report.details["stage2"] = stage2
 
     stage3 = []
-    for m, point in _up_to(x2, m_max):
+    for m, point in enumerate(_elements(_I2, m_max)):
         _, _, beta_at_point = aux_indicators(point)
-        f3_val = f3(point)
-        predicted = (
-            INFINITE if f3_val == 0 else _sign(beta_at_point) * nu_int(2, f3_val)
-        )
+        # point = x2(m) >= 109 and f3 vanishes only at 0, so the valuation is finite
+        predicted = _sign(beta_at_point) * nu_int(2, f3(point))
         actual = err2(point)
         stage3.append(
             {

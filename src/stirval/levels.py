@@ -518,7 +518,7 @@ def k5_structure_report(m_max: int = 10, i_max: int = 200) -> ConjectureReport:
         params={"m_max": m_max, "i_max": i_max},
     )
 
-    def vals_up_to(c: ResidueClass, bound: int) -> list[tuple[int, Valuation]]:
+    def member_vals(c: ResidueClass, bound: int) -> list[tuple[int, Valuation]]:
         members = (c.modulus * i + c.j for i in range(bound + 1))
         return [(n, val2_stirling(n, c.k)) for n in members if n >= c.k]
 
@@ -535,7 +535,7 @@ def k5_structure_report(m_max: int = 10, i_max: int = 200) -> ConjectureReport:
                 continue
             # a proved value holds on every member; the smallest stands for them
             pairs = {
-                c: [(c.members(1)[0], s.value)] if s.kind == CONSTANT else vals_up_to(c, i_max)
+                c: [(c.members(1)[0], s.value)] if s.kind == CONSTANT else member_vals(c, i_max)
                 for c, s in kids
             }
             bad = [(c.j, n, v) for c, vs in pairs.items() for n, v in vs if v <= m - 3]
@@ -558,7 +558,7 @@ def k5_structure_report(m_max: int = 10, i_max: int = 200) -> ConjectureReport:
     )
     for m, r, op, bound in facts:
         c = ResidueClass(5, m, r)
-        for n, v in vals_up_to(c, i_max):
+        for n, v in member_vals(c, i_max):
             report.record(
                 v == bound if op == "==" else v >= bound,
                 {"check": f"nu2(S({c.modulus}i+{r},5)) {op} {bound}", "n": n, "computed": v},

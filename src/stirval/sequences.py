@@ -146,12 +146,10 @@ def cohen_at_powers(k: int, m_max: int) -> Iterator[tuple[int, Ratio]]:
 def _cohen_prefixes(k: int, M: int, P: int) -> list[tuple[int, int]] | None:
     """(N, D) of 2^(kM) * L_k(2^m) mod 2^P for m = 0..M, or None at a zero N.
 
-    See ``cohen_at_powers``.
+    See ``cohen_at_powers``.  Needs P > 2^M: every node [a, b) lies in [0, 2^M), so a < P.
     """
 
     def node(a: int, b: int) -> tuple[int, int]:
-        if a >= P:  # 2^a * N / D vanishes mod 2^P
-            return 0, 1
         mask = (1 << (P - a)) - 1
         if b - a <= _COHEN_LEAF:
             n, d = 0, 1

@@ -49,8 +49,8 @@ def stirling_exact(n: int, k: int) -> int:
 
     Column c holds S(c + i, c) for i = 0, 1, ....  A miss grows columns
     0..k to n - k + 1 entries each by S(n,c) = S(n-1,c-1) + c*S(n-1,c) on
-    big integers, so the table holds O(n*k) entries.  Entries are only
-    appended, never changed.
+    big integers, so the table holds O(n*k) entries.  The growth extends the
+    shared lists in place and is not thread-safe: scan over processes.
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
@@ -374,10 +374,8 @@ def de_wannemacker_gap(n: int, k: int) -> int:
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    v = val2_stirling(n, k)
-    if v is INFINITE:
-        raise ValueError(f"S({n},{k}) = 0 has no finite gap")
-    return _gap(v, digit_sum(2, k), n)
+    # S(n,k) >= 1 for 1 <= k <= n, so the valuation is finite
+    return _gap(val2_stirling(n, k), digit_sum(2, k), n)
 
 
 def de_wannemacker_gaps(k: int, n_max: int) -> Iterator[tuple[int, int]]:
@@ -449,8 +447,8 @@ def identity_battery(n_max: int = 300, q_max: int = 10, k_max: int = 64) -> Conj
     """Elementary identity checks over a full grid, recorded a column at a time.
 
     * De Wannemacker's inequality nu_2(S(n,k)) >= s_2(k) - s_2(n) for all
-      1 <= k <= n <= n_max, with nu_2 from the modular triangle
-      (:func:`val2_columns`),
+      1 <= k <= n <= n_max: one AND per :func:`triangle_rows` row with a
+      mask of the low s_2(k) - s_2(n) bits of each slot finds every failure,
     * the closed forms for k <= 5 against the exact oracle,
     * the parity valuation formulas for k <= 4 against the engine,
     * the special-value families near powers of two

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from itertools import count, takewhile
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,10 @@ class TestPredictors:
         assert x2(0) == 109
         assert x2(1) == 408
 
+    def test_f3_vanishes_only_at_zero(self):
+        # stage 3 reads f3 at x2(m) >= 109, so its valuation is always finite
+        assert all(f3(m) >= 4 for m in range(1, 10**5 + 1))
+
     def test_domain(self):
         for fn in (f1, f2, f3, x1, x2):
             with pytest.raises(ValueError):
@@ -94,6 +99,21 @@ class TestExceptionSets:
 
     def test_i1_elements(self):
         assert i1_elements(800) == [156, 287, 412, 668, 799]
+
+    def test_periods(self):
+        assert all(x1(m + 3) - x1(m) == 512 for m in range(10**4 + 1))
+        assert all(x2(m + 3) - x2(m) == 768 for m in range(10**4 + 1))
+
+    def test_residue_tests_match_the_walked_sets(self):
+        bound = 2 * 10**5
+        walks = {x: list(takewhile(lambda v: v <= bound, map(x, count()))) for x in (x1, x2)}
+        assert [n for n in range(bound + 1) if in_I1(n)] == walks[x1] == i1_elements(bound)
+        assert [n for n in range(bound + 1) if in_I2(n)] == walks[x2]
+
+    def test_membership_far_out(self):
+        # a walk to n would take minutes here
+        assert in_I1(x1(3 * 10**9))
+        assert not in_I1(10**12)
 
     def test_parity_structure(self):
         # every third element (positions m == 1 mod 3) is odd; the even

@@ -21,6 +21,7 @@ from stirval import (
     levels,
     nu_rat,
     padic,
+    reports,
     sequences,
     stirling,
 )
@@ -106,6 +107,13 @@ class TestCsv:
 
 
 class TestVerify:
+    def test_infinite_payload_is_inf_in_json(self):
+        report = reports.ConjectureReport("inf", params={"bound": padic.INFINITE})
+        report.record(False, {"computed": padic.INFINITE, "pair": (1, padic.INFINITE)})
+        data = json.loads(report.to_json())
+        assert data["params"] == {"bound": "inf"}
+        assert data["counterexamples"] == [{"computed": "inf", "pair": [1, "inf"]}]
+
     def test_exceptional(self, capsys):
         code, out = run(capsys, "verify", "exceptional", "--i-max", "110")
         assert code == 0
@@ -338,6 +346,12 @@ class TestUsageAndEnvironment:
     def test_missing_range(self, capsys):
         assert run_usage_error(capsys, "val", "--series", "int") == 64
 
+    def test_reversed_range(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["val", "--series", "int", "--n-min", "5", "--n-max", "3"])
+        assert exc.value.code == 64
+        assert capsys.readouterr().err.rstrip().endswith("--n-min must not exceed --n-max")
+
     def test_conflicting_range(self, capsys):
         code = run_usage_error(
             capsys, "val", "--series", "int", "--n", "4", "--n-min", "1", "--n-max", "9"
@@ -494,6 +508,10 @@ class TestUsageAndEnvironment:
             cli.main([*argv, "--out", str(missing)])
         assert exc.value.code == 64
         assert f"cannot write --out {missing}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 64
+        assert f"cannot write --out {tmp_path}: it is a directory" in capsys.readouterr().err
 
     def test_out_path_checked_before_the_run(self, capsys, monkeypatch, tmp_path):
         calls = []

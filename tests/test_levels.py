@@ -289,6 +289,12 @@ class TestLevelTree:
         with pytest.raises(ValueError):
             build_level_tree(2, m_max=4)
 
+    def test_stops_when_no_class_survives(self):
+        # for k = 3 the valuation depends on parity only: both level-1 classes are constant
+        tree = build_level_tree(3, m_max=4)
+        assert [rec.m for rec in tree.levels] == [1]
+        assert tree.level(1).survivors == []
+
 
 class TestMainConjecture:
     def test_m0(self):

@@ -26,6 +26,7 @@ class TestNuInt:
         assert nu_int(2, 12) == 2
         assert nu_int(2, 0) is INFINITE
         assert nu_int(3, 45) == 2
+        assert nu_int(3, 0) is INFINITE
         assert nu_int(5, 1) == 0
 
     def test_sign_ignored(self):

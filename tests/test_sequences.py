@@ -134,8 +134,8 @@ class TestCohenAtPowers:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_tiny_precision_gives_no_prefixes(self, k):
-        # mod 2^8 some prefix residue vanishes, so the pass must be redone
-        assert sequences._cohen_prefixes(k, 10, 8) is None
+        # mod 2^9, just above 2^M = 8, some prefix residue vanishes, so the pass must be redone
+        assert sequences._cohen_prefixes(k, 3, 9) is None
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_zero_prefix_doubles_the_precision(self, k, monkeypatch):
