@@ -45,6 +45,8 @@ STREAM = "tests/test_cli.py::TestStreaming::test_rows_reach_stdout_as_they_are_c
 WALKED = "tests/test_approx.py::TestExceptionSets::test_residue_tests_match_the_walked_sets"
 START_UP = ("tests/test_cli.py::TestUsageAndEnvironment::"
             "test_start_up_imports_neither_dataclasses_nor_inspect")
+MEMBERS = "tests/test_levels.py::TestMemberValues"
+WRITER = "tests/test_reports.py"
 
 # (name, module under src/stirval, old text, new text, pytest node ids)
 MUTANTS = [
@@ -89,6 +91,15 @@ MUTANTS = [
     ("split_powers keeps the parent's u in the child j + 2^m", "levels.py",
      "high.append(((u + (u * w << (m + 2))) & mask, w2))", "high.append((u, w2))",
      [CARRIED]),
+    ("member_values drops the nu_2(r) < n guard", "levels.py",
+     "if r and (a := (r & -r).bit_length() - 1) < n:",
+     "if r and ((a := (r & -r).bit_length() - 1) or True):",
+     [f"{MEMBERS}::test_even_base_part_sends_members_to_val2_stirling"]),
+    ("member_values steps by 2^(m+1)", "levels.py",
+     "(1 + (w << (m + 2))) & mask", "(1 + (w << (m + 1))) & mask",
+     [f"{MEMBERS}::test_matches_val2_stirling_on_random_classes"]),
+    ("member_values reads a zero residue as a value", "levels.py",
+     "if r and (a :=", "if (a :=", [f"{MEMBERS}::test_exact_at_any_precision"]),
     ("sampled CONSTANT restored", "levels.py",
      "return ClassStatus(INCONCLUSIVE, samples)",
      "return ClassStatus(CONSTANT, samples, value=first_v)",
@@ -156,6 +167,11 @@ MUTANTS = [
      [WALKED]),
     ("a residue class leaves out its first element", "approx.py",
      "n >= a and", "n > a and", [WALKED]),
+    ("to_json separates items with a comma and a space", "reports.py",
+     'sep = ","\n        out.append(newline + "}")', 'sep = ", "\n        out.append(newline + "}")',
+     [f"{WRITER}::test_scalars_and_empty_containers_are_json_text"]),
+    ("to_json writes a string holding a quote as it is", "reports.py",
+     """ and '"' not in s""", "", [f"{WRITER}::test_strings_and_keys_are_json_text"]),
     ("_emit joins the lines before writing", "cli.py",
      "sys.stdout.writelines(lines)", 'sys.stdout.write("".join(lines))', [STREAM]),
     ("_csv sends a row holding INFINITE through the template", "cli.py",

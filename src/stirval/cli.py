@@ -240,7 +240,12 @@ def _cmd_figure(args) -> int:
     return EX_OK
 
 
-def build_parser() -> _Parser:
+def build_parser(argv: list[str] | None = None) -> _Parser:
+    """The stirval parser; with ``argv``, only the verify targets it names get their options.
+
+    Every target's sub-parser exists either way, so help and usage text do
+    not change.  A target's own parser runs only when argv holds its name.
+    """
     parser = _Parser(
         prog="stirval",
         description="Exact 2-adic valuations of Stirling numbers: series, "
@@ -262,6 +267,8 @@ def build_parser() -> _Parser:
     targets = p_verify.add_subparsers(dest="target", required=True)
     for name in _TARGETS:
         p_target = targets.add_parser(name)
+        if argv is not None and name not in argv:
+            continue
         for param, (option, default) in _target(name)[1].items():
             required = default is _REQUIRED
             p_target.add_argument(
@@ -281,7 +288,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         _check_out(args.out)

@@ -16,6 +16,7 @@ with no value, and not split further.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .padic import Valuation, nu_int
@@ -132,6 +133,35 @@ def split_powers(powers: Powers, m: int, P: int) -> tuple[Powers, Powers]:
     return tuple(low), tuple(high)
 
 
+def member_values(c: ResidueClass, powers: Powers, P: int) -> Iterator[tuple[int, Valuation]]:
+    """Yield (n, nu_2(S(n,k))) for the members n of c in increasing order.
+
+    ``powers`` are c's ``odd_powers`` mod 2**P.  At n = j + 2**m * t the
+    odd-base part of k! * S(n,k) is g(n) = sum u_b (1 + 2**(m+2) w_b)**t,
+    so each step to the next member takes one multiplication per base.
+    The even-base part is divisible by 2**n: a residue r = g(n) mod 2**P
+    that is nonzero with nu_2(r) < n gives nu_2(k! * S(n,k)) = nu_2(r).
+    Any other member goes to ``val2_stirling``.
+    """
+    k, m, mask = c.k, c.m, (1 << P) - 1
+    fact_val = get_engine(k).fact_val
+    steps = [(1 + (w << (m + 2))) & mask for _, w in powers]
+    terms = [u for u, _ in powers]
+    n = c.j
+    while n < k:
+        terms = [t * s & mask for t, s in zip(terms, steps)]
+        n += 1 << m
+    while True:
+        r = sum(terms) & mask
+        # r & -r keeps the lowest set bit of r; a zero r has none
+        if r and (a := (r & -r).bit_length() - 1) < n:
+            yield n, a - fact_val
+        else:
+            yield n, val2_stirling(n, k)
+        terms = [t * s & mask for t, s in zip(terms, steps)]
+        n += 1 << m
+
+
 def prove_constant(c: ResidueClass, powers: Powers | None = None) -> Valuation | None:
     """The value of nu_2(S(n,k)) on every member n of c, proved; None if no proof.
 
@@ -184,22 +214,23 @@ def classify_class(
 ) -> ClassStatus:
     """Classify c: CONSTANT only by ``prove_constant(c, powers)``, else search for witnesses.
 
-    Without a proof, the first ``samples`` members are evaluated: NON_CONSTANT
-    with a witness pair as soon as two members disagree, otherwise
-    INCONCLUSIVE once the budget runs out.  Members are >= k, so every
-    valuation is finite.
+    Without a proof, the first ``samples`` members are evaluated by
+    ``member_values`` from the same powers (computed once by ``odd_powers``
+    when not given): NON_CONSTANT with a witness pair as soon as two
+    members disagree, otherwise INCONCLUSIVE once the budget runs out.
+    Members are >= k, so every valuation is finite.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
+    P = get_engine(c.k).m_start
+    if powers is None:
+        powers = odd_powers(c, P)
     value = prove_constant(c, powers)
     if value is not None:
         return ClassStatus(CONSTANT, samples, value=value)
-    it = c.iter_members()
-    first_n = next(it)
-    first_v = val2_stirling(first_n, c.k)
-    for _ in range(samples - 1):
-        n = next(it)
-        v = val2_stirling(n, c.k)
+    values = member_values(c, powers, P)
+    first_n, first_v = next(values)
+    for n, v in islice(values, samples - 1):
         if v != first_v:
             return ClassStatus(
                 NON_CONSTANT, samples, witness_a=(first_n, first_v), witness_b=(n, v)

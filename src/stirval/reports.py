@@ -102,6 +102,55 @@ class ConjectureReport:
         }
 
     def to_json(self) -> str:
-        import json
+        """The text of ``json.dumps(self.as_dict(), indent=2)``, written without json."""
+        out: list[str] = []
+        _write_json(self.as_dict(), "\n", out)
+        return "".join(out)
 
-        return json.dumps(self.as_dict(), indent=2)
+
+def _json_string(s: str) -> str:
+    """json's text for s: printable ASCII with no quote or backslash stays as it is."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    return _json_scalar(s)
+
+
+def _json_scalar(value: Any) -> str:
+    """json's own text for one value the writer does not handle itself."""
+    import json
+
+    return json.dumps(value)
+
+
+def _write_json(value: Any, newline: str, out: list[str]) -> None:
+    """Append the text of ``json.dumps(value, indent=2)`` to out, nested after ``newline``.
+
+    ``newline`` is a line break and the indent of value's own line.  Dicts,
+    lists, str, int, bool and None are written here, the same as json's
+    indenting encoder writes them; any other value goes to json.
+    """
+    kind = type(value)
+    if kind is dict and value:
+        inner, sep = newline + "  ", "{"
+        for key, item in value.items():
+            out.append(f"{sep}{inner}{_json_string(key)}: ")
+            _write_json(item, inner, out)
+            sep = ","
+        out.append(newline + "}")
+    elif kind is list and value:
+        inner, sep = newline + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _write_json(item, inner, out)
+            sep = ","
+        out.append(newline + "]")
+    elif kind is str:
+        out.append(_json_string(value))
+    elif kind is int:
+        out.append(str(value))
+    elif value is None or kind is bool:
+        out.append("null" if value is None else "true" if value else "false")
+    elif kind is dict or kind is list:
+        out.append("{}" if kind is dict else "[]")
+    else:
+        out.append(_json_scalar(value))

@@ -537,6 +537,35 @@ class TestUsageAndEnvironment:
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
+    def test_verify_run_imports_no_json(self):
+        # ConjectureReport.to_json writes the text itself; json costs a cold call milliseconds
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); from stirval import cli; "
+            "code = cli.main(['verify', 'main-conjecture', '--k', '11', '--levels', '6']); "
+            "print(code, 'json' in sys.modules, file=sys.stderr)"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+        assert proc.stderr == "0 False\n"
+        assert proc.stdout.startswith('{\n  "name": "level-splitting conjecture",')
+
+    @pytest.mark.parametrize("target", list(cli._TARGETS))
+    def test_target_help_matches_the_full_parser(self, capsys, target):
+        # main builds only the named target's options; its help text is the full parser's
+        texts = []
+        for parser in (cli.build_parser(), cli.build_parser(["verify", target, "--help"])):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(["verify", target, "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert "--out" in texts[0]
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["stirval", "verify", "lemmas", "--m-max", "6"])
+        code = cli.main()
+        assert (code, json.loads(capsys.readouterr().out)["checked"]) == (0, 18)
+
     @pytest.mark.parametrize(
         "argv, code",
         [

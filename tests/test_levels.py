@@ -1,6 +1,8 @@
 """Residue classes, level trees and the structural conjecture checkers."""
 
+import itertools
 import json
+import random
 
 import pytest
 
@@ -249,6 +251,67 @@ class TestProveConstant:
                 assert prove_constant(c, powers) == value, c
                 proved += value is not None
         assert proved
+
+
+def _spy_val2(monkeypatch):
+    """Route levels.val2_stirling through a spy; return the list of n it is called with."""
+    seen = []
+    true_val2 = levels.val2_stirling
+
+    def spy(n, k):
+        seen.append(n)
+        return true_val2(n, k)
+
+    monkeypatch.setattr(levels, "val2_stirling", spy)
+    return seen
+
+
+def _member_values(c, P, count):
+    values = levels.member_values(c, levels.odd_powers(c, P), P)
+    return list(itertools.islice(values, count))
+
+
+class TestMemberValues:
+    def test_matches_val2_stirling_on_random_classes(self):
+        rng = random.Random("member_values")
+        for _ in range(300):
+            k, m = rng.randint(3, 90), rng.randint(1, 9)
+            c = ResidueClass(k, m, rng.randrange(1 << m))
+            engine = get_engine(k)
+            assert _member_values(c, engine.m_start, 12) == [
+                (n, engine.val2(n)) for n in c.members(12)
+            ], c
+
+    @pytest.mark.parametrize("P", [3, 8, 40])
+    def test_exact_at_any_precision(self, monkeypatch, P):
+        # at a few bits most residues vanish or fall short of n: those
+        # members go to val2_stirling, and every value stays exact
+        seen = _spy_val2(monkeypatch)
+        for k in (5, 11, 16, 33, 64):
+            for m in (1, 3, 5):
+                for j in range(0, 1 << m, 3):
+                    c = ResidueClass(k, m, j)
+                    engine = get_engine(k)
+                    assert _member_values(c, P, 8) == [
+                        (n, engine.val2(n)) for n in c.members(8)
+                    ], (c, P)
+        assert seen
+
+    def test_even_base_part_sends_members_to_val2_stirling(self, monkeypatch):
+        # nu_2(64! S(65,64)) = 68 >= 65: the even bases can move such a
+        # valuation, so the first four members of C(1,1) are not read off g
+        seen = _spy_val2(monkeypatch)
+        c = ResidueClass(64, 1, 1)
+        first = [(65, 5), (67, 9), (69, 8), (71, 9)]
+        assert _member_values(c, get_engine(64).m_start, 4) == first
+        assert seen == [65, 67, 69, 71]
+
+    def test_tree_evaluates_few_members_by_the_engine(self, monkeypatch):
+        # the witness search reads the carried powers; only the exact check
+        # of prove_constant and the members g cannot decide reach the engine
+        seen = _spy_val2(monkeypatch)
+        build_level_tree(64, 8, samples=64)
+        assert 0 < len(set(seen)) <= 10
 
 
 class TestLevelTree:
