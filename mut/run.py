@@ -37,6 +37,7 @@ MAIN = "tests/test_levels.py::TestMainConjecture"
 POWERS = "tests/test_sequences.py::TestCohenAtPowers"
 ORACLE = "tests/test_stirling.py::TestTriangle"
 ROWS = "tests/test_stirling.py::TestVal2Rows"
+STEPPED = f"{ROWS}::test_stepped_rows_equal_power_rows"
 TRIANGLE = "tests/test_stirling.py::TestTriangleRows::test_slots_equal_exact_residues_to_300"
 INJECTED = "tests/test_stirling.py::test_identity_battery_reports_injected_inequality_failures"
 K5 = "tests/test_levels.py::TestK5StructureReadsTheTree"
@@ -46,6 +47,7 @@ WALKED = "tests/test_approx.py::TestExceptionSets::test_residue_tests_match_the_
 START_UP = ("tests/test_cli.py::TestUsageAndEnvironment::"
             "test_start_up_imports_neither_dataclasses_nor_inspect")
 MEMBERS = "tests/test_levels.py::TestMemberValues"
+LAZY = "tests/test_cli.py::TestUsageAndEnvironment::test_a_call_imports_only_the_modules_it_runs"
 WRITER = "tests/test_reports.py"
 
 # (name, module under src/stirval, old text, new text, pytest node ids)
@@ -132,7 +134,7 @@ MUTANTS = [
     ("triangle slots one bit below the carry bound", "stirling.py",
      "return M + n_max.bit_length()", "return M + n_max.bit_length() - 1", [TRIANGLE]),
     ("identity_battery masks one bit below s_2(k) - s_2(n)", "stirling.py",
-     "(1 << max(s_k - c, 0)) - 1", "(1 << max(s_k - c - 1, 0)) - 1", [INJECTED]),
+     "ones >> c & field", "ones >> (c + 1) & field", [INJECTED]),
     ("identity_battery leaves its inequality failures unsorted", "stirling.py",
      "for k, n, gap in sorted(failures)", "for k, n, gap in failures", [INJECTED]),
     ("val2_range without its val2 fallback", "stirling.py",
@@ -148,8 +150,17 @@ MUTANTS = [
     ("val2_range misplaces the exact window", "stirling.py",
      "[0] * (k - 1) + [1]", "[0] * k + [1]", [SCAN]),
     ("val2_rows decides a zero residue as INFINITE", "stirling.py",
-     "if r else val2_stirling(n, k))", "if r else INFINITE)",
+     "if r else val2_stirling(n, k)", "if r else INFINITE",
      [f"{ROWS}::test_zero_residue_goes_to_val2_stirling"]),
+    ("val2_rows steps row n by k - 1", "stirling.py",
+     "k * (a + b) % mod", "(k - 1) * (a + b) % mod", [STEPPED]),
+    ("val2_rows steps without the S(n-1, k-1) term", "stirling.py",
+     "k * (a + b) % mod", "k * b % mod", [STEPPED]),
+    ("val2_rows steps from any earlier row", "stirling.py",
+     "last == n - 1 >= 1", "1 <= last < n", [STEPPED]),
+    ("val2_rows steps row 1 from row 0", "stirling.py",
+     "last == n - 1 >= 1", "last == n - 1 >= 0",
+     [f"{ROWS}::test_one_power_row_per_run_of_consecutive_indices"]),
     ("val2_rows reads the coefficients of k - 1", "stirling.py",
      "for c, _ in ksf_terms(k)]", "for c, _ in ksf_terms(k - 1)]",
      [f"{ROWS}::test_matches_val2_stirling_near_powers_of_two"]),
@@ -172,6 +183,9 @@ MUTANTS = [
      [f"{WRITER}::test_scalars_and_empty_containers_are_json_text"]),
     ("to_json writes a string holding a quote as it is", "reports.py",
      """ and '"' not in s""", "", [f"{WRITER}::test_strings_and_keys_are_json_text"]),
+    ("to_json leaves an infinite valuation to json", "reports.py",
+     """out.append('"inf"')""", "out.append(_json_scalar(value))",
+     [f"{WRITER}::test_scalars_and_empty_containers_are_json_text"]),
     ("_emit joins the lines before writing", "cli.py",
      "sys.stdout.writelines(lines)", 'sys.stdout.write("".join(lines))', [STREAM]),
     ("_csv sends a row holding INFINITE through the template", "cli.py",
@@ -179,6 +193,8 @@ MUTANTS = [
      ["tests/test_cli.py::TestVal::test_stirling_below_order_is_blank"]),
     ("_csv template has one field fewer than the header", "cli.py",
      '["%s"] * len(header)', '["%s"] * (len(header) - 1)', ["tests/test_cli.py::TestCsv"]),
+    ("cli imports every library module at start-up", "cli.py",
+     "from . import padic\n", "from . import approx, levels, padic, sequences\n", [LAZY]),
     ("cli imports inspect at start-up", "cli.py",
      "import argparse\n", "import argparse\nimport inspect\n", [START_UP]),
     ("_target reads a functools.wraps wrapper's own parameters", "cli.py",

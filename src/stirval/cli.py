@@ -15,6 +15,10 @@ int with its default, read off ``__code__`` after ``__wrapped__`` so that
 start-up imports no ``inspect``; ``stirval verify <target> --help`` lists
 them.  An option the target does not read is a usage error, and so is a
 ``ValueError`` from the function, reworded to name the options typed.
+
+Start-up imports ``padic`` (and ``reports``) only: a target's or a series'
+module is imported when it runs, so ``verify identities`` loads ``stirling``
+and no ``levels``, ``sequences`` or ``approx``.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ import argparse
 import itertools
 import re
 import sys
+from importlib import import_module
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from . import approx, levels, padic, sequences, stirling
+from . import padic
 from .padic import INFINITE
 
 EX_OK = 0
@@ -100,9 +105,14 @@ def _required_k(args) -> int:
     return args.k
 
 
+def _module(name: str):
+    """The stirval module ``name``, imported on its first use."""
+    return import_module(f"{__package__}.{name}")
+
+
 def _cohen_rows(k: int, ns: range) -> Iterator[tuple[int, int]]:
     """(n, nu_2(L_k(n))) for n in ns, lazily; ns starts at 1 or above, k is checked now."""
-    sums = sequences.cohen_partial_sums(k)
+    sums = _module("sequences").cohen_partial_sums(k)
     return (
         (n, padic.nu_rat(2, total))
         for n, total in itertools.islice(sums, ns.start - 1, ns.stop - 1)
@@ -137,27 +147,29 @@ def _p_series(value, n_min=None):
 # Each table maps a choice to its handler; the parser takes its choices
 # from the keys, in this order.
 _SERIES = {
-    "stirling": _k_series(lambda k, ns: stirling.get_engine(k).val2_range(ns.start, ns.stop)),
+    "stirling": _k_series(
+        lambda k, ns: _module("stirling").get_engine(k).val2_range(ns.start, ns.stop)
+    ),
     "factorial": _p_series(padic.legendre_factorial_val, n_min=0),
     "int": _p_series(padic.nu_int),
     "cohen": _k_series(_cohen_rows),
 }
 
 
-# target: (module, name of the function it runs, {parameter: option} for the
-# options not named --<parameter>).  The function is looked up on each use,
+# target: (module name, name of the function it runs, {parameter: option} for
+# the options not named --<parameter>).  The function is looked up on each use,
 # so a wrapper put in its place is the one the run calls, and the parser reads
 # the parameters of the function its __wrapped__ chain (functools.wraps) ends at.
 _TARGETS = {
-    "main-conjecture": (levels, "verify_main_conjecture", {"m_max": "--levels"}),
-    "k5-theorem": (levels, "k5_structure_report", {"m_max": "--levels"}),
-    "exceptional": (levels, "exceptional_indices", {}),
-    "approx": (approx, "approx_report", {}),
-    "clarke": (sequences, "clarke_battery", {}),
-    "identities": (stirling, "identity_battery", {}),
-    "lemmas": (padic, "power_lemma_report", {}),
-    "alm": (sequences, "a_lm_val_check", {}),
-    "cohen": (sequences, "cohen_check", {}),
+    "main-conjecture": ("levels", "verify_main_conjecture", {"m_max": "--levels"}),
+    "k5-theorem": ("levels", "k5_structure_report", {"m_max": "--levels"}),
+    "exceptional": ("levels", "exceptional_indices", {}),
+    "approx": ("approx", "approx_report", {}),
+    "clarke": ("sequences", "clarke_battery", {}),
+    "identities": ("stirling", "identity_battery", {}),
+    "lemmas": ("padic", "power_lemma_report", {}),
+    "alm": ("sequences", "a_lm_val_check", {}),
+    "cohen": ("sequences", "cohen_check", {}),
 }
 
 
@@ -167,7 +179,7 @@ def _target(name: str):
     Read off ``__code__`` after ``__wrapped__``: start-up does not import ``inspect``.
     """
     module, attr, renames = _TARGETS[name]
-    function = inner = getattr(module, attr)
+    function = inner = getattr(_module(module), attr)
     while hasattr(inner, "__wrapped__"):
         inner = inner.__wrapped__
     params = inner.__code__.co_varnames[: inner.__code__.co_argcount]
@@ -204,11 +216,11 @@ _FIGURES = {
     ),
     "stirling-k": (
         ["n", "value"],
-        lambda a: stirling.get_engine(_required_k(a)).val2_range(a.k, a.n_max + 1),
+        lambda a: _module("stirling").get_engine(_required_k(a)).val2_range(a.k, a.n_max + 1),
     ),
     "wannemacker-diff": (
         ["n", "gap"],
-        lambda a: stirling.de_wannemacker_gaps(_required_k(a), a.n_max),
+        lambda a: _module("stirling").de_wannemacker_gaps(_required_k(a), a.n_max),
     ),
 }
 

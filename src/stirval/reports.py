@@ -90,21 +90,27 @@ class ConjectureReport:
         """Shell convention: 0 consistent, 1 counterexample, 2 inconclusive."""
         return {CONSISTENT: 0, COUNTEREXAMPLE: 1, INCONCLUSIVE: 2}[self.status]
 
-    def as_dict(self) -> dict:
+    def _fields(self) -> dict:
         return {
             "name": self.name,
             "status": self.status,
-            "params": jsonable(self.params),
+            "params": self.params,
             "checked": self.checked,
-            "counterexamples": jsonable(self.counterexamples),
-            "inconclusive": jsonable(self.inconclusive),
-            "details": jsonable(self.details),
+            "counterexamples": self.counterexamples,
+            "inconclusive": self.inconclusive,
+            "details": self.details,
         }
 
+    def as_dict(self) -> dict:
+        return jsonable(self._fields())
+
     def to_json(self) -> str:
-        """The text of ``json.dumps(self.as_dict(), indent=2)``, written without json."""
+        """The text of ``json.dumps(self.as_dict(), indent=2)``, written without json.
+
+        One pass over the report's own fields: the writer converts as ``jsonable`` does.
+        """
         out: list[str] = []
-        _write_json(self.as_dict(), "\n", out)
+        _write_json(self._fields(), "\n", out)
         return "".join(out)
 
 
@@ -123,34 +129,41 @@ def _json_scalar(value: Any) -> str:
 
 
 def _write_json(value: Any, newline: str, out: list[str]) -> None:
-    """Append the text of ``json.dumps(value, indent=2)`` to out, nested after ``newline``.
+    """Append the text of ``json.dumps(jsonable(value), indent=2)`` to out.
 
     ``newline`` is a line break and the indent of value's own line.  Dicts,
-    lists, str, int, bool and None are written here, the same as json's
-    indenting encoder writes them; any other value goes to json.
+    lists, tuples, str, int, bool, None and infinite floats are written here,
+    as ``jsonable`` converts them (str keys, tuples as lists, "inf") and json's
+    indenting encoder then writes them; any other value goes to json.
     """
     kind = type(value)
-    if kind is dict and value:
+    if kind is str:
+        out.append(_json_string(value))
+    elif kind is int:
+        out.append(str(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
         inner, sep = newline + "  ", "{"
         for key, item in value.items():
-            out.append(f"{sep}{inner}{_json_string(key)}: ")
+            out.append(f"{sep}{inner}{_json_string(str(key))}: ")
             _write_json(item, inner, out)
             sep = ","
         out.append(newline + "}")
-    elif kind is list and value:
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
         inner, sep = newline + "  ", "["
         for item in value:
             out.append(sep + inner)
             _write_json(item, inner, out)
             sep = ","
         out.append(newline + "]")
-    elif kind is str:
-        out.append(_json_string(value))
-    elif kind is int:
-        out.append(str(value))
     elif value is None or kind is bool:
         out.append("null" if value is None else "true" if value else "false")
-    elif kind is dict or kind is list:
-        out.append("{}" if kind is dict else "[]")
+    elif isinstance(value, float) and math.isinf(value):
+        out.append('"inf"')
     else:
         out.append(_json_scalar(value))

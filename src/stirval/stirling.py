@@ -14,8 +14,10 @@
   seeds it with the exact window S(1,k), ..., S(k,k) instead, which
   saves an exp_sums head: k powers and k**2 products at m_start bits.
   :func:`val2_rows` evaluates the same sum for every k <= k_max at a few
-  n from one row of powers b**n mod 2**M per n, shared by every k, where
-  exp_sums per k would take about k_max**2 / 2 powers per n.
+  n from one row of powers b**n mod 2**M, shared by every k, where
+  exp_sums per k would take about k_max**2 / 2 powers per n.  A run of
+  consecutive indices takes one power row: each later row steps from the
+  one before by k!S(n,k) = k((k-1)!S(n-1,k-1) + k!S(n-1,k)).
 * :func:`triangle_rows` runs the same recurrence as the oracle modulo 2**M
   on whole rows, each packed into one int with a slot per k, so one step
   is a few big-integer shifts, ANDs and adds.  It serves the inequality of
@@ -338,31 +340,39 @@ def val2_stirling(n: int, k: int) -> Valuation:
 
 
 def val2_rows(ns: Iterable[int], k_max: int) -> dict[int, list[Valuation]]:
-    """{n: [nu_2(S(n,k)) for k = 1..k_max]} for each n in ns, one power row per n.
+    """{n: [nu_2(S(n,k)) for k = 1..k_max]} for each n in ns, taken in increasing order.
 
-    Each n takes one row b**n mod 2**M for b <= min(n, k_max); k! * S(n,k)
-    mod 2**M is then the coefficients of ``ksf_terms(k)`` dotted with the
-    row's first k powers.  M is the engine's start precision for k_max,
-    which is at least that of every k <= k_max since m_start does not
-    decrease in k.  A nonzero residue fixes the valuation exactly, a zero
-    one goes to val2_stirling, and k > n gives INFINITE.
+    Each row holds k! * S(n,k) mod 2**M for k <= min(n, k_max).  Row n
+    steps from row n - 1 when that was the row just computed and n - 1 >= 1,
+    by k!S(n,k) = k((k-1)!S(n-1,k-1) + k!S(n-1,k)), a few operations per k.
+    Any other n takes one row of powers b**n mod 2**M for b <= min(n, k_max),
+    dotted with the coefficients of ``ksf_terms(k)`` (row 0 is empty: its
+    S(0,0) = 1 lies outside the k >= 1 slots).  So a run of consecutive
+    indices takes one power row.  M is the engine's start precision for
+    k_max, which is at least that of every k <= k_max since m_start does
+    not decrease in k.  A nonzero residue fixes the valuation exactly, a
+    zero one goes to val2_stirling, and k > n gives INFINITE.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     mod = 1 << get_engine(k_max).m_start
-    by_k = [
-        ([c for c, _ in ksf_terms(k)], legendre_factorial_val(2, k)) for k in range(1, k_max + 1)
-    ]
-    rows = {}
-    for n in ns:
+    coefs = [[c for c, _ in ksf_terms(k)] for k in range(1, k_max + 1)]
+    fact_vals = [legendre_factorial_val(2, k) for k in range(1, k_max + 1)]
+    rows, last, residues = {}, -1, []
+    for n in sorted(ns):
         if n < 0:
             raise ValueError(f"need n >= 0, got n={n}")
-        powers = [pow(b, n, mod) for b in range(1, min(n, k_max) + 1)]
-        row = []
-        for k, (coefs, fact_val) in enumerate(by_k[: len(powers)], 1):
-            r = sum(map(mul, coefs, powers)) % mod
-            row.append(nu_int(2, r) - fact_val if r else val2_stirling(n, k))
-        rows[n] = row + [INFINITE] * (k_max - len(row))
+        ks = range(1, min(n, k_max) + 1)
+        if last == n - 1 >= 1:
+            residues = [k * (a + b) % mod for k, a, b in zip(ks, [0] + residues, residues + [0])]
+        else:
+            powers = [pow(b, n, mod) for b in ks]
+            residues = [sum(map(mul, c, powers)) % mod for c in coefs[: len(powers)]]
+        rows[n] = [
+            nu_int(2, r) - fact_val if r else val2_stirling(n, k)
+            for k, r, fact_val in zip(ks, residues, fact_vals)
+        ] + [INFINITE] * (k_max - len(ks))
+        last = n
     return rows
 
 
@@ -403,8 +413,9 @@ def special_values_check(q_max: int, k_max: int) -> ConjectureReport:
          (family D scans a in {1,3,5,7} with a*2^q >= k)
 
     Families A-C read one :func:`val2_rows` call over n in {2^q, 2^q + 1,
-    2^q + 2}.  Family D reads the engine (:func:`val2_stirling`) per value:
-    it needs only k <= q + 2 at each n, so a shared row would save nothing.
+    2^q + 2}: one power row per 2^q, and the two rows after it stepped.
+    Family D reads the engine (:func:`val2_stirling`) per value.  Each check
+    is one ``report.record`` call, with a payload only when it fails.
     """
     if q_max < 3:
         raise ValueError("q_max must be >= 3")
@@ -415,24 +426,26 @@ def special_values_check(q_max: int, k_max: int) -> ConjectureReport:
     )
 
     def expect(family: str, n: int, k: int, got: Valuation, want: int) -> None:
-        report.record(
-            got == want,
-            {"family": family, "n": n, "k": k, "computed": got, "expected": want},
-        )
+        if got == want:
+            report.record(True)
+        else:
+            report.record(
+                False, {"family": family, "n": n, "k": k, "computed": got, "expected": want}
+            )
 
     # row r of n = 2^q + i holds nu_2(S(n, k)) at r[k - 1]
     rows = val2_rows({(1 << q) + i for q in range(1, q_max + 1) for i in range(3)}, k_max + 2)
+    s = [digit_sum(2, k) for k in range(k_max + 2)]
     for q in range(1, q_max + 1):
         n = 1 << q
         row_a, row_b, row_c = rows[n], rows[n + 1], rows[n + 2]
         for k in range(1, min(n, k_max) + 1):
-            s = digit_sum(2, k)
-            expect("A", n, k, row_a[k - 1], s - 1)
-            expect("B", n + 1, k + 1, row_b[k], s - 1)
+            expect("A", n, k, row_a[k - 1], s[k] - 1)
+            expect("B", n + 1, k + 1, row_b[k], s[k] - 1)
             if k % 2 == 0:
-                expect("C", n + 2, k + 2, row_c[k + 1], s - 1)
+                expect("C", n + 2, k + 2, row_c[k + 1], s[k] - 1)
             elif (k + 1) % 4 == 0:
-                expect("C", n + 2, k + 2, row_c[k + 1], digit_sum(2, k + 1) - 1)
+                expect("C", n + 2, k + 2, row_c[k + 1], s[k + 1] - 1)
     for k in range(1, k_max + 1):
         for q in range(max(k - 2, 0), q_max + 1):
             for a in (1, 3, 5, 7):
@@ -463,7 +476,11 @@ def identity_battery(n_max: int = 300, q_max: int = 10, k_max: int = 64) -> Conj
     M = n_max.bit_length()
     W, top = triangle_width(n_max, M), (1 << M) - 1
     s = [k.bit_count() for k in range(n_max + 1)]
-    masks = [_pack([(1 << max(s_k - c, 0)) - 1 for s_k in s], W) for c in range(M + 1)]
+    # slot k of masks[c] keeps the low s_2(k) - c bits, none if c >= s_2(k): the slots
+    # are 2M bits wide, so what ``>> c`` moves into a slot's top M bits is cut off
+    field = _pack([top] * (n_max + 1), W)
+    ones = _pack([(1 << s_k) - 1 for s_k in s], W)
+    masks = [ones >> c & field for c in range(M + 1)]
     failures = []
     for n, row in triangle_rows(n_max, M):
         flagged = row & masks[s[n]]
@@ -481,7 +498,8 @@ def identity_battery(n_max: int = 300, q_max: int = 10, k_max: int = 64) -> Conj
     )
     for k in range(1, 6):
         ns = range(k, n_max + 1)
-        bad = [n for n in ns if stirling_closed_small(n, k) != stirling_exact(n, k)]
+        stirling_exact(n_max, k)  # grows column k of the oracle to S(n_max, k) at once
+        bad = [n for n in ns if stirling_closed_small(n, k) != _columns[k][n - k]]
         report.record_many(len(ns), [{"identity": "closed form", "n": n, "k": k} for n in bad])
     for k in range(1, 5):
         vs = list(get_engine(k).val2_range(k, n_max + 1))

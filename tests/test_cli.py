@@ -27,6 +27,22 @@ from stirval import (
 )
 
 
+# what `from stirval import *` bound when the package imported every module
+STAR_NAMES = """
+CONSISTENT COUNTEREXAMPLE ChainLink ClassStatus ConjectureReport INCONCLUSIVE INFINITE LevelTree
+ModStirlingEngine Ratio ResidueClass Valuation a_lm a_lm_val_check approx approx_report
+aux_indicators b_lm build_level_tree c_set_sequence clarke_battery clarke_conjecture_check
+clarke_val_check classify_class cohen_at_powers cohen_check cohen_partial_sums cohen_sum
+de_wannemacker_gap de_wannemacker_gaps digit_sum err1 err2 exceptional_indices f1 f2 f3
+get_engine i1_elements identity_battery in_I1 in_I2 is_prime k5_structure_report
+k5_surviving_chain ksf_terms kummer_binomial_val lambda_p legendre_factorial_val levels m0_of
+nu_int nu_rat padic pochhammer power_lemma_report prove_constant reports sequences
+special_values_check stirling stirling_closed_small stirling_exact t2_zeros t_sum t_terms
+triangle_rows triangle_width val2_closed_small val2_rows val2_stirling verify_main_conjecture
+x1 x2
+"""
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
@@ -226,6 +242,9 @@ class TestTargetDefaults:
              "identities", "lemmas", "alm", "cohen"],
     )
     def test_defaults_reach_the_library(self, monkeypatch, argv, module, name, expected):
+        # cli names each target's module and imports it when the target runs
+        module_name, attr, _ = cli._TARGETS[argv[0]]
+        assert (cli._module(module_name), attr) == (module, name)
         calls = _spy(monkeypatch, module, name)
         with pytest.raises(_Called):
             cli.main(["verify", *argv])
@@ -235,7 +254,8 @@ class TestTargetDefaults:
     @pytest.mark.parametrize("target", list(cli._TARGETS))
     def test_options_match_the_signature(self, monkeypatch, target, wrapped):
         # _target reads what inspect.signature reads, through a functools.wraps wrapper too
-        module, name, renames = cli._TARGETS[target]
+        module_name, name, renames = cli._TARGETS[target]
+        module = cli._module(module_name)
         original = getattr(module, name)
         expected = {
             p.name: (
@@ -536,6 +556,33 @@ class TestUsageAndEnvironment:
         )
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    def test_a_call_imports_only_the_modules_it_runs(self):
+        # the package and cli import a target's or a series' module when it runs
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        unused = ["stirval.levels", "stirval.sequences", "stirval.approx"]
+        for argv in (
+            ["verify", "identities", "--n-max", "40", "--q-max", "4", "--k-max", "8"],
+            ["val", "--series", "stirling", "--k", "5", "--n-min", "1", "--n-max", "30"],
+        ):
+            code = (
+                f"import sys; sys.path.insert(0, {src!r}); from stirval import cli; "
+                f"code = cli.main({argv!r}); "
+                f"print(code, [m for m in {unused!r} if m in sys.modules], file=sys.stderr)"
+            )
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            assert proc.stderr == "0 []\n", argv
+
+    def test_star_import_binds_every_exported_name(self):
+        # the package imports no module at start-up, and still exports every name
+        names = set(STAR_NAMES.split())
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); from stirval import *; "
+            "print(' '.join(sorted(n for n in dir() if not n.startswith('_'))))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert set(proc.stdout.split()) - {"sys"} == names, proc.stderr
 
     def test_verify_run_imports_no_json(self):
         # ConjectureReport.to_json writes the text itself; json costs a cold call milliseconds

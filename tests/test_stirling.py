@@ -451,9 +451,37 @@ class TestVal2Rows:
             return engine_val2(n, k)
 
         monkeypatch.setattr(stirling_module, "val2_stirling", spy)
-        rows = val2_rows(ns, 5)
+        # with n - 1 in the set each zero arrives on a row stepped from n - 1
+        rows = val2_rows(ns + [n - 1 for n in ns], 5)
         assert calls == [(n, 5) for n in ns]
         assert [rows[n][4] for n in ns] == [68, 67]
+        assert rows[ns[0]] == val2_rows([ns[0]], 5)[ns[0]]
+
+    @pytest.mark.parametrize("k_max", [1, 3, 12, 70])
+    def test_stepped_rows_equal_power_rows(self, k_max):
+        # a single index always takes the power route
+        ns = [0, 1, 2, 3, 7, 8, 9, 10, 11, 40, 41, 64, 65, 66, 67, 100]
+        rows = val2_rows(ns, k_max)
+        assert rows == {n: val2_rows([n], k_max)[n] for n in ns}
+        assert rows[0] == [INFINITE] * k_max
+        assert rows[1] == [0] + [INFINITE] * (k_max - 1)
+
+    def test_one_power_row_per_run_of_consecutive_indices(self, monkeypatch):
+        # rows 2^q + 1 and 2^q + 2 step from the row before; row 1 may not step from row 0
+        k_max = 12
+        powers, fallbacks = [], []
+        monkeypatch.setattr(
+            stirling_module, "pow", lambda b, e, m: powers.append(e) or pow(b, e, m),
+            raising=False,
+        )
+        monkeypatch.setattr(
+            stirling_module, "val2_stirling", lambda n, k: fallbacks.append((n, k)),
+        )
+        ns = [0, 1, 2, 3] + [(1 << q) + i for q in range(3, 11) for i in range(3)]
+        val2_rows(reversed(ns), k_max)
+        assert fallbacks == []
+        heads = [1] + [1 << q for q in range(3, 11)]
+        assert sorted(powers) == sorted(e for e in heads for _ in range(min(e, k_max)))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
