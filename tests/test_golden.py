@@ -50,10 +50,20 @@ GOLDEN = [
      "ce0f41ff3197d74eeb01ae885d8ed36e77fae5a15887588b6df3138cab22748d"),
     (("verify", "main-conjecture", "--k", "45", "--levels", "9", "--samples", "32"), 1,
      "8797f7977c07937a6893f481e929debcdc4e16110fd5eb9fb9c5d25bd9c974f3"),
+    # deep trees, where the level tree carries odd powers past its column levels
+    (("verify", "main-conjecture", "--k", "128", "--levels", "12"), 1,
+     "3de89a9b41ece562564d7a5db4db1c5ed13641dd7f84fc4d94f25f4a68983bf1"),
+    (("verify", "main-conjecture", "--k", "64", "--levels", "14"), 1,
+     "80678d4bfaaf81508e004ccf7b742d90711a40c8d94bdb0d79dff222121e9abb"),
+    # a witness budget of two leaves classes undecided
+    (("verify", "main-conjecture", "--k", "45", "--levels", "9", "--samples", "2"), 2,
+     "8dbc4e1c35e669ed53201e7f336d7cb606f577a90a02bb55542a98dccbf79d4a"),
     (("verify", "main-conjecture", "--k", "3"), 2,
      "0048ae1cb745c9bb2de2dda4f4fbb75bdd576fcbc4e2a642445b7c493342146e"),
     (("verify", "k5-theorem", "--levels", "4", "--i-max", "20"), 0,
      "9b5a2b26c650d783ba4774eed64a917fad8e3428714559f812110c3b7bb0d5d8"),
+    (("verify", "k5-theorem", "--levels", "20"), 0,
+     "e855123b71a23f00909800777665eddf7b8e20e9f7c400e948ac4a71abac5ff8"),
     (("verify", "exceptional", "--i-max", "110"), 0,
      "bf6a8337c4a19dcbf93f541343e2a8b94dacc4bfaf5aa6262eadc9d674e14295"),
     (("verify", "approx", "--m-max", "400"), 0,
