@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LIFTER = "tests/test_sequences.py::TestClarkeZero"
 PROOF = "tests/test_levels.py::TestProveConstant"
 CARRIED = f"{PROOF}::test_carried_powers_match_pow_at_every_node"
+A_S = f"{PROOF}::test_verdicts_equal_the_a_s_certificate"
 SCAN = "tests/test_stirling.py::TestVal2Range"
 MAIN = "tests/test_levels.py::TestMainConjecture"
 POWERS = "tests/test_sequences.py::TestCohenAtPowers"
@@ -77,17 +78,24 @@ MUTANTS = [
     ("classify_class records a witness valuation one too high", "levels.py",
      "witness_b=(n, v)", "witness_b=(n, v + 1)",
      ["tests/test_acceptance.py::test_09_main_conjecture_nine_orders"]),
-    ("prove_constant shifts by m+3", "levels.py",
-     "shift = m + 2", "shift = m + 3", [PROOF]),
+    ("prove_constant counts one member short", "levels.py",
+     "islice(values, len(small) + a // (c.m + 2))",
+     "islice(values, max(len(small) + a // (c.m + 2) - 1, 0))", [A_S]),
+    ("prove_constant counts floor(a/(m+3)) + 1 members", "levels.py",
+     "len(small) + a // (c.m + 2)", "len(small) + a // (c.m + 3)", [A_S]),
     ("prove_constant trusts the member n = a", "levels.py",
-     "if n > a:", "if n >= a:", [PROOF]),
-    ("prove_constant drops the A_s check", "levels.py",
-     "if sum(terms) & (mask >> s * shift):", "if False:", [PROOF]),
-    ("prove_constant stops s one short", "levels.py",
-     "for s in range(1, a // shift + 1)", "for s in range(1, a // shift)", [PROOF]),
-    ("prove_constant reuses the carried powers when it doubles P", "levels.py",
-     "P *= 2\n        powers = odd_powers(c, P)", "P *= 2",
-     [f"{PROOF}::test_vanishing_carried_sum_recomputes_the_powers"]),
+     "range(n, a + 1, c.modulus)", "range(n, a, c.modulus)", [PROOF]),
+    ("prove_constant skips the members n <= a", "levels.py",
+     "    for n in small:\n", "    for n in ():\n",
+     [f"{PROOF}::test_small_members_are_checked_exactly"]),
+    ("the column reads each member at index n + 1", "levels.py",
+     "if n >= len(pairs):\n"
+     "                pairs.extend(islice(self._scan, n + 1 - len(pairs)))\n"
+     "            yield pairs[n]",
+     "if n + 1 >= len(pairs):\n"
+     "                pairs.extend(islice(self._scan, n + 2 - len(pairs)))\n"
+     "            yield pairs[n + 1]",
+     ["tests/test_levels.py::TestColumn::test_values_equal_val2_stirling"]),
     ("split_powers shifts w^2 by 2^m for 2^(m+1)", "levels.py",
      "(w * w << (m + 1))", "(w * w << m)", [CARRIED]),
     ("split_powers keeps the parent's u in the child j + 2^m", "levels.py",

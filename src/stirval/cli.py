@@ -252,11 +252,29 @@ def _cmd_figure(args) -> int:
     return EX_OK
 
 
-def build_parser(argv: list[str] | None = None) -> _Parser:
-    """The stirval parser; with ``argv``, only the verify targets it names get their options.
+def _verify_targets(argv: list[str] | None) -> list[str]:
+    """The verify targets that get a sub-parser for a parse of argv.
 
-    Every target's sub-parser exists either way, so help and usage text do
-    not change.  A target's own parser runs only when argv holds its name.
+    The only option before a sub-command is -h, so the first word not
+    starting with "-" is the command.  A known target right after "verify"
+    needs only its own sub-parser.  Any other verify call gets all nine,
+    since its help, usage or error lists them, and a call of another
+    command gets none.  Without argv, every target gets one.
+    """
+    if argv is None:
+        return list(_TARGETS)
+    if [a for a in argv if not a.startswith("-")][:1] != ["verify"]:
+        return []
+    after = argv[argv.index("verify") + 1:][:1]
+    return after if after and after[0] in _TARGETS else list(_TARGETS)
+
+
+def build_parser(argv: list[str] | None = None) -> _Parser:
+    """The stirval parser; with ``argv``, only the verify targets a parse of it reaches.
+
+    ``_verify_targets`` picks the targets that get a sub-parser, and only
+    a target argv names gets its options (reading them imports its module).
+    Help, usage and error text are the full parser's either way.
     """
     parser = _Parser(
         prog="stirval",
@@ -277,7 +295,7 @@ def build_parser(argv: list[str] | None = None) -> _Parser:
 
     p_verify = sub.add_parser("verify", help="run a verification target, emit JSON")
     targets = p_verify.add_subparsers(dest="target", required=True)
-    for name in _TARGETS:
+    for name in _verify_targets(argv):
         p_target = targets.add_parser(name)
         if argv is not None and name not in argv:
             continue

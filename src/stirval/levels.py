@@ -8,18 +8,43 @@ survivor of the (m-1)-level into its two children.
 
 A non-constant verdict carries a certificate: two members with provably
 different valuations.  A constant verdict is proved for every member by
-the 2-adic certificate of ``prove_constant``; there is no other way to
-reach it.  A class with neither a proof nor a witness pair among its
-first ``samples`` members (the witness budget) is undecided: INCONCLUSIVE,
-with no value, and not split further.
+``prove_constant``, which counts agreeing members; there is no other way
+to reach it.  The count is a proof by Newton's forward differences
+(Mahler, J. reine angew. Math. 199, 1958) on Clarke's odd-base expansion
+(J. Number Theory 52, 1995).  Split ``ksf_terms(k)`` into odd and even
+bases: the even-base part of k! * S(n,k) is 0 mod 2**n, and along the
+members n = n1 + 2**m * t the odd-base part is h(t) = sum u_b beta_b**t
+with beta_b = b**(2**m) == 1 mod 2**(m+2).  Its s-th forward difference
+at 0 is sum u_b (beta_b - 1)**s, divisible by 2**(s(m+2)), so modulo
+2**(a+1) h is a polynomial in t of degree at most S = floor(a/(m+2)):
+h(t) = sum_{s<=S} C(t,s) Delta**s h(0).  If h(0), ..., h(S) all equal
+2**a mod 2**(a+1), then every Delta**s h(0) with s >= 1 vanishes mod
+2**(a+1), and h(t) == 2**a for every t.  With v the value at the first
+member, a = v + nu_2(k!) and n1 the first member above a (where the
+even-base part vanishes mod 2**(a+1)), a class is constant exactly when
+its members n <= a have value v and so do the S + 1 members from n1 on.
+A constant class passes this count trivially, so the count decides.
+
+A class with neither a proof nor a witness pair among its first
+``samples`` members (the witness budget) is undecided: INCONCLUSIVE, with
+no value, and not split further.
+
+Member values come from one of two routes, both exact.  A ``Column``
+holds nu_2(S(n,k)) for n = 0, 1, ... from one ``val2_range`` scan, read
+as far as a class asks; every class of a tree shares it, which suits the
+dense levels near m0.  A class at level m reads members 2**m apart, so a
+deep level would need a column far longer than the values it reads; from
+level m0 + ``COLUMN_LEVELS`` + 1 on, the tree carries each class's odd
+powers to its children instead (``odd_powers``, ``split_powers``) and
+steps along the members by ``member_values``.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, tee
 from typing import Iterator, NamedTuple
 
-from .padic import Valuation, nu_int
+from .padic import INFINITE, Valuation
 from .reports import FAIL, INCONCLUSIVE, PASS, ConjectureReport
 from .stirling import get_engine, t_terms, val2_stirling
 
@@ -27,6 +52,12 @@ CONSTANT = "CONSTANT"
 NON_CONSTANT = "NON_CONSTANT"
 
 DEFAULT_SAMPLES = 64
+
+# levels m <= m0 + COLUMN_LEVELS read the tree's column; deeper ones carry odd powers
+COLUMN_LEVELS = 4
+
+# the stop of a column's scan: far beyond any index a tree reads
+_COLUMN_END = 1 << 62
 
 
 def m0_of(k: int) -> int:
@@ -113,6 +144,28 @@ class ClassStatus(NamedTuple):
 Powers = tuple[tuple[int, int], ...]
 
 
+class Column:
+    """nu_2(S(n,k)) for n = 0, 1, 2, ... of one order k, computed as far as a class asks.
+
+    The values come from one live ``val2_range(1, ...)`` scan, resumed
+    where it stopped: a fresh scan per extension would pay an ``exp_sums``
+    head from n = 2k on.
+    """
+
+    def __init__(self, k: int) -> None:
+        # pairs[n] == (n, nu_2(S(n,k))), as the scan yields them
+        self.pairs: list[tuple[int, Valuation]] = [(0, INFINITE)]
+        self._scan = get_engine(k).val2_range(1, _COLUMN_END)
+
+    def member_values(self, c: ResidueClass) -> Iterator[tuple[int, Valuation]]:
+        """Yield (n, nu_2(S(n,k))) for the members n of c in increasing order."""
+        pairs = self.pairs
+        for n in c.iter_members():
+            if n >= len(pairs):
+                pairs.extend(islice(self._scan, n + 1 - len(pairs)))
+            yield pairs[n]
+
+
 def odd_powers(c: ResidueClass, P: int) -> Powers:
     """(c_b b**j, (b**(2**m) - 1) / 2**(m+2)) mod 2**P for each odd base b <= c.k."""
     m, j, mask = c.m, c.j, (1 << P) - 1
@@ -123,7 +176,12 @@ def odd_powers(c: ResidueClass, P: int) -> Powers:
 
 
 def split_powers(powers: Powers, m: int, P: int) -> tuple[Powers, Powers]:
-    """The odd powers of the children j and j + 2**m of a class C(m, j), mod 2**P."""
+    """The odd powers of the children j and j + 2**m of a class C(m, j), mod 2**P.
+
+    b**(2**(m+1)) - 1 = 2**(m+3) w_b (1 + 2**(m+1) w_b) gives both children
+    w_b + 2**(m+1) w_b**2; the child j keeps u_b, and the child j + 2**m
+    takes u_b b**(2**m) = u_b (1 + 2**(m+2) w_b).
+    """
     mask = (1 << P) - 1
     low, high = [], []
     for u, w in powers:
@@ -162,75 +220,68 @@ def member_values(c: ResidueClass, powers: Powers, P: int) -> Iterator[tuple[int
         n += 1 << m
 
 
-def prove_constant(c: ResidueClass, powers: Powers | None = None) -> Valuation | None:
-    """The value of nu_2(S(n,k)) on every member n of c, proved; None if no proof.
+def prove_constant(
+    c: ResidueClass, values: Iterator[tuple[int, Valuation]] | None = None
+) -> Valuation | None:
+    """The value of nu_2(S(n,k)) on every member n of c, proved; None if there is none.
 
-    A 2-adic certificate after Clarke, *Hensel's lemma and the divisibility
-    by primes of Stirling-like numbers*, J. Number Theory 52 (1995).  Write
-    n = j + 2**m * t and split ``ksf_terms(k)`` into odd and even bases.
-    Every even-base term has valuation >= n.  For odd b,
-    b**(2**m) = 1 + 2**(m+2) * w_b, so the odd-base part ``t_terms(2, k)``
-    is g(n) = sum_s C(t,s) 2**(s(m+2)) A_s with A_s = sum_{b odd} c_b b**j w_b**s.
-    A_0 != 0 because every odd-base coefficient has the sign (-1)**(k-1).
-    With a = nu_2(A_0), if A_s == 0 mod 2**(a+1-s(m+2)) for 1 <= s <= a/(m+2),
-    then nu_2(g(n)) = a for every t, so nu_2(k! S(n,k)) = a for every
-    member n > a.  The members k <= n <= a are checked exactly.
+    ``values`` yields c's members with their valuations in increasing
+    order (by default from a new ``Column``).  With v the first member's
+    value, f = nu_2(k!), a = v + f and S = floor(a/(m+2)), c is constant
+    exactly when its members n <= a, checked by ``val2_stirling``, and
+    the S + 1 members after them all have value v.
 
-    ``powers`` are c's ``odd_powers`` (u_b, w_b) mod 2**P, P the engine's
-    start precision, computed by ``pow`` when not given.  ``split_powers``
-    hands them to the children: b**(2**(m+1)) - 1 = 2**(m+3) w_b (1 + 2**(m+1) w_b)
-    gives both w_b + 2**(m+1) w_b**2, the child j keeps u_b, and the child
-    j + 2**m takes u_b b**(2**m) = u_b (1 + 2**(m+2) w_b).  A_0 == sum u_b
-    mod 2**P, and a nonzero residue puts a + 1 <= P, so running products
-    u_b w_b**s mod 2**(a+1) give each A_s exactly.  A zero residue doubles P
-    and recomputes the powers by ``pow``.
+    Proof (the module docstring has it in full): write a member above a
+    as n = n1 + 2**m * t.  The even-base part of k! * S(n,k) vanishes mod
+    2**n, so mod 2**(a+1) for n > a.  The odd-base part
+    h(t) = sum u_b beta_b**t has beta_b = b**(2**m) == 1 mod 2**(m+2),
+    so Delta**s h(0) = sum u_b (beta_b - 1)**s is divisible by
+    2**(s(m+2)): mod 2**(a+1), h(t) = sum_{s<=S} C(t,s) Delta**s h(0).
+    S + 1 values h(0), ..., h(S) equal to 2**a mod 2**(a+1) make every
+    Delta**s h(0) with 1 <= s <= S vanish mod 2**(a+1), so h(t) == 2**a
+    for every t: each member n > a has valuation a - f = v.  The converse
+    is trivial, so the count decides.
     """
-    k, m = c.k, c.m
-    engine = get_engine(k)
-    P = engine.m_start
-    if powers is None:
-        powers = odd_powers(c, P)
-    while not (r := sum(u for u, _ in powers) & ((1 << P) - 1)):
-        P *= 2
-        powers = odd_powers(c, P)
-    a = nu_int(2, r)
-    shift = m + 2
-    mask = (1 << (a + 1)) - 1
-    terms = [u for u, _ in powers]  # u_b w_b^s mod 2^(a+1), summing to A_s
-    for s in range(1, a // shift + 1):
-        terms = [t * w & mask for t, (_, w) in zip(terms, powers)]
-        if sum(terms) & (mask >> s * shift):
+    k = c.k
+    if values is None:
+        values = Column(k).member_values(c)
+    n, value = next(values)
+    a = value + get_engine(k).fact_val
+    small = range(n, a + 1, c.modulus)  # the members n <= a
+    # the members n <= a and the S + 1 after them agree, the first one read already
+    for _, v in islice(values, len(small) + a // (c.m + 2)):
+        if v != value:
             return None
-    value = a - engine.fact_val
-    for n in c.iter_members():
-        if n > a:
-            return value
+    for n in small:
         if val2_stirling(n, k) != value:
             return None
+    return value
 
 
 def classify_class(
-    c: ResidueClass, samples: int = DEFAULT_SAMPLES, powers: Powers | None = None
+    c: ResidueClass,
+    samples: int = DEFAULT_SAMPLES,
+    values: Iterator[tuple[int, Valuation]] | None = None,
 ) -> ClassStatus:
-    """Classify c: CONSTANT only by ``prove_constant(c, powers)``, else search for witnesses.
+    """Classify c: CONSTANT only by ``prove_constant``, else search for witnesses.
 
-    Without a proof, the first ``samples`` members are evaluated by
-    ``member_values`` from the same powers (computed once by ``odd_powers``
-    when not given): NON_CONSTANT with a witness pair as soon as two
-    members disagree, otherwise INCONCLUSIVE once the budget runs out.
-    Members are >= k, so every valuation is finite.
+    ``values`` yields c's members with their valuations in increasing
+    order (by default from a new ``Column``); the proof and the witness
+    search read it through one ``tee``.  Without a proof, the first
+    ``samples`` members are read: NON_CONSTANT with a witness pair as soon
+    as two members disagree, otherwise INCONCLUSIVE once the budget runs
+    out.  Members are >= k, so every valuation is finite.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    P = get_engine(c.k).m_start
-    if powers is None:
-        powers = odd_powers(c, P)
-    value = prove_constant(c, powers)
+    if values is None:
+        values = Column(c.k).member_values(c)
+    values, search = tee(values)
+    value = prove_constant(c, values)
     if value is not None:
         return ClassStatus(CONSTANT, samples, value=value)
-    values = member_values(c, powers, P)
-    first_n, first_v = next(values)
-    for n, v in islice(values, samples - 1):
+    first_n, first_v = next(search)
+    for n, v in islice(search, samples - 1):
         if v != first_v:
             return ClassStatus(
                 NON_CONSTANT, samples, witness_a=(first_n, first_v), witness_b=(n, v)
@@ -310,24 +361,43 @@ def build_level_tree(k: int, m_max: int, samples: int = DEFAULT_SAMPLES) -> Leve
 
     Level 1 starts from the two parity classes; level m+1 classifies the
     children of the level-m survivors.  Neither a CONSTANT nor an
-    INCONCLUSIVE class is split.
+    INCONCLUSIVE class is split.  Levels m <= m0 + ``COLUMN_LEVELS`` read
+    their member values off one ``Column``; a deeper class reads them from
+    odd powers, computed by ``odd_powers`` at the first such level and
+    handed down by ``split_powers``.
     """
     if k < 3:
         raise ValueError("level trees need k >= 3")
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     tree = LevelTree(k=k, m0=m0_of(k), samples=samples)
-    P = get_engine(k).m_start
-    # j -> the odd powers of C(m, j), one level at a time
-    candidates = {j: odd_powers(ResidueClass(k, 1, j), P) for j in (0, 1)}
+    column, P = Column(k), get_engine(k).m_start
+    last_column_level = tree.m0 + COLUMN_LEVELS
+
+    def powers_of(m: int, js: tuple[int, ...], parent: Powers | None) -> tuple:
+        """The odd powers of C(m, j) for each j in js; None where level m reads the column."""
+        if m <= last_column_level:
+            return (None,) * len(js)
+        if parent is None:
+            return tuple(odd_powers(ResidueClass(k, m, j), P) for j in js)
+        return split_powers(parent, m - 1, P)
+
+    # j -> the odd powers of C(m, j), or None where level m reads the column
+    candidates = dict(zip((0, 1), powers_of(1, (0, 1), None)))
     for m in range(1, m_max + 1):
         rec = LevelRecord(k, m)
         for j, powers in candidates.items():
-            rec.statuses[j] = classify_class(ResidueClass(k, m, j), samples, powers)
+            c = ResidueClass(k, m, j)
+            values = column.member_values(c) if powers is None else member_values(c, powers, P)
+            rec.statuses[j] = classify_class(c, samples, values)
         tree.levels.append(rec)
+        if m == m_max:
+            break
         parents, candidates = candidates, {}
-        for c in rec.survivors:
-            candidates[c.j], candidates[c.j + c.modulus] = split_powers(parents[c.j], m, P)
+        for j in sorted(rec.statuses):  # the survivors' children, as rec.survivors orders them
+            if rec.statuses[j].kind == NON_CONSTANT:
+                js = (j, j + (1 << m))
+                candidates.update(zip(js, powers_of(m + 1, js, parents[j])))
         if not candidates:
             break
     return tree

@@ -124,6 +124,7 @@ def ksf_terms(k: int) -> Terms:
     )
 
 
+@cache
 def t_terms(p: int, k: int) -> Terms:
     """The terms of ``ksf_terms(k)`` whose base is prime to p: Lundell's T_p(x, k).
 
@@ -264,7 +265,9 @@ def recurrence_mod(q: list[int], head: list[int]) -> Iterator[int]:
     products of two 32-bit numbers, so W = 64 + bitlen(L) + 1 bits, rounded
     up to a byte, keep the slots apart; each slot is then reduced mod 2**32
     by an AND with ``block`` (2**32 - 1 in each of L slots) cut to the slots
-    in use.  The block length L is 8k, and at least 64.  One precompiled struct
+    in use.  ``block`` is 2**32 - 1 times ``ones`` = (2**(W*L) - 1) / (2**W - 1),
+    one division where two ``_pack`` calls would format L slots each.  The
+    block length L is 8k, and at least 64.  One precompiled struct
     reads the L - k new terms of a block, each from the low 4 bytes of its
     reduced slot.
     """
@@ -274,7 +277,8 @@ def recurrence_mod(q: list[int], head: list[int]) -> Iterator[int]:
     W = 8 * Wb
     unpack = struct.Struct("<" + f"I{Wb - 4}x" * (L - k)).unpack_from
     top = (1 << 32) - 1
-    Q, block, ones = _pack([c & top for c in q], W), _pack([top] * L, W), _pack([1] * L, W)
+    ones = ((1 << (W * L)) - 1) // ((1 << W) - 1)  # 1 in each of L slots
+    Q, block = _pack([c & top for c in q], W), top * ones
     inverse, m = 1, 1
     while m < L:
         m = min(2 * m, L)

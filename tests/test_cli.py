@@ -1,5 +1,6 @@
 """CLI surface: output formats, exit codes, determinism."""
 
+import argparse
 import functools
 import inspect
 import io
@@ -198,6 +199,15 @@ class TestVerify:
         data = json.loads(out)
         assert data["status"] == "CONSISTENT"
         assert data["checked"] > 0 or data["details"]
+
+
+def _target_parsers(parser) -> list[str]:
+    """The verify targets that have a sub-parser in parser."""
+
+    def sub_parsers(p):
+        return next(a for a in p._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    return list(sub_parsers(sub_parsers(parser)["verify"]))
 
 
 class _Called(Exception):
@@ -607,6 +617,27 @@ class TestUsageAndEnvironment:
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1]
         assert "--out" in texts[0]
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["val", "--series", "stirling", "--k", "5", "--n", "9"], []),
+            (["figure", "val-n", "--n-max", "4"], []),
+            (["--help"], []),
+            (["verify", "identities", "--n-max", "40"], ["identities"]),
+            (["verify", "main-conjecture", "--help"], ["main-conjecture"]),
+            (["verify"], list(cli._TARGETS)),
+            (["verify", "--help"], list(cli._TARGETS)),
+            (["verify", "-h", "identities"], list(cli._TARGETS)),
+            (["verify", "bogus"], list(cli._TARGETS)),
+        ],
+        ids=["val", "figure", "help", "identities", "target-help", "verify", "verify-help",
+             "help-before-target", "unknown-target"],
+    )
+    def test_only_the_reachable_target_parsers_are_built(self, argv, expected):
+        # a val call builds no target sub-parser; a named target only its own
+        assert _target_parsers(cli.build_parser(argv)) == expected
+        assert _target_parsers(cli.build_parser()) == list(cli._TARGETS)
 
     def test_main_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["stirval", "verify", "lemmas", "--m-max", "6"])

@@ -23,9 +23,10 @@ from stirval import (
     prove_constant,
     stirling_exact,
     t_terms,
+    val2_stirling,
     verify_main_conjecture,
 )
-from stirval import levels
+from stirval import levels, stirling
 
 
 class TestResidueClass:
@@ -114,7 +115,7 @@ class TestClassify:
     def test_no_proof_and_no_witness_is_inconclusive(self, monkeypatch):
         # C(2,1) is constant, but only the proof may say so: with the proof
         # patched out, agreeing samples leave it undecided, with no value
-        monkeypatch.setattr(levels, "prove_constant", lambda c, powers=None: None)
+        monkeypatch.setattr(levels, "prove_constant", lambda c, values=None: None)
         for samples in (2, 64):
             status = classify_class(ResidueClass(5, 2, 1), samples=samples)
             assert (status.kind, status.value) == ("INCONCLUSIVE", None)
@@ -166,7 +167,7 @@ class TestProveConstant:
     def test_no_proof_of_a_sampled_non_constant_class(self, monkeypatch):
         # the tree sampled without the certificate: each NON_CONSTANT class
         # there carries a witness pair, so no proof may exist for it
-        monkeypatch.setattr(levels, "prove_constant", lambda c, powers=None: None)
+        monkeypatch.setattr(levels, "prove_constant", lambda c, values=None: None)
         tree = build_level_tree(16, m_max=6, samples=64)
         monkeypatch.undo()
         survivors = [c for rec in tree.levels for c in rec.survivors]
@@ -208,49 +209,90 @@ class TestProveConstant:
 
 
     def test_carried_powers_match_pow_at_every_node(self, monkeypatch):
-        # the tree hands each class the odd powers its parent carried; at
-        # every node they are the powers pow gives at that (m, j), and the
-        # verdict is the one the one-argument proof gives
+        # with every level on the carried route, the tree hands each class the
+        # odd powers its parent carried; at every node they are the powers pow
+        # gives at that (m, j), and the tree is the one the column gives
         seen = []
-        true_proof = levels.prove_constant
+        true_member_values = levels.member_values
 
-        def spy(c, powers=None):
-            value = true_proof(c, powers)
-            seen.append((c, powers, value))
-            return value
+        def spy(c, powers, P):
+            seen.append((c, powers, P))
+            return true_member_values(c, powers, P)
 
-        monkeypatch.setattr(levels, "prove_constant", spy)
         for k in range(5, 65):
-            build_level_tree(k, m0_of(k) + 2)
-        monkeypatch.undo()
+            column_tree = build_level_tree(k, m0_of(k) + 2).as_dict()
+            monkeypatch.setattr(levels, "COLUMN_LEVELS", -100)
+            monkeypatch.setattr(levels, "member_values", spy)
+            assert build_level_tree(k, m0_of(k) + 2).as_dict() == column_tree, k
+            monkeypatch.undo()
         assert len(seen) > 8000
-        for c, powers, value in seen:
-            P, shift = get_engine(c.k).m_start, c.m + 2
+        for c, powers, P in seen:
+            shift = c.m + 2
+            assert P == get_engine(c.k).m_start
             assert powers == tuple(
                 (cb * pow(b, c.j, 1 << P) % (1 << P),
                  (pow(b, 1 << c.m, 1 << (P + shift)) - 1) >> shift)
                 for cb, b in t_terms(2, c.k)
             ), c
-            assert value == prove_constant(c), c
 
     @pytest.mark.parametrize("k", [5, 16, 45])
-    def test_vanishing_carried_sum_recomputes_the_powers(self, k):
-        # carried powers whose u_b sum to 0 mod 2^P do not fix nu_2(A_0): the
-        # proof doubles P and recomputes the powers by pow, so any such
-        # powers give the one-argument verdict
-        P = get_engine(k).m_start
+    def test_vanishing_carried_residues_keep_the_verdict(self, monkeypatch, k):
+        # at 3 bits most carried residues vanish and fix no valuation: those
+        # members go to val2_stirling, and every verdict is the column's
+        seen = _spy_val2(monkeypatch)
+        column = levels.Column(k)
         proved = 0
         for m in range(1, 6):
             for j in range(1 << m):
                 c = ResidueClass(k, m, j)
-                (u, w), *rest = levels.odd_powers(c, P)
-                total = u + sum(v for v, _ in rest)
-                powers = (((u - total) % (1 << P), w), *rest)
-                assert sum(v for v, _ in powers) % (1 << P) == 0
-                value = prove_constant(c)
-                assert prove_constant(c, powers) == value, c
+                value = prove_constant(c, column.member_values(c))
+                carried = levels.member_values(c, levels.odd_powers(c, 3), 3)
+                assert prove_constant(c, carried) == value, c
                 proved += value is not None
-        assert proved
+        assert proved and seen
+
+    def test_verdicts_equal_the_a_s_certificate(self):
+        # the count decides exactly the classes the A_s certificate proved,
+        # at the same values, on every class to level 6 of k = 3..70
+        for k in range(3, 71):
+            column = levels.Column(k)
+            for m in range(1, 7):
+                for j in range(1 << m):
+                    c = ResidueClass(k, m, j)
+                    assert prove_constant(c, column.member_values(c)) == _a_s_certificate(c), c
+
+
+def _a_s_certificate(c):
+    """The value of nu_2(S(n,k)) on c by the A_s certificate, None if it does not hold.
+
+    The proof ``prove_constant`` gave before it counted members, kept as its
+    oracle.  On n = j + 2**m t the odd-base part is
+    sum_s C(t,s) 2**(s(m+2)) A_s with A_s = sum_{b odd} c_b b**j w_b**s and
+    b**(2**m) = 1 + 2**(m+2) w_b.  With a = nu_2(A_0), if
+    A_s == 0 mod 2**(a+1-s(m+2)) for 1 <= s <= a/(m+2), every member n > a
+    has nu_2(k! S(n,k)) = a; the members n <= a are checked exactly.
+    """
+    k, m = c.k, c.m
+    engine = get_engine(k)
+    P = engine.m_start
+    powers = levels.odd_powers(c, P)
+    while not (r := sum(u for u, _ in powers) % (1 << P)):
+        P *= 2
+        powers = levels.odd_powers(c, P)
+    a = nu_int(2, r)
+    shift = m + 2
+    mask = (1 << (a + 1)) - 1
+    terms = [u for u, _ in powers]  # u_b w_b^s mod 2^(a+1), summing to A_s
+    for s in range(1, a // shift + 1):
+        terms = [t * w & mask for t, (_, w) in zip(terms, powers)]
+        if sum(terms) & (mask >> s * shift):
+            return None
+    value = a - engine.fact_val
+    for n in c.iter_members():
+        if n > a:
+            return value
+        if val2_stirling(n, k) != value:
+            return None
 
 
 def _spy_val2(monkeypatch):
@@ -307,11 +349,54 @@ class TestMemberValues:
         assert seen == [65, 67, 69, 71]
 
     def test_tree_evaluates_few_members_by_the_engine(self, monkeypatch):
-        # the witness search reads the carried powers; only the exact check
-        # of prove_constant and the members g cannot decide reach the engine
+        # the tree reads its column, and past level m0 + 4 the carried powers;
+        # only the exact check of the members n <= a and the members g cannot
+        # decide reach the engine
         seen = _spy_val2(monkeypatch)
         build_level_tree(64, 8, samples=64)
         assert 0 < len(set(seen)) <= 10
+        seen.clear()
+        build_level_tree(64, 14, samples=64)
+        assert 0 < len(set(seen)) <= 20
+
+
+class TestColumn:
+    def test_values_equal_val2_stirling(self):
+        # one column read at the strides of several levels, out of order
+        rng = random.Random("column")
+        for k in (5, 33, 64):
+            column, engine = levels.Column(k), ModStirlingEngine(k)
+            for _ in range(40):
+                m = rng.randint(1, 7)
+                c = ResidueClass(k, m, rng.randrange(1 << m))
+                values = list(itertools.islice(column.member_values(c), 10))
+                assert values == [(n, engine.val2(n)) for n in c.members(10)], c
+            # every value read so far, at its own index: pairs[n] == (n, nu_2(S(n,k)))
+            assert column.pairs == [(n, engine.val2(n)) for n in range(len(column.pairs))]
+
+    def test_one_scan_per_tree(self, monkeypatch):
+        # the tree extends one live scan, which starts at n = 1
+        calls = []
+        scan = stirling.ModStirlingEngine.val2_range
+
+        def counting(self, start, stop):
+            calls.append((self.k, start))
+            return scan(self, start, stop)
+
+        monkeypatch.setattr(stirling.ModStirlingEngine, "val2_range", counting)
+        build_level_tree(64, 8)
+        assert calls == [(64, 1)]
+
+    @pytest.mark.parametrize("k, m_max", [(5, 9), (21, 11), (64, 12), (128, 13)])
+    def test_routes_give_equal_trees(self, monkeypatch, k, m_max):
+        # the column only, the carried powers only, and the switch between
+        # them at level m0 + 4 build one tree
+        trees = []
+        for column_levels in (100, -100, levels.COLUMN_LEVELS):
+            monkeypatch.setattr(levels, "COLUMN_LEVELS", column_levels)
+            trees.append(build_level_tree(k, m_max).as_dict())
+        assert trees[0] == trees[1] == trees[2]
+        assert m_max > m0_of(k) + levels.COLUMN_LEVELS
 
 
 class TestLevelTree:
@@ -382,7 +467,7 @@ class TestMainConjecture:
         # without proofs, level 2 = m0 - 1 holds no CONSTANT class; that is
         # no part-1 counterexample, since its classes C(2,1) and C(2,2)
         # are undecided, and no level from there on gets a verdict
-        monkeypatch.setattr(levels, "prove_constant", lambda c, powers=None: None)
+        monkeypatch.setattr(levels, "prove_constant", lambda c, values=None: None)
         report = verify_main_conjecture(5, m_max=4, samples=2)
         assert report.status == "INCONCLUSIVE"
         assert report.exit_code == 2
@@ -442,7 +527,7 @@ class TestK5Chain:
 
     def test_chain_needs_proved_siblings(self, monkeypatch):
         # an unproved sibling is undecided, not constant, so the chain breaks
-        monkeypatch.setattr(levels, "prove_constant", lambda c, powers=None: None)
+        monkeypatch.setattr(levels, "prove_constant", lambda c, values=None: None)
         with pytest.raises(ArithmeticError, match="level 2"):
             k5_surviving_chain(4)
 
@@ -500,11 +585,12 @@ class TestK5StructureReadsTheTree:
             0, 4, 12, 28, 28, 28, 156, 156, 156
         ]
         assert len(one_tree) == 38
-        assert calls == one_tree
+        # the third argument is each class's member values, a fresh iterator per call
+        assert [args[:2] for args in calls] == [args[:2] for args in one_tree]
 
     def test_undecided_child_is_inconclusive(self, monkeypatch):
         # without proofs, C(3,0), C(3,3), C(4,4) and C(4,7) are undecided
-        monkeypatch.setattr(levels, "prove_constant", lambda c, powers=None: None)
+        monkeypatch.setattr(levels, "prove_constant", lambda c, values=None: None)
         report = k5_structure_report(m_max=4, i_max=20)
         assert report.status == "INCONCLUSIVE"
         assert report.exit_code == 2
@@ -519,8 +605,8 @@ class TestK5StructureReadsTheTree:
         # must break the split at m = 4 although no sampled member disagrees
         true_proof = levels.prove_constant
 
-        def off_by_one(c, powers=None):
-            value = true_proof(c, powers)
+        def off_by_one(c, values=None):
+            value = true_proof(c, values)
             return value + 1 if (c.m, c.j) == (4, 4) else value
 
         monkeypatch.setattr(levels, "prove_constant", off_by_one)
