@@ -89,12 +89,12 @@ MUTANTS = [
      "    for n in small:\n", "    for n in ():\n",
      [f"{PROOF}::test_small_members_are_checked_exactly"]),
     ("the column reads each member at index n + 1", "levels.py",
-     "if n >= len(pairs):\n"
-     "                pairs.extend(islice(self._scan, n + 1 - len(pairs)))\n"
-     "            yield pairs[n]",
-     "if n + 1 >= len(pairs):\n"
-     "                pairs.extend(islice(self._scan, n + 2 - len(pairs)))\n"
-     "            yield pairs[n + 1]",
+     "if n >= len(values):\n"
+     "                values.extend(islice(self._scan, n + 1 - len(values)))\n"
+     "            yield n, values[n]",
+     "if n + 1 >= len(values):\n"
+     "                values.extend(islice(self._scan, n + 2 - len(values)))\n"
+     "            yield n, values[n + 1]",
      ["tests/test_levels.py::TestColumn::test_values_equal_val2_stirling"]),
     ("split_powers shifts w^2 by 2^m for 2^(m+1)", "levels.py",
      "(w * w << (m + 1))", "(w * w << m)", [CARRIED]),

@@ -42,6 +42,7 @@ steps along the members by ``member_values``.
 from __future__ import annotations
 
 from itertools import islice, tee
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .padic import INFINITE, Valuation
@@ -153,17 +154,16 @@ class Column:
     """
 
     def __init__(self, k: int) -> None:
-        # pairs[n] == (n, nu_2(S(n,k))), as the scan yields them
-        self.pairs: list[tuple[int, Valuation]] = [(0, INFINITE)]
-        self._scan = get_engine(k).val2_range(1, _COLUMN_END)
+        self.values: list[Valuation] = [INFINITE]  # values[n] == nu_2(S(n,k))
+        self._scan = map(itemgetter(1), get_engine(k).val2_range(1, _COLUMN_END))
 
     def member_values(self, c: ResidueClass) -> Iterator[tuple[int, Valuation]]:
         """Yield (n, nu_2(S(n,k))) for the members n of c in increasing order."""
-        pairs = self.pairs
+        values = self.values
         for n in c.iter_members():
-            if n >= len(pairs):
-                pairs.extend(islice(self._scan, n + 1 - len(pairs)))
-            yield pairs[n]
+            if n >= len(values):
+                values.extend(islice(self._scan, n + 1 - len(values)))
+            yield n, values[n]
 
 
 def odd_powers(c: ResidueClass, P: int) -> Powers:

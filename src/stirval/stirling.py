@@ -124,7 +124,6 @@ def ksf_terms(k: int) -> Terms:
     )
 
 
-@cache
 def t_terms(p: int, k: int) -> Terms:
     """The terms of ``ksf_terms(k)`` whose base is prime to p: Lundell's T_p(x, k).
 

@@ -371,8 +371,8 @@ class TestColumn:
                 c = ResidueClass(k, m, rng.randrange(1 << m))
                 values = list(itertools.islice(column.member_values(c), 10))
                 assert values == [(n, engine.val2(n)) for n in c.members(10)], c
-            # every value read so far, at its own index: pairs[n] == (n, nu_2(S(n,k)))
-            assert column.pairs == [(n, engine.val2(n)) for n in range(len(column.pairs))]
+            # every value read so far, at its own index
+            assert column.values == [engine.val2(n) for n in range(len(column.values))]
 
     def test_one_scan_per_tree(self, monkeypatch):
         # the tree extends one live scan, which starts at n = 1
