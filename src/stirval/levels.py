@@ -363,8 +363,8 @@ def build_level_tree(k: int, m_max: int, samples: int = DEFAULT_SAMPLES) -> Leve
     children of the level-m survivors.  Neither a CONSTANT nor an
     INCONCLUSIVE class is split.  Levels m <= m0 + ``COLUMN_LEVELS`` read
     their member values off one ``Column``; a deeper class reads them from
-    odd powers, computed by ``odd_powers`` at the first such level and
-    handed down by ``split_powers``.
+    odd powers, which ``odd_powers`` gives each survivor of the last column
+    level and ``split_powers`` hands down.
     """
     if k < 3:
         raise ValueError("level trees need k >= 3")
@@ -374,16 +374,9 @@ def build_level_tree(k: int, m_max: int, samples: int = DEFAULT_SAMPLES) -> Leve
     column, P = Column(k), get_engine(k).m_start
     last_column_level = tree.m0 + COLUMN_LEVELS
 
-    def powers_of(m: int, js: tuple[int, ...], parent: Powers | None) -> tuple:
-        """The odd powers of C(m, j) for each j in js; None where level m reads the column."""
-        if m <= last_column_level:
-            return (None,) * len(js)
-        if parent is None:
-            return tuple(odd_powers(ResidueClass(k, m, j), P) for j in js)
-        return split_powers(parent, m - 1, P)
-
     # j -> the odd powers of C(m, j), or None where level m reads the column
-    candidates = dict(zip((0, 1), powers_of(1, (0, 1), None)))
+    candidates = {j: None if last_column_level >= 1 else odd_powers(ResidueClass(k, 1, j), P)
+                  for j in (0, 1)}
     for m in range(1, m_max + 1):
         rec = LevelRecord(k, m)
         for j, powers in candidates.items():
@@ -395,9 +388,13 @@ def build_level_tree(k: int, m_max: int, samples: int = DEFAULT_SAMPLES) -> Leve
             break
         parents, candidates = candidates, {}
         for j in sorted(rec.statuses):  # the survivors' children, as rec.survivors orders them
-            if rec.statuses[j].kind == NON_CONSTANT:
-                js = (j, j + (1 << m))
-                candidates.update(zip(js, powers_of(m + 1, js, parents[j])))
+            if rec.statuses[j].kind != NON_CONSTANT:
+                continue
+            if m < last_column_level:
+                kids = (None, None)
+            else:  # a survivor of the last column level gets its powers by pow
+                kids = split_powers(parents[j] or odd_powers(ResidueClass(k, m, j), P), m, P)
+            candidates[j], candidates[j + (1 << m)] = kids
         if not candidates:
             break
     return tree
