@@ -375,8 +375,7 @@ def build_level_tree(k: int, m_max: int, samples: int = DEFAULT_SAMPLES) -> Leve
     last_column_level = tree.m0 + COLUMN_LEVELS
 
     # j -> the odd powers of C(m, j), or None where level m reads the column
-    candidates = {j: None if last_column_level >= 1 else odd_powers(ResidueClass(k, 1, j), P)
-                  for j in (0, 1)}
+    candidates: dict[int, Powers | None] = {0: None, 1: None}
     for m in range(1, m_max + 1):
         rec = LevelRecord(k, m)
         for j, powers in candidates.items():

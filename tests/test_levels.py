@@ -209,9 +209,9 @@ class TestProveConstant:
 
 
     def test_carried_powers_match_pow_at_every_node(self, monkeypatch):
-        # with every level on the carried route, the tree hands each class the
-        # odd powers its parent carried; at every node they are the powers pow
-        # gives at that (m, j), and the tree is the one the column gives
+        # with every level past level 1 on the carried route, the tree hands each
+        # class the odd powers its parent carried; at every node they are the
+        # powers pow gives at that (m, j), and the tree is the one the column gives
         seen = []
         true_member_values = levels.member_values
 
@@ -389,8 +389,8 @@ class TestColumn:
 
     @pytest.mark.parametrize("k, m_max", [(5, 9), (21, 11), (64, 12), (128, 13)])
     def test_routes_give_equal_trees(self, monkeypatch, k, m_max):
-        # the column only, the carried powers only, and the switch between
-        # them at level m0 + 4 build one tree
+        # the column only, the carried powers from level 2 on, and the switch
+        # between them past level m0 + 4 build one tree
         trees = []
         for column_levels in (100, -100, levels.COLUMN_LEVELS):
             monkeypatch.setattr(levels, "COLUMN_LEVELS", column_levels)
