@@ -146,11 +146,23 @@ MUTANTS = [
     ("identity_battery leaves its inequality failures unsorted", "stirling.py",
      "for k, n, gap in sorted(failures)", "for k, n, gap in failures", [INJECTED]),
     ("val2_range without its val2 fallback", "stirling.py",
-     "(nu_int(2, v) if v else self.val2(n))", "nu_int(2, v)", [SCAN]),
+     "(nu_int(2, v) if v else self.val2(i))", "nu_int(2, v)", [SCAN]),
+    ("val2_range hands out a block holding a zero residue whole", "stirling.py",
+     "if 0 in part:", "if False:", [SCAN]),
+    ("val2_range reads a whole block's valuations at once", "stirling.py",
+     "zip(indices, map(nu_int, repeat(2), part))",
+     "zip(indices, list(map(nu_int, repeat(2), part)))", [SCAN]),
+    ("column_q slots one byte short", "stirling.py",
+     "Wb = 8  # slot width in bytes", "Wb = 7  # slot width in bytes", [SCAN]),
     ("recurrence_mod shifts its window by one slot less", "stirling.py",
      "terms >> (W * (L - k))", "terms >> (W * (L - k - 1))", [SCAN]),
-    ("recurrence_mod slots one byte short", "stirling.py",
+    ("recurrence_mod Newton slots one byte short", "stirling.py",
      "Wb = (64 + L.bit_length() + 8) // 8", "Wb = (64 + L.bit_length()) // 8", [SCAN]),
+    ("recurrence_mod block slots one byte short", "stirling.py",
+     "Bb = (64 + k.bit_length() + 7) // 8", "Bb = (64 + k.bit_length() - 1) // 8", [SCAN]),
+    ("recurrence_mod block slots sized for k // 2 products", "stirling.py",
+     "Bb = (64 + k.bit_length() + 7) // 8", "Bb = (64 + (k // 2).bit_length() + 7) // 8",
+     [SCAN]),
     ("recurrence_mod reads its block from one slot early", "stirling.py",
      "k * Wb)", "(k - 1) * Wb)", [SCAN]),
     ("recurrence_mod adds Newton's ones to one slot fewer", "stirling.py",
@@ -197,7 +209,7 @@ MUTANTS = [
     ("_emit joins the lines before writing", "cli.py",
      "sys.stdout.writelines(lines)", 'sys.stdout.write("".join(lines))', [STREAM]),
     ("_csv sends a row holding INFINITE through the template", "cli.py",
-     'if INFINITE in row else', 'if False else',
+     'if "inf" in text else', 'if False else',
      ["tests/test_cli.py::TestVal::test_stirling_below_order_is_blank"]),
     ("_csv template has one field fewer than the header", "cli.py",
      '["%s"] * len(header)', '["%s"] * (len(header) - 1)', ["tests/test_cli.py::TestCsv"]),
@@ -205,6 +217,9 @@ MUTANTS = [
      "from . import padic\n", "from . import approx, levels, padic, sequences\n", [LAZY]),
     ("cli imports inspect at start-up", "cli.py",
      "import argparse\n", "import argparse\nimport inspect\n", [START_UP]),
+    ("cli imports pathlib at start-up", "cli.py",
+     "import argparse\n", "import argparse\nimport pathlib\n",
+     ["tests/test_cli.py::TestUsageAndEnvironment::test_pathlib_is_imported_only_for_out"]),
     ("_target reads a functools.wraps wrapper's own parameters", "cli.py",
      '    while hasattr(inner, "__wrapped__"):\n        inner = inner.__wrapped__\n', "",
      ["tests/test_cli.py::TestTargetDefaults"]),

@@ -5,9 +5,10 @@ check was consistent, 1 when a counterexample was found, 2 when some
 instance was inconclusive, 64 on usage errors.  CSV output is UTF-8 with
 LF line endings, a header row and no trailing whitespace, written a row
 at a time as it is computed, after every check of the arguments.  Each
-row (a tuple) is formatted by one ``%s`` template built from the header;
-a row holding INFINITE is joined field by field instead, so an infinite
-valuation serializes as an empty CSV field (and as "inf" in JSON).
+row (a tuple) is formatted by one ``%s`` template built from the header.
+Every cell is an int or INFINITE, so a row's text holds "inf" exactly when
+a cell is INFINITE; such a row is joined field by field instead, so an
+infinite valuation serializes as an empty CSV field (and as "inf" in JSON).
 
 Each ``verify`` target is one library function that returns a
 ``ConjectureReport``.  Its options are the function's parameters, each an
@@ -18,7 +19,8 @@ them.  An option the target does not read is a usage error, and so is a
 
 Start-up imports ``padic`` (and ``reports``) only: a target's or a series'
 module is imported when it runs, so ``verify identities`` loads ``stirling``
-and no ``levels``, ``sequences`` or ``approx``.
+and no ``levels``, ``sequences`` or ``approx``.  ``pathlib`` is imported
+only to check an ``--out`` path.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import itertools
 import re
 import sys
 from importlib import import_module
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import padic
@@ -55,13 +56,16 @@ def _csv(header: list[str], rows) -> Iterator[str]:
     yield ",".join(header) + "\n"
     line = ",".join(["%s"] * len(header)) + "\n"
     for row in rows:
-        yield ",".join(map(_fmt, row)) + "\n" if INFINITE in row else line % row
+        text = line % row
+        yield ",".join(map(_fmt, row)) + "\n" if "inf" in text else text
 
 
 def _check_out(out: str | None) -> None:
     """Reject an --out path that cannot name a new or existing file, before any work."""
     if not out:
         return
+    from pathlib import Path
+
     path = Path(out)
     if path.is_dir():
         raise ValueError(f"cannot write --out {out}: it is a directory")

@@ -9,9 +9,10 @@
   :func:`exp_sums`, the one kernel for such sums, gives a single n by
   its first value and the first k indices of a scan by its steps.  Past
   those a scan of one column k follows the column's order-k linear
-  recurrence mod 2**32 in packed blocks (:func:`recurrence_mod`), read
-  back with one struct unpack per block.  A scan that starts below 2k
-  seeds it with the exact window S(1,k), ..., S(k,k) instead, which
+  recurrence mod 2**32 in packed blocks (:func:`recurrence_mod`, with
+  Q(x) = prod (1 - j x) from :func:`column_q`), read back with one struct
+  unpack per block and handed out a block at a time.  A scan that starts
+  below 2k seeds it with the exact window S(1,k), ..., S(k,k) instead, which
   saves an exp_sums head: k powers and k**2 products at m_start bits.
   :func:`val2_rows` evaluates the same sum for every k <= k_max at a few
   n from one row of powers b**n mod 2**M, shared by every k, where
@@ -32,9 +33,9 @@ from __future__ import annotations
 import math
 import struct
 from functools import cache, lru_cache
-from itertools import chain, islice
+from itertools import chain, repeat
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .padic import INFINITE, Valuation, digit_sum, legendre_factorial_val, nu_int
 from .reports import ConjectureReport
@@ -202,14 +203,17 @@ class ModStirlingEngine:
         for an odd u, which has the valuation of S(n,k) when it is nonzero.
         Past its first k indices the column follows its order-k recurrence
         (:func:`recurrence_mod`): sum_n S(n,k) x^n = x^k / Q(x) with
-        Q(x) = prod_{j=1..k} (1 - j x), built only when the range reaches
-        that far.  If such a range starts below 2k, the recurrence starts
-        from the exact window S(1,k), ..., S(k,k) = 0, ..., 0, 1 (u = 1)
-        and the values below start are skipped.  Any other range takes its first
-        k indices n >= k from one exp_sums pass at the precision where val2
-        also starts, each residue shifted right by nu_2(k!) (u = odd(k!)).
-        An index whose value vanishes goes to val2.  Results are identical
-        to per-n val2 calls.
+        Q(x) = prod_{j=1..k} (1 - j x) (:func:`column_q`), built only when
+        the range reaches that far.  If such a range starts below 2k, the
+        recurrence starts from the exact window S(1,k), ..., S(k,k) =
+        0, ..., 0, 1 (u = 1) and the values below start are skipped.  Any
+        other range takes its first k indices n >= k from one exp_sums pass
+        at the precision where val2 also starts, each residue shifted right
+        by nu_2(k!) (u = odd(k!)).  The head and each recurrence block are
+        walked whole: a block without a zero value is handed out as lazy
+        (n, nu_int(2, v)) pairs, so nu_int runs once per value read, and
+        in a block with one each zero value goes to val2.  Results are
+        identical to per-n val2 calls.
         """
         if start < 1:
             raise ValueError("val2_range requires start >= 1")
@@ -227,14 +231,42 @@ class ModStirlingEngine:
             first = start
             residues = exp_sums(self._terms, start, self.m_start)
             head = [(r >> self.fact_val) & mask for _, r in zip(range(start, stop)[:k], residues)]
-        values = head
+        blocks = [head]
         if start + k < stop:
-            q = [1]
-            for j in range(1, k + 1):
-                q = [(a - j * b) & mask for a, b in zip(q + [0], [0] + q)]
-            values = chain(head, recurrence_mod(q, head))
-        for n, v in zip(range(start, stop), islice(values, start - first, None)):
-            yield n, (nu_int(2, v) if v else self.val2(n))
+            blocks = chain(blocks, recurrence_mod(column_q(k), head, stop - first - k))
+        n = first  # the index of part[0]
+        for part in blocks:
+            end = n + len(part)
+            if end > start:
+                if n < start or end > stop:
+                    part, n = part[max(start - n, 0) : stop - n], max(n, start)
+                indices = range(n, n + len(part))
+                if 0 in part:
+                    for i, v in zip(indices, part):
+                        yield i, (nu_int(2, v) if v else self.val2(i))
+                else:
+                    yield from zip(indices, map(nu_int, repeat(2), part))
+                if end >= stop:
+                    return
+            n = end
+
+
+def column_q(k: int) -> tuple[int, ...]:
+    """(q_0, ..., q_k) mod 2**32, where Q(x) = prod_{j=1..k} (1 - j x) = sum q_i x^i.
+
+    Q is built in one int with one 8-byte slot per coefficient: multiplying
+    by 1 - j x is one multiply-add, x + (-j mod 2**32) * (x shifted up a
+    slot), and an AND with ``full`` reduces every slot mod 2**32.  Before
+    the AND a slot holds at most (2**32 - 1) + (2**32 - 1)**2 < 2**64, so no
+    slot carries into the next.  One struct unpack reads the k + 1 slots.
+    """
+    Wb = 8  # slot width in bytes
+    W, top = 8 * Wb, (1 << 32) - 1
+    full = top * (((1 << (W * (k + 1))) - 1) // ((1 << W) - 1))  # top in slots 0..k
+    x = 1
+    for j in range(1, k + 1):
+        x = (x + (-j & top) * (x << W)) & full
+    return struct.unpack("<" + f"I{Wb - 4}x" * (k + 1), x.to_bytes(Wb * (k + 1), "little"))
 
 
 def _pack(values: list[int], W: int) -> int:
@@ -247,34 +279,51 @@ def _pack(values: list[int], W: int) -> int:
     return int("".join([digits[v] for v in reversed(values)]), 2)
 
 
-def recurrence_mod(q: list[int], head: list[int]) -> Iterator[int]:
-    """Yield a_k, a_(k+1), ... mod 2**32, where head = [a_0, ..., a_(k-1)] and
-    sum_{i=0..k} q_i a_(n-i) == 0 mod 2**32 for every n >= k, with q_0 == 1,
-    q read mod 2**32 and every a_i in head below 2**32.
+def _narrow(packed: int, count: int, Wb: int, Nb: int) -> int:
+    """``packed`` with its ``count`` Wb-byte slots moved into Nb-byte slots, Nb < Wb.
+
+    Every slot value must be below 2**32: only its low 4 bytes are copied.
+    """
+    wide, narrow = packed.to_bytes(count * Wb, "little"), bytearray(count * Nb)
+    for i in range(4):
+        narrow[i::Nb] = wide[i::Wb]
+    return int.from_bytes(narrow, "little")
+
+
+def recurrence_mod(q: Sequence[int], head: list[int], needed: int) -> Iterator[tuple[int, ...]]:
+    """Yield a_k, a_(k+1), ... mod 2**32 in blocks, each a tuple, where
+    head = [a_0, ..., a_(k-1)] and sum_{i=0..k} q_i a_(n-i) == 0 mod 2**32
+    for every n >= k, with q_0 == 1, q read mod 2**32 and every a_i in head
+    below 2**32.  The caller reads at most ``needed`` terms; that only caps
+    the block length.
 
     With Q(x) = sum q_i x^i and A(x) = sum a_n x^n, Q * A is a polynomial R
     of degree < k, so R = Q * (a_0 + ... + a_(k-1) x^(k-1)) mod x^k and
     A = R / Q mod x^L give a block of L terms from the first k (Fiduccia,
-    SIAM J. Comput. 14, 1985).  The last k terms of a block start the next.
-    1/Q mod x^L is computed once, by Newton's iteration g <- g (2 - Q g).
+    SIAM J. Comput. 14, 1985).  The last k terms of a block start the next,
+    so each block yields L - k new terms.  L is 8k, cut to the k + needed
+    terms the caller reads, and at least 64.  1/Q mod x^L is computed once,
+    by Newton's iteration g <- g (2 - Q g).
 
     A polynomial is packed by :func:`_pack` into one int with one W-bit
     slot per coefficient (Kronecker substitution), so each product is one
-    big-integer multiply.  A product's coefficient is a sum of fewer than L
-    products of two 32-bit numbers, so W = 64 + bitlen(L) + 1 bits, rounded
-    up to a byte, keep the slots apart; each slot is then reduced mod 2**32
-    by an AND with ``block`` (2**32 - 1 in each of L slots) cut to the slots
-    in use.  ``block`` is 2**32 - 1 times ``ones`` = (2**(W*L) - 1) / (2**W - 1),
-    one division where two ``_pack`` calls would format L slots each.  The
-    block length L is 8k, and at least 64.  One precompiled struct
-    reads the L - k new terms of a block, each from the low 4 bytes of its
-    reduced slot.
+    big-integer multiply.  A coefficient of a Newton product sums at most L
+    products of two 32-bit numbers, so Newton's slots take W = 64 +
+    bitlen(L) + 1 bits, rounded up to a byte; each slot is then reduced mod
+    2**32 by an AND with ``block`` (2**32 - 1 in each of L slots) cut to the
+    slots in use.  ``block`` is 2**32 - 1 times ``ones`` =
+    (2**(W*L) - 1) / (2**W - 1), one division where two ``_pack`` calls
+    would format L slots each.  A coefficient of a block product sums at
+    most k products, one per slot of the window or of R, so it stays below
+    k * 2**64 < 2**(64 + bitlen(k)).  Where 64 + bitlen(k) bits round up to
+    fewer bytes, Q and 1/Q move once into such slots (:func:`_narrow`).  One
+    precompiled struct reads the L - k new terms of a block, each from the
+    low 4 bytes of its reduced slot.
     """
     k = len(head)
-    L = max(8 * k, 64)
-    Wb = (64 + L.bit_length() + 8) // 8  # slot width in bytes
+    L = max(min(8 * k, k + needed), 64)
+    Wb = (64 + L.bit_length() + 8) // 8  # Newton's slot width in bytes
     W = 8 * Wb
-    unpack = struct.Struct("<" + f"I{Wb - 4}x" * (L - k)).unpack_from
     top = (1 << 32) - 1
     ones = ((1 << (W * L)) - 1) // ((1 << W) - 1)  # 1 in each of L slots
     Q, block = _pack([c & top for c in q], W), top * ones
@@ -285,11 +334,17 @@ def recurrence_mod(q: list[int], head: list[int]) -> Iterator[int]:
         t = (inverse * ((Q * inverse) & reduce)) & reduce
         # 2g - t per slot: top - t_i never borrows, and the added 1 makes it 2**32 - t_i
         inverse = ((inverse << 1) + (reduce - t) + (ones & reduce)) & reduce
+    Bb = (64 + k.bit_length() + 7) // 8  # a block product's slot width in bytes
+    if Bb < Wb:
+        Q, inverse = _narrow(Q, k + 1, Wb, Bb), _narrow(inverse, L, Wb, Bb)
+        Wb, W = Bb, 8 * Bb
+        block = top * (((1 << (W * L)) - 1) // ((1 << W) - 1))
+    unpack = struct.Struct("<" + f"I{Wb - 4}x" * (L - k)).unpack_from
     low = block & ((1 << (W * k)) - 1)
     window = _pack(head, W)
     while True:
         terms = (((Q * window) & low) * inverse) & block
-        yield from unpack(terms.to_bytes(L * Wb, "little"), k * Wb)
+        yield unpack(terms.to_bytes(L * Wb, "little"), k * Wb)
         window = terms >> (W * (L - k))
 
 

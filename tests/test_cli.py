@@ -567,6 +567,16 @@ class TestUsageAndEnvironment:
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
+    def test_pathlib_is_imported_only_for_out(self):
+        # without site, pathlib costs a cold call milliseconds; only _check_out reads it
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); from stirval import cli; "
+            "cli._check_out(None); print('pathlib' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
     def test_a_call_imports_only_the_modules_it_runs(self):
         # the package and cli import a target's or a series' module when it runs
         src = str(Path(cli.__file__).resolve().parent.parent)

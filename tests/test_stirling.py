@@ -31,7 +31,7 @@ from stirval import (
     val2_stirling,
 )
 import stirval.stirling as stirling_module
-from stirval.stirling import exp_sums, recurrence_mod
+from stirval.stirling import column_q, exp_sums, recurrence_mod
 
 
 class TestTriangle:
@@ -239,7 +239,7 @@ class TestVal2Stirling:
 
 
 def _block(k: int) -> int:
-    """Terms a block of ``recurrence_mod`` adds for an order-k recurrence."""
+    """Terms a block of ``recurrence_mod`` adds for an order-k recurrence read past 7k terms."""
     return max(8 * k, 64) - k
 
 
@@ -345,7 +345,77 @@ class TestVal2Range:
         count = 3 * _block(k) + 1
         while len(a) < k + count:
             a.append(-sum(c * x for c, x in zip(q[1:], reversed(a[-k:]))) % mod)
-        assert list(itertools.islice(recurrence_mod(q, a[:k]), count)) == a[k:]
+        blocks = recurrence_mod(q, a[:k], count)
+        assert list(itertools.islice(itertools.chain.from_iterable(blocks), count)) == a[k:]
+
+    @pytest.mark.parametrize("k", [126, 127, 255, 256, 300])
+    def test_recurrence_mod_holds_the_largest_slot_sums(self, k):
+        # every q_i past q_0 = 1 and every head term 2**32 - 1: slot k - 1 of Q times
+        # the window sums (2**32 - 1) + (k - 1)(2**32 - 1)**2, which needs 71 bits at
+        # k = 126 and 127 and 73 bits at k = 300; the block slot steps from 9 to 10
+        # bytes between k = 255 and 256
+        mod = 1 << 32
+        q, a = [1] + [mod - 1] * k, [mod - 1] * k
+        count = 3 * _block(k)
+        while len(a) < k + count:
+            a.append(-sum(c * x for c, x in zip(q[1:], reversed(a[-k:]))) % mod)
+        blocks = list(itertools.islice(recurrence_mod(q, a[:k], count), 3))
+        assert [len(b) for b in blocks] == [_block(k)] * 3
+        assert list(itertools.chain.from_iterable(blocks)) == a[k:]
+
+    @pytest.mark.parametrize(
+        "k, needed, length",
+        [(1, 5, 63), (5, 10**6, 59), (100, 1, 1), (100, 300, 300), (100, 10**6, 700)],
+    )
+    def test_block_length_is_cut_to_the_terms_read(self, k, needed, length):
+        # a block holds L - k new terms, L = max(min(8k, k + needed), 64); every
+        # length gives the same terms
+        head = [0] * (k - 1) + [1]
+        blocks = list(itertools.islice(recurrence_mod(column_q(k), head, needed), 3))
+        assert [len(b) for b in blocks] == [length] * 3
+        terms = itertools.chain.from_iterable(recurrence_mod(column_q(k), head, 10**6))
+        assert list(itertools.chain.from_iterable(blocks)) == list(
+            itertools.islice(terms, 3 * length)
+        )
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 64, 100, 127, 128, 1000])
+    def test_packed_q_equals_the_list_product(self, k):
+        mask, q = (1 << 32) - 1, [1]
+        for j in range(1, k + 1):
+            q = [(a - j * b) & mask for a, b in zip(q + [0], [0] + q)]
+        assert list(column_q(k)) == q
+
+    @pytest.mark.parametrize("reads", [1, 30, 50, 51, 100])
+    def test_reading_j_values_takes_j_valuations(self, monkeypatch, reads):
+        # the scan of test_value_that_vanishes_mod_two_to_the_32_goes_to_val2: its zero
+        # residue is value 50, in the first recurrence block, and val2 reads one nu_int
+        n = next(u for u in t2_zeros(5, 110) if u % 2 == 0) + (1 << 40)
+        engine = ModStirlingEngine(5)
+        want = [(i, engine.val2(i)) for i in range(n - 50, n + 50)]
+        valuations, fallbacks = [], []
+        real_nu_int, real_val2 = stirling_module.nu_int, engine.val2
+        monkeypatch.setattr(
+            stirling_module, "nu_int", lambda p, v: valuations.append(v) or real_nu_int(p, v)
+        )
+        monkeypatch.setattr(engine, "val2", lambda i: fallbacks.append(i) or real_val2(i))
+        got = list(itertools.islice(engine.val2_range(n - 50, n + 50), reads))
+        assert got == want[:reads]
+        assert len(valuations) == reads
+        assert fallbacks == ([n] if reads > 50 else [])
+
+    @pytest.mark.parametrize("reads", [1, 2, 300, 449, 500])
+    def test_a_block_without_zeros_is_read_lazily(self, monkeypatch, reads):
+        # k = 64 from n = 64: the window's last value, then blocks of 448 values, none zero
+        engine = ModStirlingEngine(64)
+        want = list(itertools.islice(engine.val2_range(64, 3000), reads))
+        valuations = []
+        real_nu_int = stirling_module.nu_int
+        monkeypatch.setattr(
+            stirling_module, "nu_int", lambda p, v: valuations.append(v) or real_nu_int(p, v)
+        )
+        monkeypatch.setattr(engine, "val2", None)
+        assert list(itertools.islice(engine.val2_range(64, 3000), reads)) == want
+        assert len(valuations) == reads
 
 
 def _slots(row: int, n_max: int, M: int) -> list[int]:
