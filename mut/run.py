@@ -154,21 +154,32 @@ MUTANTS = [
      "zip(indices, list(map(nu_int, repeat(2), part)))", [SCAN]),
     ("column_q slots one byte short", "stirling.py",
      "Wb = 8  # slot width in bytes", "Wb = 7  # slot width in bytes", [SCAN]),
+    ("column_q leaves one even j in Q_o", "stirling.py",
+     "_linear_product(range(1, k + 1, 2), K + 1,",
+     "_linear_product([*range(1, k + 1, 2), 2], K + 1,",
+     [f"{SCAN}::test_packed_q_equals_the_list_product"]),
+    ("column_e cuts E to 31 terms", "stirling.py",
+     "Wb, terms = 9, 32", "Wb, terms = 9, 31",
+     [f"{SCAN}::test_e_is_the_column_of_k_over_two_times_powers_of_two"]),
     ("recurrence_mod shifts its window by one slot less", "stirling.py",
-     "terms >> (W * (L - k))", "terms >> (W * (L - k - 1))", [SCAN]),
+     "terms >> (W * (L - K))", "terms >> (W * (L - K - 1))", [SCAN]),
     ("recurrence_mod Newton slots one byte short", "stirling.py",
      "Wb = (64 + L.bit_length() + 8) // 8", "Wb = (64 + L.bit_length()) // 8", [SCAN]),
     ("recurrence_mod block slots one byte short", "stirling.py",
-     "Bb = (64 + k.bit_length() + 7) // 8", "Bb = (64 + k.bit_length() - 1) // 8", [SCAN]),
-    ("recurrence_mod block slots sized for k // 2 products", "stirling.py",
-     "Bb = (64 + k.bit_length() + 7) // 8", "Bb = (64 + (k // 2).bit_length() + 7) // 8",
+     "Bb = (64 + max(K, 32).bit_length() + 7) // 8",
+     "Bb = (64 + max(K, 32).bit_length() - 1) // 8",
      [SCAN]),
+    ("recurrence_mod block slots sized for K/2 products", "stirling.py",
+     "Bb = (64 + max(K, 32).bit_length() + 7) // 8",
+     "Bb = (64 + max(K // 2, 32).bit_length() + 7) // 8",
+     [f"{SCAN}::test_recurrence_mod_holds_the_largest_slot_sums"]),
     ("recurrence_mod reads its block from one slot early", "stirling.py",
-     "k * Wb)", "(k - 1) * Wb)", [SCAN]),
+     "K * Wb)", "(K - 1) * Wb)", [SCAN]),
     ("recurrence_mod adds Newton's ones to one slot fewer", "stirling.py",
      "(ones & reduce)", "(ones & (reduce >> W))", [SCAN]),
-    ("val2_range misplaces the exact window", "stirling.py",
-     "[0] * (k - 1) + [1]", "[0] * k + [1]", [SCAN]),
+    ("val2_range takes the first window one index early", "stirling.py",
+     "first, blocks = k, recurrence_mod", "first, blocks = k - 1, recurrence_mod",
+     [f"{SCAN}::test_halved_blocks_equal_the_order_k_recurrence_and_the_oracle"]),
     ("val2_rows decides a zero residue as INFINITE", "stirling.py",
      "if r else val2_stirling(n, k)", "if r else INFINITE",
      [f"{ROWS}::test_zero_residue_goes_to_val2_stirling"]),
@@ -190,7 +201,7 @@ MUTANTS = [
     ("m_start without its 32 spare bits", "stirling.py",
      "while self.m_start <= self.fact_val + 32:", "while self.m_start <= self.fact_val:",
      ["tests/test_stirling.py::TestVal2Stirling::test_one_ladder_for_single_values_and_scans",
-      "tests/test_stirling.py::TestVal2Range::test_scan_from_two_k_takes_its_head_from_exp_sums"]),
+      f"{SCAN}::test_far_scan_takes_a_head_of_K_values_from_exp_sums"]),
     ("I1 repeats every 511 instead of 512", "approx.py",
      "(x1(i), 512)", "(x1(i), 511)", [WALKED]),
     ("I1 keeps two of its three residue classes", "approx.py",

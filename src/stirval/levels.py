@@ -149,8 +149,8 @@ class Column:
     """nu_2(S(n,k)) for n = 0, 1, 2, ... of one order k, computed as far as a class asks.
 
     The values come from one live ``val2_range(1, ...)`` scan, resumed
-    where it stopped: a fresh scan per extension would pay an ``exp_sums``
-    head from n = 2k on.
+    where it stopped: a fresh scan per extension would run the recurrence
+    from n = k again, or pay an ``exp_sums`` head past k*K/2 indices.
     """
 
     def __init__(self, k: int) -> None:

@@ -7,13 +7,16 @@
 * :class:`ModStirlingEngine` evaluates T = k! * S(n,k) modulo 2**M through
   the alternating binomial sum and extracts nu_2(S(n,k)) from the residue.
   :func:`exp_sums`, the one kernel for such sums, gives a single n by
-  its first value and the first k indices of a scan by its steps.  Past
-  those a scan of one column k follows the column's order-k linear
-  recurrence mod 2**32 in packed blocks (:func:`recurrence_mod`, with
-  Q(x) = prod (1 - j x) from :func:`column_q`), read back with one struct
-  unpack per block and handed out a block at a time.  A scan that starts
-  below 2k seeds it with the exact window S(1,k), ..., S(k,k) instead, which
-  saves an exp_sums head: k powers and k**2 products at m_start bits.
+  its first value and the head of a far scan by its steps.  A scan of one
+  column k runs mod 2**32 on x^k / prod_{j<=k} (1 - j x) (Fiduccia's
+  blocks, :func:`recurrence_mod`), halved: the even factors leave a
+  numerator E of 32 terms (:func:`column_e`), since h_t is homogeneous
+  and so 2**t divides its coefficient t, and the odd ones a recurrence of
+  order K = ceil(k/2), Q_o from :func:`column_q`, which holds from
+  n = k + 32.  The first block is E / Q_o from n = k; a scan that starts
+  more than k*K/2 indices past k takes a head of K values from exp_sums
+  instead.  Each block is read back with one struct unpack and handed out
+  a block at a time.
   :func:`val2_rows` evaluates the same sum for every k <= k_max at a few
   n from one row of powers b**n mod 2**M, shared by every k, where
   exp_sums per k would take about k_max**2 / 2 powers per n.  A run of
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 import struct
 from functools import cache, lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -165,8 +168,8 @@ class ModStirlingEngine:
     val2 doubles M while the residue vanishes.  For n >= k the integer
     k! * S(n,k) lies in 1..k**n, so every M > n * log2(k) leaves a nonzero
     residue and the doubling always ends.  val2_range carries a scan on
-    along the column's recurrence mod 2**32, from the exact window or from
-    its first k indices evaluated at m_start.
+    along the column's halved recurrence mod 2**32, from n = k or from a
+    head of K = ceil(k/2) indices evaluated at m_start.
     """
 
     def __init__(self, k: int):
@@ -201,39 +204,66 @@ class ModStirlingEngine:
 
         Batch variant for scans over n.  Every value is u * S(n,k) mod 2**32
         for an odd u, which has the valuation of S(n,k) when it is nonzero.
-        Past its first k indices the column follows its order-k recurrence
-        (:func:`recurrence_mod`): sum_n S(n,k) x^n = x^k / Q(x) with
-        Q(x) = prod_{j=1..k} (1 - j x) (:func:`column_q`), built only when
-        the range reaches that far.  If such a range starts below 2k, the
-        recurrence starts from the exact window S(1,k), ..., S(k,k) =
-        0, ..., 0, 1 (u = 1) and the values below start are skipped.  Any
-        other range takes its first k indices n >= k from one exp_sums pass
-        at the precision where val2 also starts, each residue shifted right
-        by nu_2(k!) (u = odd(k!)).  The head and each recurrence block are
-        walked whole: a block without a zero value is handed out as lazy
-        (n, nu_int(2, v)) pairs, so nu_int runs once per value read, and
-        in a block with one each zero value goes to val2.  Results are
-        identical to per-n val2 calls.
+        Mod 2**32, sum_n S(n,k) x^n = x^k E(x) / Q_o(x), with Q_o =
+        prod_{j odd <= k} (1 - j x) of order K = ceil(k/2) (:func:`column_q`)
+        and E the numerator of the even factors (:func:`column_e`): h_t is
+        homogeneous, so 2**t divides E's coefficient t and E has 32 terms
+        mod 2**32, and the column follows its order-K recurrence from n =
+        k + 32 (:func:`recurrence_mod`).  Three routes, by where the range
+        lies:
+
+        * From k: a range of two or more indices that starts fewer than
+          max(k*K/2, 32) indices past k takes the recurrence's first block,
+          E / Q_o from n = k (u = 1), and skips the values below start.
+        * A far start: any other range takes its first K indices from one
+          exp_sums pass at the precision where val2 also starts, each
+          residue shifted right by nu_2(k!) (u = odd(k!)).  If it reads
+          more, the recurrence runs on from those K values, with the
+          numerator R = Q_o * head mod x^K; the head lies at n >= k + 32
+          - K, where the recurrence holds.
+        * A single index takes one exp_sums value, as val2 does, so both
+          climb one ladder.  Up to k = 100 that is cheaper than the
+          recurrence's set-up (0.10 against 0.21 ms at k = 100); from
+          k = 300 on it is dearer (0.9 against 0.7 ms at k = 300, 26
+          against 5 ms at k = 1000), as it is for val2.
+
+        The switch is where the two routes cost about the same (Python
+        3.11.7 on a shared 2-vCPU host, 1000 indices from k + D).  The far
+        route costs 1.5 ms at k = 64, 2.7 ms at k = 100, 12 ms at k = 300,
+        45-50 ms at k = 500 and 225-270 ms at k = 1000, nearly all of it the
+        head; the scan from k costs as much at about D = 2000, 3500, 15000,
+        45000 and 170000, and k*K/2 = 1024, 2500, 22500, 62500 and 250000.
+        On either side of the switch the route taken costs at most 1.4 times
+        the other.
+
+        Each block is walked whole: a block without a zero value is handed
+        out as lazy (n, nu_int(2, v)) pairs, so nu_int runs once per value
+        read, and in a block with one each zero value goes to val2.
+        Results are identical to per-n val2 calls.
         """
         if start < 1:
             raise ValueError("val2_range requires start >= 1")
-        k = self.k
+        k, K = self.k, (self.k + 1) // 2
         for n in range(start, min(k, stop)):
             yield n, INFINITE
         start = max(start, k)
+        if start >= stop:
+            return
         # A nonzero value mod 2**32 has the valuation of S(n,k), and a zero
         # one goes to val2.  m_start keeps 32 spare bits above nu_2(k!), so
         # a residue mod 2**m_start shifted right by nu_2(k!) is exact mod 2**32.
         mask = (1 << 32) - 1
-        if start + k < stop and start < 2 * k:
-            first, head = 1, [0] * (k - 1) + [1]
+        if stop - start > 1 and start - k < max(k * K // 2, 32):
+            first, blocks = k, recurrence_mod(column_q(k), column_e(k), stop - k)
         else:
             first = start
             residues = exp_sums(self._terms, start, self.m_start)
-            head = [(r >> self.fact_val) & mask for _, r in zip(range(start, stop)[:k], residues)]
-        blocks = [head]
-        if start + k < stop:
-            blocks = chain(blocks, recurrence_mod(column_q(k), head, stop - first - k))
+            head = [(r >> self.fact_val) & mask for _, r in zip(range(start, stop)[:K], residues)]
+            blocks = [head]
+            if start + K < stop:
+                q = column_q(k)
+                numerator = [sum(map(mul, q[i::-1], head)) & mask for i in range(K)]
+                blocks = recurrence_mod(q, numerator, stop - start)
         n = first  # the index of part[0]
         for part in blocks:
             end = n + len(part)
@@ -251,22 +281,59 @@ class ModStirlingEngine:
             n = end
 
 
-def column_q(k: int) -> tuple[int, ...]:
-    """(q_0, ..., q_k) mod 2**32, where Q(x) = prod_{j=1..k} (1 - j x) = sum q_i x^i.
+def _linear_product(js: range, count: int, W: int) -> int:
+    """prod_{j in js} (1 - j x) mod (2**32, x**count), packed in W-bit slots, W >= 64.
 
-    Q is built in one int with one 8-byte slot per coefficient: multiplying
-    by 1 - j x is one multiply-add, x + (-j mod 2**32) * (x shifted up a
-    slot), and an AND with ``full`` reduces every slot mod 2**32.  Before
-    the AND a slot holds at most (2**32 - 1) + (2**32 - 1)**2 < 2**64, so no
-    slot carries into the next.  One struct unpack reads the k + 1 slots.
+    Multiplying by 1 - j x is one multiply-add, x + (-j mod 2**32) * (x
+    shifted up a slot), and an AND with ``full`` reduces every slot mod
+    2**32 and drops the slots from ``count`` on.  Before the AND a slot
+    holds at most (2**32 - 1) + (2**32 - 1)**2 < 2**64, so no slot carries
+    into the next.
+    """
+    top = (1 << 32) - 1
+    full = top * (((1 << (W * count)) - 1) // ((1 << W) - 1))  # top in slots 0..count-1
+    x = 1
+    for j in js:
+        x = (x + (-j & top) * (x << W)) & full
+    return x
+
+
+def column_q(k: int) -> tuple[int, ...]:
+    """(q_0, ..., q_K) mod 2**32, where Q_o(x) = prod_{j odd <= k} (1 - j x) = sum q_i x^i.
+
+    Column k needs only this odd half of Q = prod_{j<=k} (1 - j x), with
+    h = floor(k/2) and K = ceil(k/2):
+
+    * 1 / prod_{j even} (1 - j x) has coefficient t h_t(2, ..., 2h) =
+      2**t h_t(1, ..., h), since h_t is homogeneous of degree t;
+    * so mod 2**32 it is E, a polynomial of 32 terms (:func:`column_e`);
+    * so Q_o * sum_i S(k+i,k) x^i == E has no term of degree >= 32: the
+      column follows the order-K recurrence of Q_o from n = k + 32.
+
+    Q_o is built by :func:`_linear_product` in one int with one 8-byte slot
+    per coefficient, and one struct unpack reads the K + 1 slots.
     """
     Wb = 8  # slot width in bytes
-    W, top = 8 * Wb, (1 << 32) - 1
-    full = top * (((1 << (W * (k + 1))) - 1) // ((1 << W) - 1))  # top in slots 0..k
-    x = 1
-    for j in range(1, k + 1):
-        x = (x + (-j & top) * (x << W)) & full
-    return struct.unpack("<" + f"I{Wb - 4}x" * (k + 1), x.to_bytes(Wb * (k + 1), "little"))
+    K = (k + 1) // 2
+    x = _linear_product(range(1, k + 1, 2), K + 1, 8 * Wb)
+    return struct.unpack("<" + f"I{Wb - 4}x" * (K + 1), x.to_bytes(Wb * (K + 1), "little"))
+
+
+def column_e(k: int) -> tuple[int, ...]:
+    """(e_0, ..., e_31), where E(x) = 1 / prod_{j even <= k} (1 - j x) mod (2**32, x**32).
+
+    With h = floor(k/2), e_t = h_t(2, 4, ..., 2h) = 2**t h_t(1, ..., h) =
+    2**t S(h + t, h), which vanishes mod 2**32 for t >= 32 (the proof that
+    column k then needs only Q_o is at :func:`column_q`).
+
+    The even part of Q is built by :func:`_linear_product` in 32 slots of 9
+    bytes (its coefficient t is divisible by 2**t, so none is dropped mod
+    2**32) and inverted there by :func:`_inverse`, whose slots need 64 +
+    bitlen(32) + 1 = 71 bits.
+    """
+    Wb, terms = 9, 32  # slot width in bytes; the terms of E left mod 2**32
+    E = _inverse(_linear_product(range(2, k + 1, 2), terms, 8 * Wb), terms, 8 * Wb)
+    return struct.unpack("<" + f"I{Wb - 4}x" * terms, E.to_bytes(Wb * terms, "little"))
 
 
 def _pack(values: list[int], W: int) -> int:
@@ -290,62 +357,81 @@ def _narrow(packed: int, count: int, Wb: int, Nb: int) -> int:
     return int.from_bytes(narrow, "little")
 
 
-def recurrence_mod(q: Sequence[int], head: list[int], needed: int) -> Iterator[tuple[int, ...]]:
-    """Yield a_k, a_(k+1), ... mod 2**32 in blocks, each a tuple, where
-    head = [a_0, ..., a_(k-1)] and sum_{i=0..k} q_i a_(n-i) == 0 mod 2**32
-    for every n >= k, with q_0 == 1, q read mod 2**32 and every a_i in head
-    below 2**32.  The caller reads at most ``needed`` terms; that only caps
-    the block length.
+def _inverse(P: int, L: int, W: int) -> int:
+    """1/P mod (2**32, x**L) in W-bit slots, for P packed in W-bit slots with p_0 = 1.
 
-    With Q(x) = sum q_i x^i and A(x) = sum a_n x^n, Q * A is a polynomial R
-    of degree < k, so R = Q * (a_0 + ... + a_(k-1) x^(k-1)) mod x^k and
-    A = R / Q mod x^L give a block of L terms from the first k (Fiduccia,
-    SIAM J. Comput. 14, 1985).  The last k terms of a block start the next,
-    so each block yields L - k new terms.  L is 8k, cut to the k + needed
-    terms the caller reads, and at least 64.  1/Q mod x^L is computed once,
-    by Newton's iteration g <- g (2 - Q g).
-
-    A polynomial is packed by :func:`_pack` into one int with one W-bit
-    slot per coefficient (Kronecker substitution), so each product is one
-    big-integer multiply.  A coefficient of a Newton product sums at most L
-    products of two 32-bit numbers, so Newton's slots take W = 64 +
-    bitlen(L) + 1 bits, rounded up to a byte; each slot is then reduced mod
-    2**32 by an AND with ``block`` (2**32 - 1 in each of L slots) cut to the
-    slots in use.  ``block`` is 2**32 - 1 times ``ones`` =
-    (2**(W*L) - 1) / (2**W - 1), one division where two ``_pack`` calls
-    would format L slots each.  A coefficient of a block product sums at
-    most k products, one per slot of the window or of R, so it stays below
-    k * 2**64 < 2**(64 + bitlen(k)).  Where 64 + bitlen(k) bits round up to
-    fewer bytes, Q and 1/Q move once into such slots (:func:`_narrow`).  One
-    precompiled struct reads the L - k new terms of a block, each from the
-    low 4 bytes of its reduced slot.
+    Newton's iteration g <- g (2 - P g) doubles the terms that are right,
+    m of them, up to L.  A coefficient of either product sums at most L
+    products of two numbers below 2**32, so W >= 64 + bitlen(L) + 1 keeps
+    the slots apart; each slot is then reduced mod 2**32 by an AND with
+    ``reduce``, 2**32 - 1 in slots 0..m-1.  ``ones`` = (2**(W*L) - 1) /
+    (2**W - 1) is one division where a ``_pack`` call would format L slots.
     """
-    k = len(head)
-    L = max(min(8 * k, k + needed), 64)
-    Wb = (64 + L.bit_length() + 8) // 8  # Newton's slot width in bytes
-    W = 8 * Wb
     top = (1 << 32) - 1
     ones = ((1 << (W * L)) - 1) // ((1 << W) - 1)  # 1 in each of L slots
-    Q, block = _pack([c & top for c in q], W), top * ones
+    block = top * ones
     inverse, m = 1, 1
     while m < L:
         m = min(2 * m, L)
         reduce = block & ((1 << (W * m)) - 1)  # top in slots 0..m-1
-        t = (inverse * ((Q * inverse) & reduce)) & reduce
+        t = (inverse * ((P * inverse) & reduce)) & reduce
         # 2g - t per slot: top - t_i never borrows, and the added 1 makes it 2**32 - t_i
         inverse = ((inverse << 1) + (reduce - t) + (ones & reduce)) & reduce
-    Bb = (64 + k.bit_length() + 7) // 8  # a block product's slot width in bytes
+    return inverse
+
+
+def recurrence_mod(
+    q: Sequence[int], numerator: Sequence[int], needed: int
+) -> Iterator[tuple[int, ...]]:
+    """Yield a_0, a_1, ... mod 2**32 in blocks, each a tuple, where
+    sum_n a_n x^n = N(x) / Q(x) mod 2**32 for Q(x) = sum_{i<=K} q_i x^i with
+    q_0 == 1 and q read mod 2**32, and N(x) = sum_i numerator[i] x^i with
+    every coefficient below 2**32 and at most max(K, 32) of them.  The
+    caller reads at most ``needed`` terms; that only caps the block length.
+
+    Q * A = N has no term of degree >= len(N), so a_n follows the order-K
+    recurrence sum_{i<=K} q_i a_(n-i) == 0 from n = max(K, len(N)) on; a
+    column k takes Q_o and its E of 32 terms (:func:`column_q`).  The
+    first block is A = N * (1/Q) mod x^L, all L terms.  A later block starts
+    from the last K terms of the one before, a_s, ..., a_(s+K-1) with s + K
+    = L >= len(N): R = Q * (a_s + ... + a_(s+K-1) x^(K-1)) mod x^K and
+    R / Q mod x^L give L terms from those K (Fiduccia, SIAM J. Comput. 14,
+    1985), so each later block yields L - K new terms.  L is 16K and at
+    least 128, cut to the ``needed`` terms, and at least K + 32.  1/Q mod
+    x^L is computed once, by :func:`_inverse`.
+
+    A polynomial is packed by :func:`_pack` into one int with one W-bit
+    slot per coefficient (Kronecker substitution), so each product is one
+    big-integer multiply.  Newton's slots take W = 64 + bitlen(L) + 1
+    bits, rounded up to a byte.  A coefficient of a block product sums at
+    most max(K, 32) products: one per slot of N, of the window or of R, so
+    it stays below max(K, 32) * 2**64 < 2**(64 + bitlen(max(K, 32))).
+    Where those bits round up to fewer bytes, Q and 1/Q move once into such
+    slots (:func:`_narrow`), and each block slot is reduced mod 2**32 by an
+    AND with ``block`` (2**32 - 1 in each of L slots).  One precompiled
+    struct reads the L - K new terms of a block, each from the low 4 bytes
+    of its reduced slot.
+    """
+    K = len(q) - 1
+    L = max(min(max(16 * K, 128), needed), K + 32)
+    Wb = (64 + L.bit_length() + 8) // 8  # Newton's slot width in bytes
+    W = 8 * Wb
+    top = (1 << 32) - 1
+    Q = _pack([c & top for c in q], W)
+    inverse = _inverse(Q, L, W)
+    Bb = (64 + max(K, 32).bit_length() + 7) // 8  # a block product's slot width in bytes
     if Bb < Wb:
-        Q, inverse = _narrow(Q, k + 1, Wb, Bb), _narrow(inverse, L, Wb, Bb)
+        Q, inverse = _narrow(Q, K + 1, Wb, Bb), _narrow(inverse, L, Wb, Bb)
         Wb, W = Bb, 8 * Bb
-        block = top * (((1 << (W * L)) - 1) // ((1 << W) - 1))
-    unpack = struct.Struct("<" + f"I{Wb - 4}x" * (L - k)).unpack_from
-    low = block & ((1 << (W * k)) - 1)
-    window = _pack(head, W)
+    block = top * (((1 << (W * L)) - 1) // ((1 << W) - 1))
+    terms = (_pack(numerator, W) * inverse) & block
+    yield struct.unpack("<" + f"I{Wb - 4}x" * L, terms.to_bytes(L * Wb, "little"))
+    unpack = struct.Struct("<" + f"I{Wb - 4}x" * (L - K)).unpack_from
+    low = block & ((1 << (W * K)) - 1)
     while True:
+        window = terms >> (W * (L - K))
         terms = (((Q * window) & low) * inverse) & block
-        yield unpack(terms.to_bytes(L * Wb, "little"), k * Wb)
-        window = terms >> (W * (L - k))
+        yield unpack(terms.to_bytes(L * Wb, "little"), K * Wb)
 
 
 @cache

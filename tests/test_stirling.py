@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 
@@ -31,7 +32,7 @@ from stirval import (
     val2_stirling,
 )
 import stirval.stirling as stirling_module
-from stirval.stirling import column_q, exp_sums, recurrence_mod
+from stirval.stirling import column_e, column_q, exp_sums, recurrence_mod
 
 
 class TestTriangle:
@@ -239,8 +240,22 @@ class TestVal2Stirling:
 
 
 def _block(k: int) -> int:
-    """Terms a block of ``recurrence_mod`` adds for an order-k recurrence read past 7k terms."""
-    return max(8 * k, 64) - k
+    """New terms of a later ``recurrence_mod`` block of column k read past 16K terms.
+
+    K = ceil(k/2) is the order of the halved recurrence.
+    """
+    K = (k + 1) // 2
+    return max(16 * K, 128) - K
+
+
+def _far(k: int) -> int:
+    """The first index from which ``val2_range`` takes an exp_sums head: k + max(k*K/2, 32)."""
+    return k + max(k * ((k + 1) // 2) // 2, 32)
+
+
+def _numerator(q: list[int], head: list[int]) -> list[int]:
+    """Q * head mod (2**32, x**len(head)): the numerator whose series N/Q starts with head."""
+    return [sum(c * x for c, x in zip(q[i::-1], head)) % (1 << 32) for i in range(len(head))]
 
 
 class TestVal2Range:
@@ -251,7 +266,7 @@ class TestVal2Range:
             # nu_2(68!) = 66 and m_start = 128: the head keeps 62 exact bits, more
             # than the 32 the recurrence runs at
             assert engine.m_start - engine.fact_val == 62
-        stop = 2 * k + 3 * _block(k) + 5  # the first k indices, then three blocks and a bit
+        stop = 2 * k + 3 * _block(k) + 5  # k - 1 INFINITE values, then four blocks and a bit
         got = list(engine.val2_range(1, stop))
         assert [n for n, _ in got] == list(range(1, stop))
         for n, v in got:
@@ -268,16 +283,42 @@ class TestVal2Range:
             (n, engine.val2(n)) for n in range(start, stop)
         ]
 
-    @pytest.mark.parametrize("start, stop", [(1, 40), (60, 70), (64, 100), (900, 963)])
-    def test_ranges_within_k_indices_use_no_recurrence(self, monkeypatch, start, stop):
-        def unused(*args):
-            raise AssertionError("recurrence_mod called for a range of at most k values")
-
-        monkeypatch.setattr(stirling_module, "recurrence_mod", unused)
+    @pytest.mark.parametrize(
+        "start, stop, heads, scans",
+        [
+            (1, 40, [], 0),  # all below k = 64: nothing to compute
+            (60, 70, [], 1),
+            (64, 100, [], 1),
+            (900, 963, [], 1),
+            (1087, 1100, [], 1),  # 1023 = k*K/2 - 1 indices past k
+            (1088, 1100, [1088], 0),  # far, and at most K = 32 values: the head alone
+            (1088, 1200, [1088], 1),
+            (100, 101, [100], 0),  # one index: one exp_sums value, as val2 takes
+        ],
+        ids=["below-k", "across-k", "from-k", "836-past-k", "1023-past-k", "far-head", "far",
+             "one-index"],
+    )
+    def test_ranges_near_k_scan_from_k_others_take_exp_sums(
+        self, monkeypatch, start, stop, heads, scans
+    ):
+        # a range of two or more indices that starts fewer than k*K/2 indices past k
+        # takes the recurrence from n = k, whose numerator is E, and no exp_sums value
         engine = ModStirlingEngine(64)
-        assert list(engine.val2_range(start, stop)) == [
-            (n, engine.val2(n)) for n in range(start, stop)
-        ]
+        want = [(n, engine.val2(n)) for n in range(start, stop)]
+        seen_heads, numerators = [], []
+        monkeypatch.setattr(
+            stirling_module, "exp_sums", lambda *a: seen_heads.append(a[1]) or exp_sums(*a)
+        )
+        monkeypatch.setattr(
+            stirling_module,
+            "recurrence_mod",
+            lambda q, e, needed: numerators.append(e) or recurrence_mod(q, e, needed),
+        )
+        assert list(engine.val2_range(start, stop)) == want
+        assert seen_heads == heads
+        assert len(numerators) == scans
+        if scans and not heads:
+            assert numerators == [column_e(64)]
 
     def test_zero_value_past_the_first_k_goes_to_val2(self, monkeypatch):
         # as in test_climbs_until_the_residue_is_nonzero: nu_2(S(n,5)) = 99, far
@@ -307,8 +348,9 @@ class TestVal2Range:
 
     @pytest.mark.parametrize("k", [5, 64, 100])
     def test_exact_window_starts_the_scan_without_exp_sums(self, monkeypatch, k):
+        # the scan from k starts from E / Q_o, exact from S(k,k) = 1 on
         def unused(*args):
-            raise AssertionError("exp_sums called for a scan that starts below 2k")
+            raise AssertionError("exp_sums called for a scan that starts near k")
 
         engine = ModStirlingEngine(k)
         stop = k + 3 * _block(k)
@@ -320,70 +362,161 @@ class TestVal2Range:
             }, start
 
     @pytest.mark.parametrize("k", [5, 64, 100])
-    def test_scan_from_two_k_takes_its_head_from_exp_sums(self, monkeypatch, k):
+    def test_far_scan_takes_a_head_of_K_values_from_exp_sums(self, monkeypatch, k):
+        K = (k + 1) // 2
         engine = ModStirlingEngine(k)
-        stop = 2 * k + 3 * _block(k)
+        start = _far(k)
+        stop = start + 3 * _block(k)
         # val2 reads exp_sums too, so the expected values come before the spy
-        want = [(n, engine.val2(n)) for n in range(2 * k, stop)]
-        scanned = []
+        want = [(n, engine.val2(n)) for n in range(start, stop)]
+        starts, drawn, numerators = [], [], []
+
+        def spy(terms, first, M):
+            starts.append(first)
+            for r in exp_sums(terms, first, M):
+                drawn.append(r)
+                yield r
+
+        monkeypatch.setattr(stirling_module, "exp_sums", spy)
         monkeypatch.setattr(
-            stirling_module, "exp_sums", lambda *a: scanned.append(a[1]) or exp_sums(*a)
+            stirling_module,
+            "recurrence_mod",
+            lambda q, r, needed: numerators.append(r) or recurrence_mod(q, r, needed),
         )
-        assert list(engine.val2_range(2 * k, stop)) == want
-        assert scanned == [2 * k]
+        assert list(engine.val2_range(start, stop)) == want
+        assert starts == [start]
+        assert len(drawn) == K
+        assert [len(r) for r in numerators] == [K]
 
     @pytest.mark.parametrize("bits", [8, 32, 33, 64])
     @pytest.mark.parametrize("k", [1, 3, 20])
     def test_recurrence_mod_matches_the_recurrence(self, k, bits):
         # arbitrary coefficients of the given width and start, checked term by
-        # term over three blocks; the recurrence runs mod 2**32, so wider
-        # coefficients are read mod 2**32
+        # term over the first block, two later ones and a term of the third; the
+        # recurrence runs mod 2**32, so wider coefficients are read mod 2**32
         rng = random.Random(k * 100 + bits)
         mod = 1 << 32
         q = [1] + [rng.randrange(1 << bits) for _ in range(k)]
         a = [rng.randrange(mod) for _ in range(k)]
-        count = 3 * _block(k) + 1
-        while len(a) < k + count:
+        L = max(16 * k, 128)  # the kernel's block length for this many terms
+        count = L + 2 * (L - k) + 1
+        while len(a) < count:
             a.append(-sum(c * x for c, x in zip(q[1:], reversed(a[-k:]))) % mod)
-        blocks = recurrence_mod(q, a[:k], count)
-        assert list(itertools.islice(itertools.chain.from_iterable(blocks), count)) == a[k:]
+        blocks = recurrence_mod(q, _numerator(q, a[:k]), count)
+        assert list(itertools.islice(itertools.chain.from_iterable(blocks), count)) == a
+
+    @pytest.mark.parametrize("k", [1, 3, 31, 32])
+    def test_recurrence_mod_divides_a_numerator_of_32_terms(self, k):
+        # N of 32 terms, longer than K: the recurrence holds from n = 32 on
+        rng = random.Random(k)
+        mod = 1 << 32
+        q = [1] + [rng.randrange(mod) for _ in range(k)]
+        numerator = [rng.randrange(mod) for _ in range(32)]
+        a = []
+        for n in range(40 * k + 100):
+            r = numerator[n] if n < 32 else 0
+            a.append((r - sum(c * x for c, x in zip(q[1:], reversed(a[-k:])))) % mod)
+        blocks = recurrence_mod(q, numerator, len(a))
+        assert list(itertools.islice(itertools.chain.from_iterable(blocks), len(a))) == a
 
     @pytest.mark.parametrize("k", [126, 127, 255, 256, 300])
     def test_recurrence_mod_holds_the_largest_slot_sums(self, k):
-        # every q_i past q_0 = 1 and every head term 2**32 - 1: slot k - 1 of Q times
-        # the window sums (2**32 - 1) + (k - 1)(2**32 - 1)**2, which needs 71 bits at
+        # every q_i past q_0 = 1 is 2**32 - 1, and the sequence is run backwards from
+        # a second block's window of k terms 2**32 - 1: slot k - 1 of Q times that
+        # window sums (2**32 - 1) + (k - 1)(2**32 - 1)**2, which needs 71 bits at
         # k = 126 and 127 and 73 bits at k = 300; the block slot steps from 9 to 10
-        # bytes between k = 255 and 256
+        # bytes between k = 255 and 256, and max(K, 32) products at K = 300 need 10
         mod = 1 << 32
-        q, a = [1] + [mod - 1] * k, [mod - 1] * k
-        count = 3 * _block(k)
-        while len(a) < k + count:
+        q = [1] + [mod - 1] * k
+        L = k + 32  # the shortest block: one term read
+        a = [0] * 32 + [mod - 1] * k  # a_0..a_(L-1); the second block's window is a[32:]
+        inverse = pow(q[k], -1, mod)
+        for n in range(L - 1, k - 1, -1):
+            rest = sum(c * x for c, x in zip(q[1:k], reversed(a[n - k + 1 : n])))
+            a[n - k] = -(a[n] + rest) * inverse % mod
+        blocks = list(itertools.islice(recurrence_mod(q, _numerator(q, a[:k]), 1), 3))
+        while len(a) < L + 64:
             a.append(-sum(c * x for c, x in zip(q[1:], reversed(a[-k:]))) % mod)
-        blocks = list(itertools.islice(recurrence_mod(q, a[:k], count), 3))
-        assert [len(b) for b in blocks] == [_block(k)] * 3
-        assert list(itertools.chain.from_iterable(blocks)) == a[k:]
+        assert [len(b) for b in blocks] == [L, 32, 32]
+        assert list(itertools.chain.from_iterable(blocks)) == a
+
+    def test_recurrence_mod_holds_32_products_of_a_numerator(self):
+        # Q = (1 - x) sum_{i<32} 2^i x^i == (1 - x) / (1 - 2x) mod 2**32, so 1/Q =
+        # 1 - x - x**2 - ...: every slot of 1/Q past the first is 2**32 - 1, and so
+        # is every term of N; slot 31 of N * (1/Q) sums 32 products, the bound
+        mod = 1 << 32
+        q = [1] + [1 << (i - 1) for i in range(1, 32)] + [mod - (1 << 31)]
+        numerator = [mod - 1] * 32
+        a = []
+        for n in range(400):
+            r = numerator[n] if n < 32 else 0
+            a.append((r - sum(c * x for c, x in zip(q[1:], reversed(a[-32:])))) % mod)
+        assert a[:32] == [(i - 1) % mod for i in range(32)]  # -1 + i * (-1)(-1)
+        blocks = recurrence_mod(q, numerator, len(a))
+        assert list(itertools.islice(itertools.chain.from_iterable(blocks), len(a))) == a
 
     @pytest.mark.parametrize(
-        "k, needed, length",
-        [(1, 5, 63), (5, 10**6, 59), (100, 1, 1), (100, 300, 300), (100, 10**6, 700)],
+        "k, needed, first, later",
+        [(1, 5, 33, 32), (5, 10**6, 128, 125), (100, 1, 82, 32), (100, 300, 300, 250),
+         (100, 10**6, 800, 750)],
     )
-    def test_block_length_is_cut_to_the_terms_read(self, k, needed, length):
-        # a block holds L - k new terms, L = max(min(8k, k + needed), 64); every
-        # length gives the same terms
-        head = [0] * (k - 1) + [1]
-        blocks = list(itertools.islice(recurrence_mod(column_q(k), head, needed), 3))
-        assert [len(b) for b in blocks] == [length] * 3
-        terms = itertools.chain.from_iterable(recurrence_mod(column_q(k), head, 10**6))
+    def test_block_length_is_cut_to_the_terms_read(self, k, needed, first, later):
+        # the first block holds L terms from n = k, L = max(min(max(16K, 128), needed),
+        # K + 32), and a later block L - K new ones; every length gives the same terms
+        q, e = column_q(k), column_e(k)
+        blocks = list(itertools.islice(recurrence_mod(q, e, needed), 3))
+        assert [len(b) for b in blocks] == [first, later, later]
+        terms = itertools.chain.from_iterable(recurrence_mod(q, e, 10**6))
         assert list(itertools.chain.from_iterable(blocks)) == list(
-            itertools.islice(terms, 3 * length)
+            itertools.islice(terms, first + 2 * later)
         )
 
     @pytest.mark.parametrize("k", [1, 2, 5, 64, 100, 127, 128, 1000])
     def test_packed_q_equals_the_list_product(self, k):
         mask, q = (1 << 32) - 1, [1]
-        for j in range(1, k + 1):
+        for j in range(1, k + 1, 2):
             q = [(a - j * b) & mask for a, b in zip(q + [0], [0] + q)]
         assert list(column_q(k)) == q
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 31, 32, 33, 62, 63, 64, 100, 127, 128, 255, 256])
+    def test_e_is_the_column_of_k_over_two_times_powers_of_two(self, k):
+        h = k // 2
+        want = [(stirling_exact(h + t, h) << t) % (1 << 32) for t in range(32)]
+        assert list(column_e(k)) == want
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 31, 32, 33, 62, 63, 64, 100, 127, 128, 255, 256])
+    def test_halved_blocks_equal_the_order_k_recurrence_and_the_oracle(self, k):
+        # the order-k recurrence of Q = prod_{j<=k} (1 - j x) from the exact window
+        # S(1,k), ..., S(k,k) = 0, ..., 0, 1 gives S(n,k) mod 2**32 for every n; the
+        # blocks of E / Q_o (order K = ceil(k/2)) equal it from n = k, across three blocks
+        mod, Q = 1 << 32, [1]
+        for j in range(1, k + 1):
+            Q = [(a - j * b) % mod for a, b in zip(Q + [0], [0] + Q)]
+        K = (k + 1) // 2
+        L = max(16 * K, 128)
+        count = L + 2 * (L - K)
+        s = [0] * (k - 1) + [1]  # S(1,k), ..., S(k,k)
+        while len(s) < k - 1 + count:
+            s.append(-sum(map(operator.mul, Q[1:], reversed(s[-k:]))) % mod)
+        column = s[k - 1 :]  # S(k,k), S(k+1,k), ...
+        blocks = recurrence_mod(column_q(k), column_e(k), count)
+        assert list(itertools.islice(itertools.chain.from_iterable(blocks), count)) == column
+        exact = range(k, k + min(count, 101))
+        assert column[: len(exact)] == [stirling_exact(n, k) % mod for n in exact]
+        # the four range shapes: from 1, from k, shorter than k, and far out
+        engine = ModStirlingEngine(k)
+        want = {
+            n: nu_int(2, v) if v else engine.val2(n) for n, v in zip(itertools.count(k), column)
+        }
+        stop = k + count
+        assert list(engine.val2_range(1, stop)) == [(n, INFINITE) for n in range(1, k)] + list(
+            want.items()
+        )
+        assert dict(engine.val2_range(k, stop)) == want
+        short = range(k + 7, k + 7 + max(k - 1, 1))
+        assert dict(engine.val2_range(short.start, short.stop)) == {n: want[n] for n in short}
+        far = range(_far(k) + 1, _far(k) + 1 + K + 64)
+        assert list(engine.val2_range(far.start, far.stop)) == [(n, engine.val2(n)) for n in far]
 
     @pytest.mark.parametrize("reads", [1, 30, 50, 51, 100])
     def test_reading_j_values_takes_j_valuations(self, monkeypatch, reads):
@@ -403,9 +536,9 @@ class TestVal2Range:
         assert len(valuations) == reads
         assert fallbacks == ([n] if reads > 50 else [])
 
-    @pytest.mark.parametrize("reads", [1, 2, 300, 449, 500])
+    @pytest.mark.parametrize("reads", [1, 2, 300, 449, 500, 513])
     def test_a_block_without_zeros_is_read_lazily(self, monkeypatch, reads):
-        # k = 64 from n = 64: the window's last value, then blocks of 448 values, none zero
+        # k = 64 from n = 64: a first block of 512 values, then blocks of 480, none zero
         engine = ModStirlingEngine(64)
         want = list(itertools.islice(engine.val2_range(64, 3000), reads))
         valuations = []
