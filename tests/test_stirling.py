@@ -266,7 +266,7 @@ class TestVal2Range:
             # nu_2(68!) = 66 and m_start = 128: the head keeps 62 exact bits, more
             # than the 32 the recurrence runs at
             assert engine.m_start - engine.fact_val == 62
-        stop = 2 * k + 3 * _block(k) + 5  # k - 1 INFINITE values, then four blocks and a bit
+        stop = 2 * k + 3 * _block(k) + 5  # k - 1 INFINITE values, four blocks, the last in part
         got = list(engine.val2_range(1, stop))
         assert [n for n, _ in got] == list(range(1, stop))
         for n, v in got:
