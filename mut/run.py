@@ -96,20 +96,22 @@ MUTANTS = [
      "                values.extend(islice(self._scan, n + 2 - len(values)))\n"
      "            yield n, values[n + 1]",
      ["tests/test_levels.py::TestColumn::test_values_equal_val2_stirling"]),
-    ("split_powers shifts w^2 by 2^m for 2^(m+1)", "levels.py",
-     "(w * w << (m + 1))", "(w * w << m)", [CARRIED]),
+    ("split_powers steps the children by the parent's b^(2^m)", "levels.py",
+     "square = beta * beta & mask", "square = beta", [CARRIED]),
     ("split_powers keeps the parent's u in the child j + 2^m", "levels.py",
-     "high.append(((u + (u * w << (m + 2))) & mask, w2))", "high.append((u, w2))",
-     [CARRIED]),
+     "high.append((u * beta & mask, square))", "high.append((u, square))", [CARRIED]),
     ("member_values drops the nu_2(r) < n guard", "levels.py",
      "if r and (a := (r & -r).bit_length() - 1) < n:",
      "if r and ((a := (r & -r).bit_length() - 1) or True):",
      [f"{MEMBERS}::test_even_base_part_sends_members_to_val2_stirling"]),
-    ("member_values steps by 2^(m+1)", "levels.py",
-     "(1 + (w << (m + 2))) & mask", "(1 + (w << (m + 1))) & mask",
+    ("member_values starts one member late below k", "levels.py",
+     "exp_sums(terms, skip, P)", "exp_sums(terms, skip + (skip > 0), P)",
      [f"{MEMBERS}::test_matches_val2_stirling_on_random_classes"]),
     ("member_values reads a zero residue as a value", "levels.py",
      "if r and (a :=", "if (a :=", [f"{MEMBERS}::test_exact_at_any_precision"]),
+    ("exp_sums yields its sum unreduced", "stirling.py",
+     "yield sum(values) & mask", "yield sum(values)",
+     [f"{MEMBERS}::test_exp_sums_on_odd_powers_equal_the_exact_odd_base_sum"]),
     ("sampled CONSTANT restored", "levels.py",
      "return ClassStatus(INCONCLUSIVE, samples)",
      "return ClassStatus(CONSTANT, samples, value=first_v)",

@@ -18,8 +18,11 @@ median / best - 1 over the repetitions of this run; nothing is gated on it.
 The kernels are the column-scan lines of ``ModStirlingEngine.val2_range``:
 a long column (the shape of ``val --series stirling``), the live column of
 a level tree, short columns that never pass k indices, and a long column
-of a large order.  Standard library only; nothing is imported from
-``bench/``, and this script does not replace the CLI benchmark there.
+of a large order.  One more kernel builds a whole level tree deep enough
+that its last levels take the carried route (``levels.member_values`` on
+``exp_sums``); it clears the ``val2_stirling`` cache before each call.
+Standard library only; nothing is imported from ``bench/``, and this
+script does not replace the CLI benchmark there.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ def reference_task() -> int:
 
 def kernels(quick: bool) -> list[tuple[str, object]]:
     """(name, zero-argument callable) per kernel; ``quick`` shrinks each input."""
-    from stirval.levels import Column, ResidueClass
-    from stirval.stirling import ModStirlingEngine
+    from stirval.levels import Column, ResidueClass, build_level_tree
+    from stirval.stirling import ModStirlingEngine, val2_stirling
 
     def scan(k: int, start: int, stop: int):
         engine = ModStirlingEngine(k)
@@ -67,18 +70,26 @@ def kernels(quick: bool) -> list[tuple[str, object]]:
         engines = [ModStirlingEngine(k) for k in range(k_min, k_max + 1)]
         return lambda: [deque(e.val2_range(e.k, stop), maxlen=0) for e in engines]
 
+    def tree(k: int, m_max: int):
+        def build():
+            val2_stirling.cache_clear()  # every call pays for the same engine values
+            return build_level_tree(k, m_max)
+        return build
+
     if quick:
         return [
             ("val2_range(100, 2100)", scan(100, 100, 2100)),
             ("Column(64) to 300", column(64, 300)),
             ("val2_range(k, 321), k = 300..320", short_columns(300, 320, 321)),
             ("val2_range(1000, 3000)", scan(1000, 1000, 3000)),
+            ("build_level_tree(64, 12)", tree(64, 12)),
         ]
     return [
         ("val2_range(100, 25100)", scan(100, 100, 25100)),
         ("Column(64) to 2100", column(64, 2100)),
         ("val2_range(k, 601), k = 300..600", short_columns(300, 600, 601)),
         ("val2_range(1000, 101000)", scan(1000, 1000, 101000)),
+        ("build_level_tree(128, 18)", tree(128, 18)),
     ]
 
 

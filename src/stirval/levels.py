@@ -35,8 +35,9 @@ as far as a class asks; every class of a tree shares it, which suits the
 dense levels near m0.  A class at level m reads members 2**m apart, so a
 deep level would need a column far longer than the values it reads; from
 level m0 + ``COLUMN_LEVELS`` + 1 on, the tree carries each class's odd
-powers to its children instead (``odd_powers``, ``split_powers``) and
-steps along the members by ``member_values``.
+powers (u_b, beta_b) mod 2**P to its children instead (``odd_powers``,
+``split_powers``), and ``member_values`` reads each member's residue off
+``exp_sums`` on them.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Iterator, NamedTuple
 
 from .padic import INFINITE, Valuation
 from .reports import FAIL, INCONCLUSIVE, PASS, ConjectureReport
-from .stirling import get_engine, t_terms, val2_stirling
+from .stirling import Terms, exp_sums, get_engine, t_terms, val2_stirling
 
 CONSTANT = "CONSTANT"
 NON_CONSTANT = "NON_CONSTANT"
@@ -142,9 +143,6 @@ class ClassStatus(NamedTuple):
         return out
 
 
-Powers = tuple[tuple[int, int], ...]
-
-
 class Column:
     """nu_2(S(n,k)) for n = 0, 1, 2, ... of one order k, computed as far as a class asks.
 
@@ -166,58 +164,47 @@ class Column:
             yield n, values[n]
 
 
-def odd_powers(c: ResidueClass, P: int) -> Powers:
-    """(c_b b**j, (b**(2**m) - 1) / 2**(m+2)) mod 2**P for each odd base b <= c.k."""
-    m, j, mask = c.m, c.j, (1 << P) - 1
-    return tuple(
-        (cb * pow(b, j, 1 << P) & mask, (pow(b, 1 << m, 1 << (P + m + 2)) - 1) >> (m + 2))
-        for cb, b in t_terms(2, c.k)
-    )
+def odd_powers(c: ResidueClass, P: int) -> Terms:
+    """c's ``exp_sums`` terms (c_b b**j, b**(2**m)) mod 2**P, one per odd base b <= c.k."""
+    m, j, mod = c.m, c.j, 1 << P
+    return tuple((cb * pow(b, j, mod) % mod, pow(b, 1 << m, mod)) for cb, b in t_terms(2, c.k))
 
 
-def split_powers(powers: Powers, m: int, P: int) -> tuple[Powers, Powers]:
-    """The odd powers of the children j and j + 2**m of a class C(m, j), mod 2**P.
+def split_powers(terms: Terms, m: int, P: int) -> tuple[Terms, Terms]:
+    """The ``odd_powers`` of the children j and j + 2**m of a class C(m, j), mod 2**P.
 
-    b**(2**(m+1)) - 1 = 2**(m+3) w_b (1 + 2**(m+1) w_b) gives both children
-    w_b + 2**(m+1) w_b**2; the child j keeps u_b, and the child j + 2**m
-    takes u_b b**(2**m) = u_b (1 + 2**(m+2) w_b).
+    Both children step by the square of b**(2**m); the child j keeps u_b,
+    and the child j + 2**m takes u_b b**(2**m).  Every residue is read
+    mod 2**P, so the products reduced mod 2**P are exact.
     """
     mask = (1 << P) - 1
     low, high = [], []
-    for u, w in powers:
-        w2 = (w + (w * w << (m + 1))) & mask
-        low.append((u, w2))
-        high.append(((u + (u * w << (m + 2))) & mask, w2))
+    for u, beta in terms:
+        square = beta * beta & mask
+        low.append((u, square))
+        high.append((u * beta & mask, square))
     return tuple(low), tuple(high)
 
 
-def member_values(c: ResidueClass, powers: Powers, P: int) -> Iterator[tuple[int, Valuation]]:
+def member_values(c: ResidueClass, terms: Terms, P: int) -> Iterator[tuple[int, Valuation]]:
     """Yield (n, nu_2(S(n,k))) for the members n of c in increasing order.
 
-    ``powers`` are c's ``odd_powers`` mod 2**P.  At n = j + 2**m * t the
-    odd-base part of k! * S(n,k) is g(n) = sum u_b (1 + 2**(m+2) w_b)**t,
-    so each step to the next member takes one multiplication per base.
-    The even-base part is divisible by 2**n: a residue r = g(n) mod 2**P
+    ``terms`` are c's ``odd_powers`` mod 2**P.  At n = j + 2**m * t the
+    odd-base part of k! * S(n,k) is h(t) = sum u_b (b**(2**m))**t, which
+    ``exp_sums`` steps from the t of the first member n >= k.
+    The even-base part is divisible by 2**n: a residue r = h(t) mod 2**P
     that is nonzero with nu_2(r) < n gives nu_2(k! * S(n,k)) = nu_2(r).
     Any other member goes to ``val2_stirling``.
     """
-    k, m, mask = c.k, c.m, (1 << P) - 1
+    k = c.k
     fact_val = get_engine(k).fact_val
-    steps = [(1 + (w << (m + 2))) & mask for _, w in powers]
-    terms = [u for u, _ in powers]
-    n = c.j
-    while n < k:
-        terms = [t * s & mask for t, s in zip(terms, steps)]
-        n += 1 << m
-    while True:
-        r = sum(terms) & mask
+    skip = -((c.j - k) >> c.m)  # the members below k: ceil((k - j) / 2**m), or 0
+    for n, r in zip(c.iter_members(), exp_sums(terms, skip, P)):
         # r & -r keeps the lowest set bit of r; a zero r has none
         if r and (a := (r & -r).bit_length() - 1) < n:
             yield n, a - fact_val
         else:
             yield n, val2_stirling(n, k)
-        terms = [t * s & mask for t, s in zip(terms, steps)]
-        n += 1 << m
 
 
 def prove_constant(
@@ -362,9 +349,9 @@ def build_level_tree(k: int, m_max: int, samples: int = DEFAULT_SAMPLES) -> Leve
     Level 1 starts from the two parity classes; level m+1 classifies the
     children of the level-m survivors.  Neither a CONSTANT nor an
     INCONCLUSIVE class is split.  Levels m <= m0 + ``COLUMN_LEVELS`` read
-    their member values off one ``Column``; a deeper class reads them from
-    odd powers, which ``odd_powers`` gives each survivor of the last column
-    level and ``split_powers`` hands down.
+    their member values off one ``Column``; a deeper class reads them off
+    ``exp_sums`` on its odd powers, which ``odd_powers`` gives each survivor
+    of the last column level and ``split_powers`` hands down.
     """
     if k < 3:
         raise ValueError("level trees need k >= 3")
@@ -375,7 +362,7 @@ def build_level_tree(k: int, m_max: int, samples: int = DEFAULT_SAMPLES) -> Leve
     last_column_level = tree.m0 + COLUMN_LEVELS
 
     # j -> the odd powers of C(m, j), or None where level m reads the column
-    candidates: dict[int, Powers | None] = {0: None, 1: None}
+    candidates: dict[int, Terms | None] = {0: None, 1: None}
     for m in range(1, m_max + 1):
         rec = LevelRecord(k, m)
         for j, powers in candidates.items():

@@ -145,11 +145,11 @@ def exp_sums(terms: Terms, start: int, M: int) -> Iterator[int]:
     updates each term c * b**n mod 2**M by one multiplication.
     """
     bases = [b for _, b in terms]
-    mod = 1 << M
-    values = [c * pow(b, start, mod) for c, b in terms]
+    mask = (1 << M) - 1
+    values = [c * pow(b, start, 1 << M) for c, b in terms]
     while True:
-        yield sum(values) % mod
-        values = [v * b % mod for v, b in zip(values, bases)]
+        yield sum(values) & mask
+        values = [v * b & mask for v, b in zip(values, bases)]
 
 
 class ModStirlingEngine:

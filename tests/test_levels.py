@@ -22,6 +22,7 @@ from stirval import (
     nu_int,
     prove_constant,
     stirling_exact,
+    t_sum,
     t_terms,
     val2_stirling,
     verify_main_conjecture,
@@ -211,7 +212,8 @@ class TestProveConstant:
     def test_carried_powers_match_pow_at_every_node(self, monkeypatch):
         # with every level past level 1 on the carried route, the tree hands each
         # class the odd powers its parent carried; at every node they are the
-        # powers pow gives at that (m, j), and the tree is the one the column gives
+        # terms (c_b b^j, b^(2^m)) mod 2^P that pow gives at that (m, j), and
+        # the tree is the one the column gives
         seen = []
         true_member_values = levels.member_values
 
@@ -227,11 +229,9 @@ class TestProveConstant:
             monkeypatch.undo()
         assert len(seen) > 8000
         for c, powers, P in seen:
-            shift = c.m + 2
             assert P == get_engine(c.k).m_start
             assert powers == tuple(
-                (cb * pow(b, c.j, 1 << P) % (1 << P),
-                 (pow(b, 1 << c.m, 1 << (P + shift)) - 1) >> shift)
+                (cb * pow(b, c.j, 1 << P) % (1 << P), pow(b, 1 << c.m, 1 << P))
                 for cb, b in t_terms(2, c.k)
             ), c
 
@@ -271,20 +271,21 @@ def _a_s_certificate(c):
     b**(2**m) = 1 + 2**(m+2) w_b.  With a = nu_2(A_0), if
     A_s == 0 mod 2**(a+1-s(m+2)) for 1 <= s <= a/(m+2), every member n > a
     has nu_2(k! S(n,k)) = a; the members n <= a are checked exactly.
+    Every u_b and w_b comes from ``pow`` here, not from ``levels.odd_powers``.
     """
     k, m = c.k, c.m
     engine = get_engine(k)
+    odd = t_terms(2, k)
     P = engine.m_start
-    powers = levels.odd_powers(c, P)
-    while not (r := sum(u for u, _ in powers) % (1 << P)):
+    while not (r := sum(cb * pow(b, c.j, 1 << P) for cb, b in odd) % (1 << P)):
         P *= 2
-        powers = levels.odd_powers(c, P)
     a = nu_int(2, r)
     shift = m + 2
     mask = (1 << (a + 1)) - 1
-    terms = [u for u, _ in powers]  # u_b w_b^s mod 2^(a+1), summing to A_s
+    w = [(pow(b, 1 << m, 1 << (a + 1 + shift)) - 1) >> shift for _, b in odd]
+    terms = [cb * pow(b, c.j, 1 << (a + 1)) & mask for cb, b in odd]  # u_b w_b^s, summing to A_s
     for s in range(1, a // shift + 1):
-        terms = [t * w & mask for t, (_, w) in zip(terms, powers)]
+        terms = [t * wb & mask for t, wb in zip(terms, w)]
         if sum(terms) & (mask >> s * shift):
             return None
     value = a - engine.fact_val
@@ -314,6 +315,21 @@ def _member_values(c, P, count):
 
 
 class TestMemberValues:
+    def test_exp_sums_on_odd_powers_equal_the_exact_odd_base_sum(self):
+        # at the t of each of the first 12 members n >= k, exp_sums on c's odd
+        # powers gives T_2(n, k) mod 2^P, the exact big-integer odd-base sum
+        rng = random.Random("odd_powers")
+        for _ in range(300):
+            k, m = rng.randint(3, 90), rng.randint(1, 9)
+            c = ResidueClass(k, m, rng.randrange(1 << m))
+            members = c.members(12)
+            first = (members[0] - c.j) >> m
+            for P in (3, 8, get_engine(k).m_start):
+                residues = stirling.exp_sums(levels.odd_powers(c, P), first, P)
+                assert list(itertools.islice(residues, 12)) == [
+                    t_sum(2, n, k) % (1 << P) for n in members
+                ], (c, P)
+
     def test_matches_val2_stirling_on_random_classes(self):
         rng = random.Random("member_values")
         for _ in range(300):

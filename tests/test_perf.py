@@ -24,7 +24,7 @@ def test_quick_run_writes_the_record(tmp_path):
     assert record["src.lines"] == lines
     assert len(record["sha"]) == 40 or record["sha"] == "unknown"
     names = [e["name"] for e in record["kernels"]]
-    assert len(names) == 4 and len(set(names)) == 4
+    assert len(names) == 5 and len(set(names)) == 5
     for e in record["kernels"]:
         assert e["repeat"] == 1 and 0 < e["best_s"] == e["median_s"]
         assert e["best_rel"] == e["best_s"] / record["reference_s"]
@@ -36,4 +36,4 @@ def test_quick_run_writes_the_record(tmp_path):
         text=True,
         timeout=60,
     )
-    assert compared.stdout.count("x1.00") == 4
+    assert compared.stdout.count("x1.00") == 5

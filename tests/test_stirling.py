@@ -347,7 +347,7 @@ class TestVal2Range:
         assert got == {i: real(i) for i in range(n - 50, n + 50)}
 
     @pytest.mark.parametrize("k", [5, 64, 100])
-    def test_exact_window_starts_the_scan_without_exp_sums(self, monkeypatch, k):
+    def test_scan_near_k_draws_no_exp_sums_value(self, monkeypatch, k):
         # the scan from k starts from E / Q_o, exact from S(k,k) = 1 on
         def unused(*args):
             raise AssertionError("exp_sums called for a scan that starts near k")
