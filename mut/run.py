@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 LIFTER = "tests/test_sequences.py::TestClarkeZero"
 PROOF = "tests/test_levels.py::TestProveConstant"
+CLASSIFY = "tests/test_levels.py::TestClassify"
 CARRIED = f"{PROOF}::test_carried_powers_match_pow_at_every_node"
 A_S = f"{PROOF}::test_verdicts_equal_the_a_s_certificate"
 SCAN = "tests/test_stirling.py::TestVal2Range"
@@ -76,8 +77,24 @@ MUTANTS = [
     ("power_lemma_report reads the powers mod 2^(m+3)", "padic.py",
      "1 << (m + 5)", "1 << (m + 3)", ["tests/test_padic.py::TestPowerLemmas"]),
     ("classify_class records a witness valuation one too high", "levels.py",
-     "witness_b=(n, v)", "witness_b=(n, v + 1)",
+     "witness_b=breaking", "witness_b=(breaking[0], breaking[1] + 1)",
      ["tests/test_acceptance.py::test_09_main_conjecture_nine_orders"]),
+    ("classify_class takes witness_b one member early", "levels.py",
+     "witness_b=breaking", "witness_b=(breaking[0] - c.modulus, breaking[1])",
+     [f"{CLASSIFY}::test_witnesses_are_the_first_member_and_the_first_that_differs"]),
+    ("classify_class calls a class the count breaks CONSTANT", "levels.py",
+     "    if breaking is None:\n        return ClassStatus(CONSTANT",
+     "    if True:\n        return ClassStatus(CONSTANT",
+     [f"{CLASSIFY}::test_non_constant_with_certificate"]),
+    ("the count compares each member with the one before it", "levels.py",
+     "        if member[1] != value:\n            return first, member\n",
+     "        if member[1] != first[1]:\n"
+     "            return first, member\n        first = member\n",
+     [f"{CLASSIFY}::test_witnesses_are_the_first_member_and_the_first_that_differs"]),
+    ("the count returns an engine disagreement instead of raising it", "levels.py",
+     'raise ArithmeticError(\n                f"nu_2(S(',
+     'return first, (n, value)\n            raise ArithmeticError(\n                f"nu_2(S(',
+     [f"{PROOF}::test_small_members_are_checked_exactly"]),
     ("prove_constant counts one member short", "levels.py",
      "islice(values, len(small) + a // (c.m + 2))",
      "islice(values, max(len(small) + a // (c.m + 2) - 1, 0))", [A_S]),
@@ -112,11 +129,6 @@ MUTANTS = [
     ("exp_sums yields its sum unreduced", "stirling.py",
      "yield sum(values) & mask", "yield sum(values)",
      [f"{MEMBERS}::test_exp_sums_on_odd_powers_equal_the_exact_odd_base_sum"]),
-    ("sampled CONSTANT restored", "levels.py",
-     "return ClassStatus(INCONCLUSIVE, samples)",
-     "return ClassStatus(CONSTANT, samples, value=first_v)",
-     ["tests/test_levels.py::TestClassify::test_no_proof_and_no_witness_is_inconclusive",
-      f"{MAIN}::test_undecided_class_makes_levels_inconclusive"]),
     ("level size compared with >= for ==", "levels.py",
      "ok = len(rec.survivors) == expected", "ok = len(rec.survivors) >= expected",
      [f"{MAIN}::test_k16_counterexample"]),
@@ -127,9 +139,9 @@ MUTANTS = [
     ("k5_structure_report takes any CONSTANT child as the one at m - 2", "levels.py",
      "s.kind == CONSTANT and s.value == m - 2", "s.kind == CONSTANT",
      [f"{K5}::test_constant_child_value_comes_from_the_proof"]),
-    ("k5_structure_report treats an undecided child as decided", "levels.py",
-     "            if undecided:\n", "            if False:\n",
-     [f"{K5}::test_undecided_child_is_inconclusive"]),
+    ("k5_structure_report reads the surviving chain after a counterexample", "levels.py",
+     "    if not report.counterexamples:\n", "    if True:\n",
+     [f"{K5}::test_constant_child_value_comes_from_the_proof"]),
     ("stirling_exact multiplies by c - 1", "stirling.py",
      "left[i] + c * column[i - 1]", "left[i] + (c - 1) * column[i - 1]",
      [f"{ORACLE}::test_examples", f"{ORACLE}::test_fresh_table_in_shuffled_order"]),

@@ -11,9 +11,11 @@ time counts.  Every time is also divided by
 the best time of a fixed pure-Python reference task run in the same
 process, since the speed of a shared host drifts between runs.  The package
 comes from ``src/`` beside this directory.  The output names the git sha of
-this checkout (or "unknown"), the Python version and ``src.lines``, the
-line count of ``src/stirval/*.py``.  The spread printed per kernel is
-median / best - 1 over the repetitions of this run; nothing is gated on it.
+this checkout (or "unknown"), whether ``src/`` had uncommitted changes
+(``dirty``; null outside git, and ``--compare`` flags a dirty side), the
+Python version and ``src.lines``, the line count of ``src/stirval/*.py``.
+The spread printed per kernel is median / best - 1 over the repetitions of
+this run; nothing is gated on it.
 
 The kernels are the column-scan lines of ``ModStirlingEngine.val2_range``:
 a long column (the shape of ``val --series stirling``), the live column of
@@ -103,14 +105,19 @@ def timed(fn, repeat: int) -> list[float]:
     return out
 
 
-def git_sha(root: Path) -> str:
+def git_state(root: Path) -> tuple[str, bool | None]:
+    """HEAD's sha and whether ``src/`` differs from it; ("unknown", None) outside git."""
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=root, capture_output=True, text=True, check=True
+        ).stdout.strip()
+
     try:
-        done = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True, check=True
-        )
+        sha = git("rev-parse", "HEAD")
+        changed = git("status", "--porcelain", "--untracked-files=no", "--", "src")
     except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-    return done.stdout.strip()
+        return "unknown", None
+    return sha, bool(changed)
 
 
 def run(quick: bool) -> dict:
@@ -129,8 +136,10 @@ def run(quick: bool) -> dict:
             "best_rel": best / ref,
             "repeat": len(times),
         })
+    sha, dirty = git_state(ROOT)
     return {
-        "sha": git_sha(ROOT),
+        "sha": sha,
+        "dirty": dirty,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "src.lines": sum(len(p.read_text().splitlines()) for p in (SRC / "stirval").glob("*.py")),
@@ -142,6 +151,9 @@ def run(quick: bool) -> dict:
 
 def compare(old_path: Path, new_path: Path) -> None:
     old, new = (json.loads(p.read_text()) for p in (old_path, new_path))
+    for path, record in ((old_path, old), (new_path, new)):
+        if record.get("dirty"):
+            print(f"{path}: dirty, src/ differed from {record['sha'][:12]} when timed")
     before = {e["name"]: e for e in old["kernels"]}
     for e in new["kernels"]:
         b = before.get(e["name"])

@@ -23,11 +23,10 @@ h(t) = sum_{s<=S} C(t,s) Delta**s h(0).  If h(0), ..., h(S) all equal
 member, a = v + nu_2(k!) and n1 the first member above a (where the
 even-base part vanishes mod 2**(a+1)), a class is constant exactly when
 its members n <= a have value v and so do the S + 1 members from n1 on.
-A constant class passes this count trivially, so the count decides.
-
-A class with neither a proof nor a witness pair among its first
-``samples`` members (the witness budget) is undecided: INCONCLUSIVE, with
-no value, and not split further.
+A constant class passes this count trivially, so the count decides, and
+it reads the members in order: where it fails, the first member that
+disagrees with the first one is the witness pair's second member.  Every
+class is therefore CONSTANT or NON_CONSTANT.
 
 Member values come from one of two routes, both exact.  A ``Column``
 holds nu_2(S(n,k)) for n = 0, 1, ... from one ``val2_range`` scan, read
@@ -42,12 +41,12 @@ powers (u_b, beta_b) mod 2**P to its children instead (``odd_powers``,
 
 from __future__ import annotations
 
-from itertools import islice, tee
+from itertools import islice
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .padic import INFINITE, Valuation
-from .reports import FAIL, INCONCLUSIVE, PASS, ConjectureReport
+from .reports import FAIL, PASS, ConjectureReport
 from .stirling import Terms, exp_sums, get_engine, t_terms, val2_stirling
 
 CONSTANT = "CONSTANT"
@@ -123,9 +122,11 @@ class ClassStatus(NamedTuple):
     """Verdict for one residue class.
 
     CONSTANT carries the common value, proved for every member by
-    ``prove_constant``.  NON_CONSTANT carries a two-member certificate.
-    INCONCLUSIVE carries neither: no proof, and no witness pair among the
-    first ``samples`` members.
+    ``prove_constant``.  NON_CONSTANT carries a two-member certificate:
+    the first member and the first one whose value differs.  ``samples``
+    bounds nothing; it is carried only because the bench ``tree`` member
+    passes ``--samples`` and its pinned digest holds the value (ROADMAP B2
+    drops it once that member no longer does, after B1).
     """
 
     kind: str
@@ -207,6 +208,38 @@ def member_values(c: ResidueClass, terms: Terms, P: int) -> Iterator[tuple[int, 
             yield n, val2_stirling(n, k)
 
 
+def _count(
+    c: ResidueClass, values: Iterator[tuple[int, Valuation]] | None = None
+) -> tuple[tuple[int, Valuation], tuple[int, Valuation] | None]:
+    """c's first member with its value, and the first member whose value differs.
+
+    The second is None exactly when the count of ``prove_constant`` proves
+    c constant.  The count reads c's members in increasing order from
+    ``values`` (by default from a new ``Column``) and stops at the first
+    one that disagrees with the first, so that member and the first are a
+    witness pair.  A proved class has its members n <= a checked again by
+    ``val2_stirling``; both routes are exact, so a disagreement there is
+    no witness but an ArithmeticError.
+    """
+    k = c.k
+    if values is None:
+        values = Column(k).member_values(c)
+    first = next(values)
+    n, value = first
+    a = value + get_engine(k).fact_val
+    small = range(n, a + 1, c.modulus)  # the members n <= a
+    # the members n <= a and the S + 1 after them, the first one read already
+    for member in islice(values, len(small) + a // (c.m + 2)):
+        if member[1] != value:
+            return first, member
+    for n in small:
+        if val2_stirling(n, k) != value:
+            raise ArithmeticError(
+                f"nu_2(S({n},{k})): the member values and val2_stirling disagree"
+            )
+    return first, None
+
+
 def prove_constant(
     c: ResidueClass, values: Iterator[tuple[int, Valuation]] | None = None
 ) -> Valuation | None:
@@ -215,8 +248,8 @@ def prove_constant(
     ``values`` yields c's members with their valuations in increasing
     order (by default from a new ``Column``).  With v the first member's
     value, f = nu_2(k!), a = v + f and S = floor(a/(m+2)), c is constant
-    exactly when its members n <= a, checked by ``val2_stirling``, and
-    the S + 1 members after them all have value v.
+    exactly when its members n <= a, checked again by ``val2_stirling``,
+    and the S + 1 members after them all have value v (``_count``).
 
     Proof (the module docstring has it in full): write a member above a
     as n = n1 + 2**m * t.  The even-base part of k! * S(n,k) vanishes mod
@@ -229,20 +262,8 @@ def prove_constant(
     for every t: each member n > a has valuation a - f = v.  The converse
     is trivial, so the count decides.
     """
-    k = c.k
-    if values is None:
-        values = Column(k).member_values(c)
-    n, value = next(values)
-    a = value + get_engine(k).fact_val
-    small = range(n, a + 1, c.modulus)  # the members n <= a
-    # the members n <= a and the S + 1 after them agree, the first one read already
-    for _, v in islice(values, len(small) + a // (c.m + 2)):
-        if v != value:
-            return None
-    for n in small:
-        if val2_stirling(n, k) != value:
-            return None
-    return value
+    (_, value), breaking = _count(c, values)
+    return value if breaking is None else None
 
 
 def classify_class(
@@ -250,30 +271,22 @@ def classify_class(
     samples: int = DEFAULT_SAMPLES,
     values: Iterator[tuple[int, Valuation]] | None = None,
 ) -> ClassStatus:
-    """Classify c: CONSTANT only by ``prove_constant``, else search for witnesses.
+    """Classify c by one count of its members: CONSTANT, or NON_CONSTANT with a witness pair.
 
     ``values`` yields c's members with their valuations in increasing
-    order (by default from a new ``Column``); the proof and the witness
-    search read it through one ``tee``.  Without a proof, the first
-    ``samples`` members are read: NON_CONSTANT with a witness pair as soon
-    as two members disagree, otherwise INCONCLUSIVE once the budget runs
-    out.  Members are >= k, so every valuation is finite.
+    order (by default from a new ``Column``).  Where ``_count`` proves c
+    constant the verdict is CONSTANT with the proved value; otherwise the
+    count stopped at the first member whose value differs from the first
+    member's, and the two are the witness pair.  Members are >= k, so
+    every valuation is finite.  ``samples`` bounds nothing: it is only
+    recorded in the verdict (see ``ClassStatus``).
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    if values is None:
-        values = Column(c.k).member_values(c)
-    values, search = tee(values)
-    value = prove_constant(c, values)
-    if value is not None:
-        return ClassStatus(CONSTANT, samples, value=value)
-    first_n, first_v = next(search)
-    for n, v in islice(search, samples - 1):
-        if v != first_v:
-            return ClassStatus(
-                NON_CONSTANT, samples, witness_a=(first_n, first_v), witness_b=(n, v)
-            )
-    return ClassStatus(INCONCLUSIVE, samples)
+    first, breaking = _count(c, values)
+    if breaking is None:
+        return ClassStatus(CONSTANT, samples, value=first[1])
+    return ClassStatus(NON_CONSTANT, samples, witness_a=first, witness_b=breaking)
 
 
 class LevelRecord:
@@ -295,11 +308,6 @@ class LevelRecord:
             for j in sorted(self.statuses)
             if self.statuses[j].kind == NON_CONSTANT
         ]
-
-    @property
-    def undecided(self) -> list[int]:
-        """The j of each INCONCLUSIVE class, sorted."""
-        return sorted(j for j, s in self.statuses.items() if s.kind == INCONCLUSIVE)
 
     @property
     def constants(self) -> list[tuple[ResidueClass, Valuation]]:
@@ -347,8 +355,9 @@ def build_level_tree(k: int, m_max: int, samples: int = DEFAULT_SAMPLES) -> Leve
     """Build the level structure for order k up to level m_max.
 
     Level 1 starts from the two parity classes; level m+1 classifies the
-    children of the level-m survivors.  Neither a CONSTANT nor an
-    INCONCLUSIVE class is split.  Levels m <= m0 + ``COLUMN_LEVELS`` read
+    children of the level-m survivors, and a CONSTANT class is not split.
+    ``samples`` bounds nothing; it is recorded in each verdict and in the
+    tree's JSON (see ``ClassStatus``).  Levels m <= m0 + ``COLUMN_LEVELS`` read
     their member values off one ``Column``; a deeper class reads them off
     ``exp_sums`` on its odd powers, which ``odd_powers`` gives each survivor
     of the last column level and ``split_powers`` hands down.
@@ -396,11 +405,9 @@ def verify_main_conjecture(
     and each survivor has exactly one surviving child.  For k >= 5,
     ``m_max`` must be at least m0, or part 2 would go unchecked.
 
-    ``samples`` is the witness budget of ``classify_class``.  From the
-    first level that holds an INCONCLUSIVE class on, no level gets a PASS
-    or FAIL verdict: neither part is checked there, nor the one-child check
-    of the level above, and each such level is recorded as inconclusive
-    with the j of its undecided classes.
+    Every class of the tree is decided, CONSTANT or NON_CONSTANT, so every
+    level gets a PASS or FAIL verdict.  ``samples`` bounds nothing; it is
+    recorded in the report (see ``ClassStatus``).
 
     For k <= 4 the valuation depends only on parity, both level-1 classes
     are constant and no level tree exists; the conjecture is not asserted
@@ -434,22 +441,9 @@ def verify_main_conjecture(
     report.details["m0"] = m0
     report.details["tree"] = tree.as_dict()
     level_verdicts = []
-    # the first level holding an undecided class: from it on, nothing is checked
-    first_undecided = next((rec.m for rec in tree.levels if rec.undecided), m_max + 1)
 
     for rec in tree.levels:
         m = rec.m
-        if m >= first_undecided:
-            report.record_inconclusive(
-                {
-                    "m": m,
-                    "reason": "a class at this level or above has neither a constancy "
-                    "proof nor a witness pair within the samples budget",
-                    "undecided": rec.undecided,
-                }
-            )
-            level_verdicts.append({"m": m, "verdict": INCONCLUSIVE})
-            continue
         if m <= m0 - 2:
             ok = not rec.constants
             payload = {
@@ -476,7 +470,7 @@ def verify_main_conjecture(
 
     # part 2, splitting dynamic: one surviving child per survivor
     for rec in tree.levels[:-1]:
-        if rec.m < m0 or rec.m + 1 >= first_undecided:
+        if rec.m < m0:
             continue
         for c in rec.survivors:
             kids = [ch.j for ch, s in tree.children(c) if s.kind == NON_CONSTANT]
@@ -574,10 +568,8 @@ def exceptional_indices(i_max: int = 200) -> ConjectureReport:
 def k5_structure_report(m_max: int = 10, i_max: int = 200) -> ConjectureReport:
     """Verify the proved k=5 splitting structure level by level.
 
-    Every verdict comes from ``build_level_tree(5, m_max)``, at the
-    default witness budget.  Through level 22 every k = 5 class is decided
-    by a proof or by a witness pair among its first two members, so the
-    budget is no option here.
+    Every verdict comes from ``build_level_tree(5, m_max)``, where each
+    class is proved constant or carries a witness pair.
 
     For m in 3..m_max, the two children of each level-(m-1) survivor (branch
     ``parent.j % 4``, 0 or 3) must be one CONSTANT child with value m - 2,
@@ -585,13 +577,11 @@ def k5_structure_report(m_max: int = 10, i_max: int = 200) -> ConjectureReport:
     surviving child whose members with index i <= i_max all exceed m - 2.
     The "child floor" check asks for values above m - 3: the proved value
     of the constant child and the computed ones (i <= i_max) of the other.
-    An undecided child is recorded as inconclusive, never as a
-    counterexample.
 
     Also rechecks, member by member for i <= i_max, the eight fixed
     congruence-class facts for the classes mod 8 and mod 16 (values 1, 1,
     >=2, >=2, 2, 2, >=3, >=3).  ``details["surviving_chain"]`` is read
-    off the same tree, only when nothing failed and nothing was undecided.
+    off the same tree, only when nothing failed.
     """
     if m_max < 3:
         raise ValueError("m_max must be >= 3")
@@ -613,10 +603,6 @@ def k5_structure_report(m_max: int = 10, i_max: int = 200) -> ConjectureReport:
         for parent in rec.survivors:
             where = {"m": m, "branch": parent.j % 4}
             kids = tree.children(parent)
-            undecided = [c.j for c, s in kids if s.kind == INCONCLUSIVE]
-            if undecided:
-                report.record_inconclusive({"check": split_check, **where, "undecided": undecided})
-                continue
             # a proved value holds on every member; the smallest stands for them
             pairs = {
                 c: [(c.members(1)[0], s.value)] if s.kind == CONSTANT else member_vals(c, i_max)
@@ -648,7 +634,7 @@ def k5_structure_report(m_max: int = 10, i_max: int = 200) -> ConjectureReport:
                 {"check": f"nu2(S({c.modulus}i+{r},5)) {op} {bound}", "n": n, "computed": v},
             )
 
-    if not report.counterexamples and not report.inconclusive:
+    if not report.counterexamples:
         report.details["surviving_chain"] = [
             {"level": link.level, "j": link.j, "sibling_value": link.sibling_value}
             for link in _surviving_chain(tree)

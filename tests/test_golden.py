@@ -55,9 +55,9 @@ GOLDEN = [
      "3de89a9b41ece562564d7a5db4db1c5ed13641dd7f84fc4d94f25f4a68983bf1"),
     (("verify", "main-conjecture", "--k", "64", "--levels", "14"), 1,
      "80678d4bfaaf81508e004ccf7b742d90711a40c8d94bdb0d79dff222121e9abb"),
-    # a witness budget of two leaves classes undecided
-    (("verify", "main-conjecture", "--k", "45", "--levels", "9", "--samples", "2"), 2,
-     "8dbc4e1c35e669ed53201e7f336d7cb606f577a90a02bb55542a98dccbf79d4a"),
+    # --samples bounds nothing: the tree at 32 samples, with "samples": 2 recorded
+    (("verify", "main-conjecture", "--k", "45", "--levels", "9", "--samples", "2"), 1,
+     "f8a5c2b6a7e242fa68e457ea284e702d6f943cb6bb559456bea64cedbdae475b"),
     (("verify", "main-conjecture", "--k", "3"), 2,
      "0048ae1cb745c9bb2de2dda4f4fbb75bdd576fcbc4e2a642445b7c493342146e"),
     (("verify", "k5-theorem", "--levels", "4", "--i-max", "20"), 0,

@@ -113,14 +113,25 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify_class(ResidueClass(5, 2, 1), samples=1)
 
-    def test_no_proof_and_no_witness_is_inconclusive(self, monkeypatch):
-        # C(2,1) is constant, but only the proof may say so: with the proof
-        # patched out, agreeing samples leave it undecided, with no value
-        monkeypatch.setattr(levels, "prove_constant", lambda c, values=None: None)
-        for samples in (2, 64):
-            status = classify_class(ResidueClass(5, 2, 1), samples=samples)
-            assert (status.kind, status.value) == ("INCONCLUSIVE", None)
-            assert status.as_dict() == {"status": "INCONCLUSIVE", "samples": samples}
+    def test_witnesses_are_the_first_member_and_the_first_that_differs(self):
+        # samples bounds nothing: at 2 every class is decided, and each witness
+        # pair is the class's first member and the first member whose value,
+        # read off a fresh column, differs from it; in some pairs that is not
+        # the second member
+        late = 0
+        for k in range(5, 41):
+            column = levels.Column(k)
+            for rec in build_level_tree(k, m0_of(k) + 3, samples=2).levels:
+                for j, status in rec.statuses.items():
+                    assert status.kind in ("CONSTANT", "NON_CONSTANT"), (k, rec.m, j)
+                    if status.kind == "CONSTANT":
+                        continue
+                    values = column.member_values(ResidueClass(k, rec.m, j))
+                    first = next(values)
+                    breaking = next(pair for pair in values if pair[1] != first[1])
+                    assert (status.witness_a, status.witness_b) == (first, breaking), (k, rec.m, j)
+                    late += breaking[0] > first[0] + (1 << rec.m)
+        assert late
 
     def test_certificates_agree_with_exact_oracle(self):
         for k in (5, 10, 11, 20):
@@ -142,7 +153,8 @@ class TestProveConstant:
             engine = ModStirlingEngine(k)
             tree = build_level_tree(k, m0_of(k) + 3, samples=32)
             for rec in tree.levels:
-                assert rec.undecided == [], (k, rec.m)
+                kinds = {s.kind for s in rec.statuses.values()}
+                assert kinds <= {"CONSTANT", "NON_CONSTANT"}, (k, rec.m)
                 for c, value in rec.constants:
                     assert prove_constant(c) == value
                     assert {engine.val2(n) for n in c.members(32)} == {value}
@@ -165,15 +177,18 @@ class TestProveConstant:
                 assert all(nu_int(2, stirling_exact(n, k)) == value for n in members if n <= 400)
         assert proved
 
-    def test_no_proof_of_a_sampled_non_constant_class(self, monkeypatch):
-        # the tree sampled without the certificate: each NON_CONSTANT class
-        # there carries a witness pair, so no proof may exist for it
-        monkeypatch.setattr(levels, "prove_constant", lambda c, values=None: None)
-        tree = build_level_tree(16, m_max=6, samples=64)
-        monkeypatch.undo()
-        survivors = [c for rec in tree.levels for c in rec.survivors]
-        assert len(survivors) == 2 + 4 + 6 * 4
-        assert all(prove_constant(c) is None for c in survivors)
+    def test_no_proof_of_a_sampled_non_constant_class(self):
+        # two of a class's first 64 members that differ, read off a column and
+        # not found by the count, are a witness pair: no proof may exist there
+        column = levels.Column(16)
+        split = []
+        for m in range(1, 7):
+            for j in range(1 << m):
+                c = ResidueClass(16, m, j)
+                if len({v for _, v in itertools.islice(column.member_values(c), 64)}) > 1:
+                    split.append(c)
+        assert len(split) == 2 + 4 + 6 * 4
+        assert all(prove_constant(c) is None for c in split)
 
     # (class, value, its one member n <= a = value + nu_2(k!)): the member
     # lies outside the certificate's range, below a or at a
@@ -190,7 +205,10 @@ class TestProveConstant:
             return true_val2(n, k) + (n == n_small)
 
         monkeypatch.setattr(levels, "val2_stirling", wrong_at_small)
-        assert prove_constant(c) is None
+        # the member values and the engine are both exact: a disagreement is
+        # an error, never a witness
+        with pytest.raises(ArithmeticError, match=rf"S\({n_small},{c.k}\)"):
+            prove_constant(c)
         assert seen == [n_small]
 
     def test_proved_class_evaluates_only_small_members(self, monkeypatch):
@@ -478,22 +496,6 @@ class TestMainConjecture:
         assert report.status == "CONSISTENT"
         assert report.details["m0"] == 4
 
-    def test_undecided_class_makes_levels_inconclusive(self, monkeypatch):
-        # without proofs, level 2 = m0 - 1 holds no CONSTANT class; that is
-        # no part-1 counterexample, since its classes C(2,1) and C(2,2)
-        # are undecided, and no level from there on gets a verdict
-        monkeypatch.setattr(levels, "prove_constant", lambda c, values=None: None)
-        report = verify_main_conjecture(5, m_max=4, samples=2)
-        assert report.status == "INCONCLUSIVE"
-        assert report.exit_code == 2
-        assert report.counterexamples == []
-        assert [(p["m"], p["undecided"]) for p in report.inconclusive] == [
-            (2, [1, 2]), (3, [0, 3]), (4, [4, 7])
-        ]
-        assert [lv["verdict"] for lv in report.details["levels"]] == [
-            "PASS", "INCONCLUSIVE", "INCONCLUSIVE", "INCONCLUSIVE"
-        ]
-
     @pytest.mark.parametrize("k, m_max", [(5, 2), (11, 3), (64, 5)])
     def test_levels_below_m0_rejected(self, k, m_max):
         # below m0 only part 1 would be checked, and part 2 holds the
@@ -541,8 +543,8 @@ class TestK5Chain:
         assert calls == [(5, 6)]
 
     def test_chain_needs_proved_siblings(self, monkeypatch):
-        # an unproved sibling is undecided, not constant, so the chain breaks
-        monkeypatch.setattr(levels, "prove_constant", lambda c, values=None: None)
+        # a sibling the count does not prove is not constant, so the chain breaks
+        monkeypatch.setattr(levels, "_count", lambda c, values: (next(values), next(values)))
         with pytest.raises(ArithmeticError, match="level 2"):
             k5_surviving_chain(4)
 
@@ -603,28 +605,16 @@ class TestK5StructureReadsTheTree:
         # the third argument is each class's member values, a fresh iterator per call
         assert [args[:2] for args in calls] == [args[:2] for args in one_tree]
 
-    def test_undecided_child_is_inconclusive(self, monkeypatch):
-        # without proofs, C(3,0), C(3,3), C(4,4) and C(4,7) are undecided
-        monkeypatch.setattr(levels, "prove_constant", lambda c, values=None: None)
-        report = k5_structure_report(m_max=4, i_max=20)
-        assert report.status == "INCONCLUSIVE"
-        assert report.exit_code == 2
-        assert report.counterexamples == []
-        assert [(p["m"], p["branch"], p["undecided"]) for p in report.inconclusive] == [
-            (3, 0, [0]), (3, 3, [3]), (4, 0, [4]), (4, 3, [7])
-        ]
-        assert "surviving_chain" not in report.details
-
     def test_constant_child_value_comes_from_the_proof(self, monkeypatch):
-        # a proof that says 3 on C(4,4), whose members all have value 2,
-        # must break the split at m = 4 although no sampled member disagrees
-        true_proof = levels.prove_constant
+        # a count that proves 3 on C(4,4), whose members all have value 2,
+        # must break the split at m = 4 although no member disagrees
+        true_count = levels._count
 
         def off_by_one(c, values=None):
-            value = true_proof(c, values)
-            return value + 1 if (c.m, c.j) == (4, 4) else value
+            (n, value), breaking = true_count(c, values)
+            return (n, value + ((c.m, c.j) == (4, 4))), breaking
 
-        monkeypatch.setattr(levels, "prove_constant", off_by_one)
+        monkeypatch.setattr(levels, "_count", off_by_one)
         report = k5_structure_report(6, 50)
         assert report.status == "COUNTEREXAMPLE"
         assert report.exit_code == 1
@@ -637,3 +627,4 @@ class TestK5StructureReadsTheTree:
                 "above": [12],
             }
         ]
+        assert "surviving_chain" not in report.details

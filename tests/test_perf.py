@@ -22,7 +22,10 @@ def test_quick_run_writes_the_record(tmp_path):
     assert record["python"] == ".".join(map(str, sys.version_info[:3]))
     lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "stirval").glob("*.py"))
     assert record["src.lines"] == lines
-    assert len(record["sha"]) == 40 or record["sha"] == "unknown"
+    if record["sha"] == "unknown":
+        assert record["dirty"] is None
+    else:
+        assert len(record["sha"]) == 40 and isinstance(record["dirty"], bool)
     names = [e["name"] for e in record["kernels"]]
     assert len(names) == 5 and len(set(names)) == 5
     for e in record["kernels"]:
@@ -37,3 +40,18 @@ def test_quick_run_writes_the_record(tmp_path):
         timeout=60,
     )
     assert compared.stdout.count("x1.00") == 5
+
+    # a run on uncommitted src/ changes is flagged on its side of a comparison
+    dirty = tmp_path / "BENCH_dirty.json"
+    dirty.write_text(json.dumps(dict(record, sha="0" * 40, dirty=True)))
+    clean = tmp_path / "BENCH_clean.json"
+    clean.write_text(json.dumps(dict(record, sha="1" * 40, dirty=False)))
+    flagged = subprocess.run(
+        [sys.executable, str(script), "--compare", str(clean), str(dirty)],
+        check=True,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    ).stdout
+    assert f"{dirty}: dirty, src/ differed from 000000000000" in flagged
+    assert f"{clean}:" not in flagged
