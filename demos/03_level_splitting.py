@@ -8,8 +8,9 @@ first appear at level m0-1 (where 2**(m0-1) < k <= 2**m0), and from level
 m0 on each level keeps exactly 2**(m0-2) non-constant classes.
 
 Checking instead of trusting pays off: the class-count claim fails at
-k = 16, with certificates.  A constant class is proved for every member
-by a 2-adic certificate; sampling only searches for witness pairs.
+k = 16, with certificates.  One count of a class's members decides it:
+it proves a constant class for every member, and where it fails it has
+met a witness pair.
 """
 
 from stirval import (
@@ -23,8 +24,8 @@ from stirval import (
 )
 
 
-def show_tree(k, m_max, samples=64):
-    tree = build_level_tree(k, m_max, samples)
+def show_tree(k, m_max):
+    tree = build_level_tree(k, m_max)
     print(f"  order {k} (m0 = {tree.m0}):")
     for rec in tree.levels:
         surv = [c.j for c in rec.survivors]
@@ -35,8 +36,12 @@ def show_tree(k, m_max, samples=64):
 def main():
     print("== a constant class and its certificate-bearing sibling ==")
     for j in (1, 0):
-        status = classify_class(ResidueClass(5, 2, j), samples=64)
-        print(f"  C(2,{j}) for k=5: {status.as_dict()}")
+        status = classify_class(ResidueClass(5, 2, j))
+        if status.kind == "CONSTANT":
+            shown = f"value {status.value}"
+        else:
+            shown = f"witnesses {status.witness_a} and {status.witness_b}"
+        print(f"  C(2,{j}) for k=5: {status.kind}, {shown}")
 
     print("\n== the worked trees ==")
     show_tree(10, 5)
@@ -44,7 +49,7 @@ def main():
 
     print("\n== conjecture verdicts, orders 5..20 ==")
     for k in (5, 6, 7, 9, 10, 11, 13, 16, 20):
-        report = verify_main_conjecture(k, m_max=8, samples=64)
+        report = verify_main_conjecture(k, m_max=8)
         line = f"  k={k:2d}: {report.status}"
         if report.counterexamples:
             first = report.counterexamples[0]

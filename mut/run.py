@@ -51,6 +51,7 @@ START_UP = ("tests/test_cli.py::TestUsageAndEnvironment::"
 MEMBERS = "tests/test_levels.py::TestMemberValues"
 LAZY = "tests/test_cli.py::TestUsageAndEnvironment::test_a_call_imports_only_the_modules_it_runs"
 WRITER = "tests/test_reports.py"
+GOLDEN = "tests/test_golden.py::test_golden_output"
 
 # (name, module under src/stirval, old text, new text, pytest node ids)
 MUTANTS = [
@@ -77,23 +78,26 @@ MUTANTS = [
     ("power_lemma_report reads the powers mod 2^(m+3)", "padic.py",
      "1 << (m + 5)", "1 << (m + 3)", ["tests/test_padic.py::TestPowerLemmas"]),
     ("classify_class records a witness valuation one too high", "levels.py",
-     "witness_b=breaking", "witness_b=(breaking[0], breaking[1] + 1)",
+     "witness_b=member", "witness_b=(member[0], member[1] + 1)",
      ["tests/test_acceptance.py::test_09_main_conjecture_nine_orders"]),
     ("classify_class takes witness_b one member early", "levels.py",
-     "witness_b=breaking", "witness_b=(breaking[0] - c.modulus, breaking[1])",
+     "witness_b=member", "witness_b=(member[0] - c.modulus, member[1])",
      [f"{CLASSIFY}::test_witnesses_are_the_first_member_and_the_first_that_differs"]),
     ("classify_class calls a class the count breaks CONSTANT", "levels.py",
-     "    if breaking is None:\n        return ClassStatus(CONSTANT",
-     "    if True:\n        return ClassStatus(CONSTANT",
+     "return ClassStatus(NON_CONSTANT, witness_a=first, witness_b=member)",
+     "return ClassStatus(CONSTANT, value=value)",
      [f"{CLASSIFY}::test_non_constant_with_certificate"]),
     ("the count compares each member with the one before it", "levels.py",
-     "        if member[1] != value:\n            return first, member\n",
+     "        if member[1] != value:\n"
+     "            return ClassStatus(NON_CONSTANT, witness_a=first, witness_b=member)\n",
      "        if member[1] != first[1]:\n"
-     "            return first, member\n        first = member\n",
+     "            return ClassStatus(NON_CONSTANT, witness_a=first, witness_b=member)\n"
+     "        first = member\n",
      [f"{CLASSIFY}::test_witnesses_are_the_first_member_and_the_first_that_differs"]),
     ("the count returns an engine disagreement instead of raising it", "levels.py",
      'raise ArithmeticError(\n                f"nu_2(S(',
-     'return first, (n, value)\n            raise ArithmeticError(\n                f"nu_2(S(',
+     'return ClassStatus(NON_CONSTANT, witness_a=first, witness_b=(n, value))\n'
+     '            raise ArithmeticError(\n                f"nu_2(S(',
      [f"{PROOF}::test_small_members_are_checked_exactly"]),
     ("prove_constant counts one member short", "levels.py",
      "islice(values, len(small) + a // (c.m + 2))",
@@ -105,6 +109,10 @@ MUTANTS = [
     ("prove_constant skips the members n <= a", "levels.py",
      "    for n in small:\n", "    for n in ():\n",
      [f"{PROOF}::test_small_members_are_checked_exactly"]),
+    ("every class entry renders 64 samples", "levels.py",
+     '"status": s.kind, "samples": samples}', '"status": s.kind, "samples": 64}',
+     [f"{GOLDEN}[verify main-conjecture --k {k} --levels {m} --samples {n}]"
+      for k, m, n in ((45, 9, 2), (11, 5, 16), (21, 9, 32))]),
     ("the column reads each member at index n + 1", "levels.py",
      "if n >= len(values):\n"
      "                values.extend(islice(self._scan, n + 1 - len(values)))\n"

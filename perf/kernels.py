@@ -22,7 +22,10 @@ a long column (the shape of ``val --series stirling``), the live column of
 a level tree, short columns that never pass k indices, and a long column
 of a large order.  One more kernel builds a whole level tree deep enough
 that its last levels take the carried route (``levels.member_values`` on
-``exp_sums``); it clears the ``val2_stirling`` cache before each call.
+``exp_sums``), and one writes the report of ``verify main-conjecture`` at
+the shape of the CLI benchmark's ``tree`` workload, where the class
+verdicts of ``classify_class`` run; both clear the ``val2_stirling``
+cache before each call.
 Standard library only; nothing is imported from ``bench/``, and this
 script does not replace the CLI benchmark there.
 """
@@ -57,7 +60,7 @@ def reference_task() -> int:
 
 def kernels(quick: bool) -> list[tuple[str, object]]:
     """(name, zero-argument callable) per kernel; ``quick`` shrinks each input."""
-    from stirval.levels import Column, ResidueClass, build_level_tree
+    from stirval.levels import Column, ResidueClass, build_level_tree, verify_main_conjecture
     from stirval.stirling import ModStirlingEngine, val2_stirling
 
     def scan(k: int, start: int, stop: int):
@@ -78,6 +81,12 @@ def kernels(quick: bool) -> list[tuple[str, object]]:
             return build_level_tree(k, m_max)
         return build
 
+    def report(k: int, m_max: int):
+        def write():
+            val2_stirling.cache_clear()
+            return verify_main_conjecture(k, m_max).to_json()
+        return write
+
     if quick:
         return [
             ("val2_range(100, 2100)", scan(100, 100, 2100)),
@@ -85,6 +94,7 @@ def kernels(quick: bool) -> list[tuple[str, object]]:
             ("val2_range(k, 321), k = 300..320", short_columns(300, 320, 321)),
             ("val2_range(1000, 3000)", scan(1000, 1000, 3000)),
             ("build_level_tree(64, 12)", tree(64, 12)),
+            ("verify_main_conjecture(21, 9)", report(21, 9)),
         ]
     return [
         ("val2_range(100, 25100)", scan(100, 100, 25100)),
@@ -92,6 +102,7 @@ def kernels(quick: bool) -> list[tuple[str, object]]:
         ("val2_range(k, 601), k = 300..600", short_columns(300, 600, 601)),
         ("val2_range(1000, 101000)", scan(1000, 1000, 101000)),
         ("build_level_tree(128, 18)", tree(128, 18)),
+        ("verify_main_conjecture(64, 8)", report(64, 8)),
     ]
 
 

@@ -6,10 +6,11 @@ progression {2**m * i + j : i >= 0} restricted to n >= k.  A class is
 is the set of non-constant classes mod 2**m, built by splitting each
 survivor of the (m-1)-level into its two children.
 
-A non-constant verdict carries a certificate: two members with provably
+``classify_class`` decides a class by one count of its members.  A
+non-constant verdict carries a certificate: two members with provably
 different valuations.  A constant verdict is proved for every member by
-``prove_constant``, which counts agreeing members; there is no other way
-to reach it.  The count is a proof by Newton's forward differences
+the count; there is no other way to reach it.  The count
+(``prove_constant`` holds its proof) is Newton's forward differences
 (Mahler, J. reine angew. Math. 199, 1958) on Clarke's odd-base expansion
 (J. Number Theory 52, 1995).  Split ``ksf_terms(k)`` into odd and even
 bases: the even-base part of k! * S(n,k) is 0 mod 2**n, and along the
@@ -26,7 +27,8 @@ its members n <= a have value v and so do the S + 1 members from n1 on.
 A constant class passes this count trivially, so the count decides, and
 it reads the members in order: where it fails, the first member that
 disagrees with the first one is the witness pair's second member.  Every
-class is therefore CONSTANT or NON_CONSTANT.
+class is therefore CONSTANT or NON_CONSTANT.  No sample size enters:
+``samples`` is read only by ``verify_main_conjecture``, for its JSON.
 
 Member values come from one of two routes, both exact.  A ``Column``
 holds nu_2(S(n,k)) for n = 0, 1, ... from one ``val2_range`` scan, read
@@ -51,8 +53,6 @@ from .stirling import Terms, exp_sums, get_engine, t_terms, val2_stirling
 
 CONSTANT = "CONSTANT"
 NON_CONSTANT = "NON_CONSTANT"
-
-DEFAULT_SAMPLES = 64
 
 # levels m <= m0 + COLUMN_LEVELS read the tree's column; deeper ones carry odd powers
 COLUMN_LEVELS = 4
@@ -119,29 +119,17 @@ class ResidueClass(_ResidueFields):
 
 
 class ClassStatus(NamedTuple):
-    """Verdict for one residue class.
+    """Verdict for one residue class, as the count of ``classify_class`` gives it.
 
-    CONSTANT carries the common value, proved for every member by
-    ``prove_constant``.  NON_CONSTANT carries a two-member certificate:
-    the first member and the first one whose value differs.  ``samples``
-    bounds nothing; it is carried only because the bench ``tree`` member
-    passes ``--samples`` and its pinned digest holds the value (ROADMAP B2
-    drops it once that member no longer does, after B1).
+    CONSTANT carries the common value, proved for every member.
+    NON_CONSTANT carries a two-member certificate: the first member and
+    the first one whose value differs.  ``LevelRecord.as_dict`` renders it.
     """
 
     kind: str
-    samples: int
     value: Valuation | None = None
     witness_a: tuple[int, Valuation] | None = None
     witness_b: tuple[int, Valuation] | None = None
-
-    def as_dict(self) -> dict:
-        out: dict = {"status": self.kind, "samples": self.samples}
-        if self.kind == CONSTANT:
-            out["value"] = self.value
-        if self.kind == NON_CONSTANT:
-            out["witnesses"] = [list(self.witness_a), list(self.witness_b)]
-        return out
 
 
 class Column:
@@ -208,18 +196,19 @@ def member_values(c: ResidueClass, terms: Terms, P: int) -> Iterator[tuple[int, 
             yield n, val2_stirling(n, k)
 
 
-def _count(
+def classify_class(
     c: ResidueClass, values: Iterator[tuple[int, Valuation]] | None = None
-) -> tuple[tuple[int, Valuation], tuple[int, Valuation] | None]:
-    """c's first member with its value, and the first member whose value differs.
+) -> ClassStatus:
+    """Classify c by one count of its members: CONSTANT, or NON_CONSTANT with a witness pair.
 
-    The second is None exactly when the count of ``prove_constant`` proves
-    c constant.  The count reads c's members in increasing order from
-    ``values`` (by default from a new ``Column``) and stops at the first
-    one that disagrees with the first, so that member and the first are a
-    witness pair.  A proved class has its members n <= a checked again by
-    ``val2_stirling``; both routes are exact, so a disagreement there is
-    no witness but an ArithmeticError.
+    ``values`` yields c's members with their valuations in increasing
+    order (by default from a new ``Column``).  With v the first member's
+    value and a = v + nu_2(k!), c is constant exactly when its members
+    n <= a and the floor(a/(m+2)) + 1 after them have value v (the proof
+    is ``prove_constant``'s).  The first member that differs ends the
+    count, and it and the first member are the witness pair.  Otherwise
+    ``val2_stirling`` checks the members n <= a again; both routes are
+    exact, so a disagreement is no witness but an ArithmeticError.
     """
     k = c.k
     if values is None:
@@ -231,13 +220,13 @@ def _count(
     # the members n <= a and the S + 1 after them, the first one read already
     for member in islice(values, len(small) + a // (c.m + 2)):
         if member[1] != value:
-            return first, member
+            return ClassStatus(NON_CONSTANT, witness_a=first, witness_b=member)
     for n in small:
         if val2_stirling(n, k) != value:
             raise ArithmeticError(
                 f"nu_2(S({n},{k})): the member values and val2_stirling disagree"
             )
-    return first, None
+    return ClassStatus(CONSTANT, value=value)
 
 
 def prove_constant(
@@ -249,7 +238,8 @@ def prove_constant(
     order (by default from a new ``Column``).  With v the first member's
     value, f = nu_2(k!), a = v + f and S = floor(a/(m+2)), c is constant
     exactly when its members n <= a, checked again by ``val2_stirling``,
-    and the S + 1 members after them all have value v (``_count``).
+    and the S + 1 members after them all have value v.  The count is the
+    one of ``classify_class``, and this is its verdict's value.
 
     Proof (the module docstring has it in full): write a member above a
     as n = n1 + 2**m * t.  The even-base part of k! * S(n,k) vanishes mod
@@ -262,31 +252,7 @@ def prove_constant(
     for every t: each member n > a has valuation a - f = v.  The converse
     is trivial, so the count decides.
     """
-    (_, value), breaking = _count(c, values)
-    return value if breaking is None else None
-
-
-def classify_class(
-    c: ResidueClass,
-    samples: int = DEFAULT_SAMPLES,
-    values: Iterator[tuple[int, Valuation]] | None = None,
-) -> ClassStatus:
-    """Classify c by one count of its members: CONSTANT, or NON_CONSTANT with a witness pair.
-
-    ``values`` yields c's members with their valuations in increasing
-    order (by default from a new ``Column``).  Where ``_count`` proves c
-    constant the verdict is CONSTANT with the proved value; otherwise the
-    count stopped at the first member whose value differs from the first
-    member's, and the two are the witness pair.  Members are >= k, so
-    every valuation is finite.  ``samples`` bounds nothing: it is only
-    recorded in the verdict (see ``ClassStatus``).
-    """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    first, breaking = _count(c, values)
-    if breaking is None:
-        return ClassStatus(CONSTANT, samples, value=first[1])
-    return ClassStatus(NON_CONSTANT, samples, witness_a=first, witness_b=breaking)
+    return classify_class(c, values).value
 
 
 class LevelRecord:
@@ -318,11 +284,16 @@ class LevelRecord:
             if s.kind == CONSTANT
         ]
 
-    def as_dict(self) -> dict:
+    def as_dict(self, samples: int) -> dict:
+        """The level's JSON; ``samples`` is only written (ROADMAP B2 drops it after B1)."""
         classes = []
         for j in sorted(self.statuses):
-            entry = {"m": self.m, "j": j}
-            entry.update(self.statuses[j].as_dict())
+            s = self.statuses[j]
+            entry = {"m": self.m, "j": j, "status": s.kind, "samples": samples}
+            if s.kind == CONSTANT:
+                entry["value"] = s.value
+            else:
+                entry["witnesses"] = [list(s.witness_a), list(s.witness_b)]
             classes.append(entry)
         return {"m": self.m, "classes": classes}
 
@@ -330,8 +301,8 @@ class LevelRecord:
 class LevelTree:
     """Level structure for one Stirling order, up to a chosen depth."""
 
-    def __init__(self, k: int, m0: int, samples: int) -> None:
-        self.k, self.m0, self.samples = k, m0, samples
+    def __init__(self, k: int, m0: int) -> None:
+        self.k, self.m0 = k, m0
         self.levels: list[LevelRecord] = []
 
     def level(self, m: int) -> LevelRecord:
@@ -342,22 +313,23 @@ class LevelTree:
         statuses = self.level(c.m + 1).statuses
         return [(child, statuses[child.j]) for child in c.split()]
 
-    def as_dict(self) -> dict:
+    def as_dict(self, samples: int) -> dict:
+        """The tree's JSON; ``samples`` is only written (ROADMAP B2 drops it after B1)."""
         return {
             "k": self.k,
             "m0": self.m0,
-            "samples": self.samples,
-            "levels": [rec.as_dict() for rec in self.levels],
+            "samples": samples,
+            "levels": [rec.as_dict(samples) for rec in self.levels],
         }
 
 
-def build_level_tree(k: int, m_max: int, samples: int = DEFAULT_SAMPLES) -> LevelTree:
+def build_level_tree(k: int, m_max: int) -> LevelTree:
     """Build the level structure for order k up to level m_max.
 
     Level 1 starts from the two parity classes; level m+1 classifies the
     children of the level-m survivors, and a CONSTANT class is not split.
-    ``samples`` bounds nothing; it is recorded in each verdict and in the
-    tree's JSON (see ``ClassStatus``).  Levels m <= m0 + ``COLUMN_LEVELS`` read
+    Each class is decided by the count of ``classify_class``, which reads
+    no sample size.  Levels m <= m0 + ``COLUMN_LEVELS`` read
     their member values off one ``Column``; a deeper class reads them off
     ``exp_sums`` on its odd powers, which ``odd_powers`` gives each survivor
     of the last column level and ``split_powers`` hands down.
@@ -366,7 +338,7 @@ def build_level_tree(k: int, m_max: int, samples: int = DEFAULT_SAMPLES) -> Leve
         raise ValueError("level trees need k >= 3")
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
-    tree = LevelTree(k=k, m0=m0_of(k), samples=samples)
+    tree = LevelTree(k=k, m0=m0_of(k))
     column, P = Column(k), get_engine(k).m_start
     last_column_level = tree.m0 + COLUMN_LEVELS
 
@@ -377,7 +349,7 @@ def build_level_tree(k: int, m_max: int, samples: int = DEFAULT_SAMPLES) -> Leve
         for j, powers in candidates.items():
             c = ResidueClass(k, m, j)
             values = column.member_values(c) if powers is None else member_values(c, powers, P)
-            rec.statuses[j] = classify_class(c, samples, values)
+            rec.statuses[j] = classify_class(c, values)
         tree.levels.append(rec)
         if m == m_max:
             break
@@ -395,9 +367,7 @@ def build_level_tree(k: int, m_max: int, samples: int = DEFAULT_SAMPLES) -> Leve
     return tree
 
 
-def verify_main_conjecture(
-    k: int, m_max: int = 10, samples: int = DEFAULT_SAMPLES
-) -> ConjectureReport:
+def verify_main_conjecture(k: int, m_max: int = 10, samples: int = 64) -> ConjectureReport:
     """Check the level-splitting conjecture for order k against the tree.
 
     Part 1: no constant class before level m0-1, at least one there.
@@ -406,8 +376,8 @@ def verify_main_conjecture(
     ``m_max`` must be at least m0, or part 2 would go unchecked.
 
     Every class of the tree is decided, CONSTANT or NON_CONSTANT, so every
-    level gets a PASS or FAIL verdict.  ``samples`` bounds nothing; it is
-    recorded in the report (see ``ClassStatus``).
+    level gets a PASS or FAIL verdict.  ``samples`` bounds nothing: it is
+    only written to the params and the tree's JSON (ROADMAP B2 drops it after B1).
 
     For k <= 4 the valuation depends only on parity, both level-1 classes
     are constant and no level tree exists; the conjecture is not asserted
@@ -437,9 +407,9 @@ def verify_main_conjecture(
     m0 = m0_of(k)
     if m_max < m0:
         raise ValueError(f"m_max must be >= m0 ({m0}) for k = {k}")
-    tree = build_level_tree(k, m_max, samples)
+    tree = build_level_tree(k, m_max)
     report.details["m0"] = m0
-    report.details["tree"] = tree.as_dict()
+    report.details["tree"] = tree.as_dict(samples)
     level_verdicts = []
 
     for rec in tree.levels:
@@ -545,7 +515,10 @@ def c_set_sequence(count: int) -> list[int]:
 
 
 def exceptional_indices(i_max: int = 200) -> ConjectureReport:
-    """Indices i <= i_max with nu_2(S(4i,5)) != nu_2(S(4i+3,5)).
+    """Indices 2 <= i <= i_max with nu_2(S(4i,5)) != nu_2(S(4i+3,5)).
+
+    The scan starts at i = 2: at i = 1, S(4,5) = 0, whose valuation is
+    infinite, so i = 1 differs trivially and is left out.
 
     ``details["indices"]`` lists them; the one check, also in
     ``details["pattern"]``, is that they are {32j + 7} within the range.
@@ -573,7 +546,7 @@ def k5_structure_report(m_max: int = 10, i_max: int = 200) -> ConjectureReport:
 
     For m in 3..m_max, the two children of each level-(m-1) survivor (branch
     ``parent.j % 4``, 0 or 3) must be one CONSTANT child with value m - 2,
-    proved for every member by ``prove_constant`` and not sampled, and one
+    proved for every member by the count of ``classify_class``, and one
     surviving child whose members with index i <= i_max all exceed m - 2.
     The "child floor" check asks for values above m - 3: the proved value
     of the constant child and the computed ones (i <= i_max) of the other.

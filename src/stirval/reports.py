@@ -39,8 +39,8 @@ class ConjectureReport:
 
     status is CONSISTENT when every checked instance agreed,
     COUNTEREXAMPLE when at least one concrete violation was found, and
-    INCONCLUSIVE when some instances could not be decided (for example a
-    level class with neither a proof nor a witness) and none failed.
+    INCONCLUSIVE when some instances could not be decided and none failed
+    (as for ``verify_main_conjecture`` at k <= 4, where no level tree exists).
     """
 
     def __init__(self, name: str, params: dict | None = None) -> None:

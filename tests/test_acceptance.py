@@ -117,12 +117,12 @@ def test_07_order5_structure():
 
 
 def test_08_worked_examples_orders_10_and_11():
-    tree10 = build_level_tree(10, m_max=5, samples=SAMPLES)
+    tree10 = build_level_tree(10, m_max=5)
     rec5 = tree10.level(5)
     assert [c.j for c in rec5.survivors] == [7, 8, 9, 14]
     assert {c.j: v for c, v in rec5.constants} == {23: 2, 24: 2, 25: 2, 30: 2}
 
-    tree11 = build_level_tree(11, m_max=4, samples=SAMPLES)
+    tree11 = build_level_tree(11, m_max=4)
     rec3 = tree11.level(3)
     assert [c.j for c in rec3.survivors] == [0, 1, 2, 7]
     assert {c.j: v for c, v in rec3.constants} == {3: 0, 5: 0, 4: 1, 6: 1}

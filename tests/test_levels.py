@@ -1,8 +1,10 @@
 """Residue classes, level trees and the structural conjecture checkers."""
 
+import inspect
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -27,7 +29,7 @@ from stirval import (
     val2_stirling,
     verify_main_conjecture,
 )
-from stirval import levels, stirling
+from stirval import cli, levels, stirling
 
 
 class TestResidueClass:
@@ -73,8 +75,8 @@ class TestResidueClass:
             with pytest.raises(AttributeError):
                 setattr(a, attr, 0)
         assert repr(a) == "ResidueClass(k=5, m=7, j=28)"
-        assert repr(levels.ClassStatus("CONSTANT", 64, value=2)) == (
-            "ClassStatus(kind='CONSTANT', samples=64, value=2, witness_a=None, witness_b=None)"
+        assert repr(levels.ClassStatus("CONSTANT", value=2)) == (
+            "ClassStatus(kind='CONSTANT', value=2, witness_a=None, witness_b=None)"
         )
 
     def test_validation(self):
@@ -86,42 +88,36 @@ class TestResidueClass:
 
 class TestClassify:
     def test_constant_class(self):
-        status = classify_class(ResidueClass(5, 2, 1), samples=50)
+        status = classify_class(ResidueClass(5, 2, 1))
         assert status.kind == "CONSTANT"
         assert status.value == 0
-        assert status.samples == 50
 
     def test_non_constant_with_certificate(self):
-        status = classify_class(ResidueClass(5, 2, 0), samples=50)
+        status = classify_class(ResidueClass(5, 2, 0))
         assert status.kind == "NON_CONSTANT"
         assert status.witness_a == (8, 1)
         assert status.witness_b == (12, 3)
 
     def test_parity_class_witnesses(self):
         # the even class for k=5 already splits at its first two members
-        status = classify_class(ResidueClass(5, 1, 0), samples=50)
+        status = classify_class(ResidueClass(5, 1, 0))
         assert status.kind == "NON_CONSTANT"
         assert status.witness_a == (6, 0)
         assert status.witness_b == (8, 1)
 
     def test_order_11_constant(self):
-        status = classify_class(ResidueClass(11, 3, 4), samples=50)
+        status = classify_class(ResidueClass(11, 3, 4))
         assert status.kind == "CONSTANT"
         assert status.value == 1
 
-    def test_requires_two_samples(self):
-        with pytest.raises(ValueError):
-            classify_class(ResidueClass(5, 2, 1), samples=1)
-
     def test_witnesses_are_the_first_member_and_the_first_that_differs(self):
-        # samples bounds nothing: at 2 every class is decided, and each witness
-        # pair is the class's first member and the first member whose value,
-        # read off a fresh column, differs from it; in some pairs that is not
-        # the second member
+        # every class is decided, and each witness pair is the class's first
+        # member and the first member whose value, read off a fresh column,
+        # differs from it; in some pairs that is not the second member
         late = 0
         for k in range(5, 41):
             column = levels.Column(k)
-            for rec in build_level_tree(k, m0_of(k) + 3, samples=2).levels:
+            for rec in build_level_tree(k, m0_of(k) + 3).levels:
                 for j, status in rec.statuses.items():
                     assert status.kind in ("CONSTANT", "NON_CONSTANT"), (k, rec.m, j)
                     if status.kind == "CONSTANT":
@@ -135,7 +131,7 @@ class TestClassify:
 
     def test_certificates_agree_with_exact_oracle(self):
         for k in (5, 10, 11, 20):
-            tree = build_level_tree(k, m_max=5, samples=48)
+            tree = build_level_tree(k, m_max=5)
             for rec in tree.levels:
                 for c in rec.survivors:
                     status = rec.statuses[c.j]
@@ -151,7 +147,7 @@ class TestProveConstant:
         # its first 32 members (not through the shared val2_stirling cache)
         for k in range(5, 33):
             engine = ModStirlingEngine(k)
-            tree = build_level_tree(k, m0_of(k) + 3, samples=32)
+            tree = build_level_tree(k, m0_of(k) + 3)
             for rec in tree.levels:
                 kinds = {s.kind for s in rec.statuses.values()}
                 assert kinds <= {"CONSTANT", "NON_CONSTANT"}, (k, rec.m)
@@ -221,8 +217,8 @@ class TestProveConstant:
             return true_val2(n, k)
 
         monkeypatch.setattr(levels, "val2_stirling", spy)
-        status = classify_class(c, samples=64)
-        assert (status.kind, status.samples, status.value) == ("CONSTANT", 64, 9)
+        status = classify_class(c)
+        assert (status.kind, status.value) == ("CONSTANT", 9)
         a = status.value + legendre_factorial_val(2, 64)
         assert seen == [n for n in c.members(64) if n <= a] == [67]
 
@@ -240,10 +236,10 @@ class TestProveConstant:
             return true_member_values(c, powers, P)
 
         for k in range(5, 65):
-            column_tree = build_level_tree(k, m0_of(k) + 2).as_dict()
+            column_tree = build_level_tree(k, m0_of(k) + 2).as_dict(64)
             monkeypatch.setattr(levels, "COLUMN_LEVELS", -100)
             monkeypatch.setattr(levels, "member_values", spy)
-            assert build_level_tree(k, m0_of(k) + 2).as_dict() == column_tree, k
+            assert build_level_tree(k, m0_of(k) + 2).as_dict(64) == column_tree, k
             monkeypatch.undo()
         assert len(seen) > 8000
         for c, powers, P in seen:
@@ -389,7 +385,7 @@ class TestMemberValues:
         seen = _spy_val2(monkeypatch)
         for m_max in (8, 14):
             seen.clear()
-            build_level_tree(64, m_max, samples=64)
+            build_level_tree(64, m_max)
             assert 0 < len(set(seen)) <= 10, m_max
 
 
@@ -427,26 +423,26 @@ class TestColumn:
         trees = []
         for column_levels in (100, -100, levels.COLUMN_LEVELS):
             monkeypatch.setattr(levels, "COLUMN_LEVELS", column_levels)
-            trees.append(build_level_tree(k, m_max).as_dict())
+            trees.append(build_level_tree(k, m_max).as_dict(64))
         assert trees[0] == trees[1] == trees[2]
         assert m_max > m0_of(k) + levels.COLUMN_LEVELS
 
 
 class TestLevelTree:
     def test_k5_level_2(self):
-        tree = build_level_tree(5, m_max=2, samples=64)
+        tree = build_level_tree(5, m_max=2)
         rec = tree.level(2)
         assert [c.j for c in rec.survivors] == [0, 3]
         assert {c.j: v for c, v in rec.constants} == {1: 0, 2: 0}
 
     def test_k11_level_3(self):
-        tree = build_level_tree(11, m_max=3, samples=64)
+        tree = build_level_tree(11, m_max=3)
         rec = tree.level(3)
         assert [c.j for c in rec.survivors] == [0, 1, 2, 7]
         assert {c.j: v for c, v in rec.constants} == {3: 0, 5: 0, 4: 1, 6: 1}
 
     def test_k10_level_5(self):
-        tree = build_level_tree(10, m_max=5, samples=64)
+        tree = build_level_tree(10, m_max=5)
         rec4 = tree.level(4)
         assert [c.j for c in rec4.survivors] == [7, 8, 9, 14]
         rec5 = tree.level(5)
@@ -454,14 +450,14 @@ class TestLevelTree:
         assert {c.j: v for c, v in rec5.constants} == {23: 2, 24: 2, 25: 2, 30: 2}
 
     def test_json_shape(self):
-        tree = build_level_tree(5, m_max=3, samples=16)
-        data = tree.as_dict()
+        tree = build_level_tree(5, m_max=3)
+        data = tree.as_dict(16)
         assert set(data) == {"k", "m0", "samples", "levels"}
-        assert data["k"] == 5 and data["m0"] == 3
+        assert data["k"] == 5 and data["m0"] == 3 and data["samples"] == 16
         level = data["levels"][1]
         assert {"m", "classes"} <= set(level)
         for entry in level["classes"]:
-            assert {"m", "j", "status", "samples"} <= set(entry)
+            assert {"m", "j", "status", "samples"} <= set(entry) and entry["samples"] == 16
             if entry["status"] == "NON_CONSTANT":
                 assert len(entry["witnesses"]) == 2
         json.dumps(data)  # must serialize as-is
@@ -475,6 +471,25 @@ class TestLevelTree:
         tree = build_level_tree(3, m_max=4)
         assert [rec.m for rec in tree.levels] == [1]
         assert tree.level(1).survivors == []
+
+
+def test_samples_is_only_written_by_the_report(capsys):
+    # no layer below verify_main_conjecture takes samples, and --samples
+    # changes no byte of stdout but the "samples": N it writes
+    for fn in (classify_class, build_level_tree):
+        assert "samples" not in inspect.signature(fn).parameters, fn.__name__
+    assert "samples" not in levels.ClassStatus._fields
+
+    def stdout(k, samples):
+        argv = ["verify", "main-conjecture", "--k", str(k),
+                "--levels", str(m0_of(k) + 3), "--samples", str(samples)]
+        code = cli.main(argv)
+        return code, re.sub(r'"samples": \d+', '"samples": N', capsys.readouterr().out)
+
+    for k in (5, 21, 64):
+        expected = stdout(k, 64)
+        assert '"samples": N' in expected[1]
+        assert stdout(k, 2) == stdout(k, 1000) == expected, k
 
 
 class TestMainConjecture:
@@ -544,7 +559,13 @@ class TestK5Chain:
 
     def test_chain_needs_proved_siblings(self, monkeypatch):
         # a sibling the count does not prove is not constant, so the chain breaks
-        monkeypatch.setattr(levels, "_count", lambda c, values: (next(values), next(values)))
+        monkeypatch.setattr(
+            levels,
+            "classify_class",
+            lambda c, values: levels.ClassStatus(
+                "NON_CONSTANT", witness_a=next(values), witness_b=next(values)
+            ),
+        )
         with pytest.raises(ArithmeticError, match="level 2"):
             k5_surviving_chain(4)
 
@@ -593,7 +614,7 @@ class TestK5StructureReadsTheTree:
         monkeypatch.setattr(
             levels, "classify_class", lambda *args: calls.append(args) or true_classify(*args)
         )
-        levels.build_level_tree(5, 10, 64)
+        levels.build_level_tree(5, 10)
         one_tree = calls[:]
         calls.clear()
         report = k5_structure_report()
@@ -602,19 +623,19 @@ class TestK5StructureReadsTheTree:
             0, 4, 12, 28, 28, 28, 156, 156, 156
         ]
         assert len(one_tree) == 38
-        # the third argument is each class's member values, a fresh iterator per call
-        assert [args[:2] for args in calls] == [args[:2] for args in one_tree]
+        # the second argument is each class's member values, a fresh iterator per call
+        assert [args[0] for args in calls] == [args[0] for args in one_tree]
 
     def test_constant_child_value_comes_from_the_proof(self, monkeypatch):
-        # a count that proves 3 on C(4,4), whose members all have value 2,
+        # a verdict that proves 3 on C(4,4), whose members all have value 2,
         # must break the split at m = 4 although no member disagrees
-        true_count = levels._count
+        true_classify = levels.classify_class
 
         def off_by_one(c, values=None):
-            (n, value), breaking = true_count(c, values)
-            return (n, value + ((c.m, c.j) == (4, 4))), breaking
+            status = true_classify(c, values)
+            return status._replace(value=status.value + 1) if (c.m, c.j) == (4, 4) else status
 
-        monkeypatch.setattr(levels, "_count", off_by_one)
+        monkeypatch.setattr(levels, "classify_class", off_by_one)
         report = k5_structure_report(6, 50)
         assert report.status == "COUNTEREXAMPLE"
         assert report.exit_code == 1

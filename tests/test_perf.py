@@ -27,7 +27,7 @@ def test_quick_run_writes_the_record(tmp_path):
     else:
         assert len(record["sha"]) == 40 and isinstance(record["dirty"], bool)
     names = [e["name"] for e in record["kernels"]]
-    assert len(names) == 5 and len(set(names)) == 5
+    assert len(names) == 6 and len(set(names)) == 6
     for e in record["kernels"]:
         assert e["repeat"] == 1 and 0 < e["best_s"] == e["median_s"]
         assert e["best_rel"] == e["best_s"] / record["reference_s"]
@@ -39,7 +39,7 @@ def test_quick_run_writes_the_record(tmp_path):
         text=True,
         timeout=60,
     )
-    assert compared.stdout.count("x1.00") == 5
+    assert compared.stdout.count("x1.00") == 6
 
     # a run on uncommitted src/ changes is flagged on its side of a comparison
     dirty = tmp_path / "BENCH_dirty.json"
