@@ -52,6 +52,7 @@ MEMBERS = "tests/test_levels.py::TestMemberValues"
 LAZY = "tests/test_cli.py::TestUsageAndEnvironment::test_a_call_imports_only_the_modules_it_runs"
 WRITER = "tests/test_reports.py"
 GOLDEN = "tests/test_golden.py::test_golden_output"
+PLAIN = "tests/test_cli.py::TestPlainArgs"
 
 # (name, module under src/stirval, old text, new text, pytest node ids)
 MUTANTS = [
@@ -256,6 +257,18 @@ MUTANTS = [
     ("_target reads a functools.wraps wrapper's own parameters", "cli.py",
      '    while hasattr(inner, "__wrapped__"):\n        inner = inner.__wrapped__\n', "",
      ["tests/test_cli.py::TestTargetDefaults"]),
+    ("_plain_args accepts a prefix of a flag", "cli.py",
+     "    for flag, value in zip(rest[::2], rest[1::2]):\n",
+     "    for flag, value in zip(rest[::2], rest[1::2]):\n"
+     "        flag = next((f for f in options if f.startswith(flag)), flag)\n", [PLAIN]),
+    ("_plain_args keeps the first of two repeated flags", "cli.py",
+     "if flag in given:  # argparse keeps the last: leave it the call\n            return None",
+     "if flag in given:  # argparse keeps the last: leave it the call\n            continue",
+     [PLAIN]),
+    ("_plain_args drops the required-option check", "cli.py",
+     "if required and flag not in given:", "if False:", [PLAIN]),
+    ("_plain_args drops the --series choices check", "cli.py",
+     "if choices is not None and value not in choices:", "if False:", [PLAIN]),
 ]
 
 

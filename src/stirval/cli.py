@@ -2,7 +2,10 @@
 
 Exit codes follow the verification convention throughout: 0 when every
 check was consistent, 1 when a counterexample was found, 2 when some
-instance was inconclusive, 64 on usage errors.  CSV output is UTF-8 with
+instance was inconclusive, 64 on usage errors, and 141 (128 + SIGPIPE)
+when the reader of stdout closed it early, as ``| head`` does; stdout then
+points at os.devnull, so the interpreter's last flush raises nothing and
+no traceback is printed.  CSV output is UTF-8 with
 LF line endings, a header row and no trailing whitespace, written a row
 at a time as it is computed, after every check of the arguments.  Each
 row (a tuple) is formatted by one ``%s`` template built from the header.
@@ -21,12 +24,23 @@ Start-up imports ``padic`` (and ``reports``) only: a target's or a series'
 module is imported when it runs, so ``verify identities`` loads ``stirling``
 and no ``levels``, ``sequences`` or ``approx``.  ``pathlib`` is imported
 only to check an ``--out`` path.
+
+A plain call builds no parser: ``_plain_args`` reads the command, the
+target or figure name and ``--flag value`` pairs off one option table per
+command (``_OPTIONS``, and ``_target_options`` for a verify target), the
+tables ``build_parser`` adds its options from.  Help, usage errors and every
+other argv go to argparse, whose text is unchanged.  ``import argparse``
+stays at module import all the same: without it a call peaks at about
+13.5 MB of RSS, no more than ``bench/launch.py`` itself, and
+``bench/run.py`` rejects a run whose memory it cannot tell from the
+launcher's (ROADMAP B1).
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import re
 import sys
 from importlib import import_module
@@ -37,6 +51,7 @@ from .padic import INFINITE
 
 EX_OK = 0
 EX_USAGE = 64
+EX_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader went away
 _REQUIRED = object()  # the default of a parameter that has none
 
 
@@ -229,6 +244,27 @@ _FIGURES = {
 }
 
 
+# command: {flag: (dest, type, required, default, choices, help)}, in --help order.
+# build_parser adds these options, and _plain_args reads a plain call off them.
+_OUT = ("out", str, False, None, None, "output path (default: stdout)")
+_OPTIONS = {
+    "val": {
+        "--series": ("series", str, True, None, list(_SERIES), None),
+        "--k": ("k", int, False, None, None, "order (stirling) or weight (cohen)"),
+        "--p": ("p", int, False, 2, None, "prime (factorial/int series)"),
+        "--n": ("n", int, False, None, None, "single index"),
+        "--n-min": ("n_min", int, False, None, None, "range start (inclusive)"),
+        "--n-max": ("n_max", int, False, None, None, "range end (inclusive)"),
+        "--out": _OUT,
+    },
+    "figure": {
+        "--k": ("k", int, False, None, None, "order/weight where applicable"),
+        "--n-max": ("n_max", int, True, None, None, "largest index"),
+        "--out": _OUT,
+    },
+}
+
+
 def _cmd_val(args) -> int:
     ns = _n_range(args)
     _emit(_csv(["n", "value"], _SERIES[args.series](args, ns)), args.out)
@@ -256,6 +292,63 @@ def _cmd_figure(args) -> int:
     return EX_OK
 
 
+def _target_options(name: str) -> dict:
+    """A verify target's options in the shape of ``_OPTIONS``: an int per parameter, and --out."""
+    options = {}
+    for param, (option, default) in _target(name)[1].items():
+        required = default is _REQUIRED
+        text = "required" if required else "default: %(default)s"
+        options[option] = (param, int, required, default, None, text)
+    options["--out"] = _OUT
+    return options
+
+
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, read off the tables; or None.
+
+    It reads one shape: the command, then the verify target or figure name,
+    then ``--flag value`` pairs.  Each flag is exact and given once, each
+    value is non-empty and does not start with "-", an int is ASCII digits,
+    a value with choices is one of them, and every required option is
+    given.  Anything else is None and goes to argparse: help, an
+    abbreviation, ``--k=5``, a repeated flag, a negative number, a usage error.
+    """
+    command, *rest = argv or [""]
+    if command == "val":
+        options, fixed = _OPTIONS["val"], {"run": _cmd_val}
+    elif command == "figure" and rest and rest[0] in _FIGURES:
+        options, fixed = _OPTIONS["figure"], {"name": rest.pop(0), "run": _cmd_figure}
+    elif command == "verify" and rest and rest[0] in _TARGETS:
+        options, fixed = _target_options(rest[0]), {"target": rest.pop(0), "run": _cmd_verify}
+    else:
+        return None
+    if len(rest) % 2:
+        return None
+    given = {}
+    for flag, value in zip(rest[::2], rest[1::2]):
+        if flag not in options or not value or value[0] == "-":
+            return None
+        if flag in given:  # argparse keeps the last: leave it the call
+            return None
+        _, kind, _, _, choices, _ = options[flag]
+        if kind is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # more digits than int() converts
+                return None
+        if choices is not None and value not in choices:
+            return None
+        given[flag] = value
+    args = {"command": command, **fixed}
+    for flag, (dest, _, required, default, _, _) in options.items():
+        if required and flag not in given:
+            return None
+        args[dest] = given.get(flag, default)
+    return argparse.Namespace(**args)
+
+
 def _verify_targets(argv: list[str] | None) -> list[str]:
     """The verify targets that get a sub-parser for a parse of argv.
 
@@ -273,6 +366,15 @@ def _verify_targets(argv: list[str] | None) -> list[str]:
     return after if after and after[0] in _TARGETS else list(_TARGETS)
 
 
+def _add_options(parser: _Parser, options: dict, metavar: str | None = None) -> None:
+    """Add the options of a table to parser, in its order; ``metavar`` names each int."""
+    for flag, (dest, kind, required, default, choices, text) in options.items():
+        parser.add_argument(
+            flag, dest=dest, type=kind, required=required, default=default, choices=choices,
+            metavar=metavar if kind is int else None, help=text,
+        )
+
+
 def build_parser(argv: list[str] | None = None) -> _Parser:
     """The stirval parser; with ``argv``, only the verify targets a parse of it reaches.
 
@@ -288,13 +390,7 @@ def build_parser(argv: list[str] | None = None) -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_val = sub.add_parser("val", help="emit a valuation series as CSV")
-    p_val.add_argument("--series", required=True, choices=list(_SERIES))
-    p_val.add_argument("--k", type=int, help="order (stirling) or weight (cohen)")
-    p_val.add_argument("--p", type=int, default=2, help="prime (factorial/int series)")
-    p_val.add_argument("--n", type=int, help="single index")
-    p_val.add_argument("--n-min", type=int, help="range start (inclusive)")
-    p_val.add_argument("--n-max", type=int, help="range end (inclusive)")
-    p_val.add_argument("--out", help="output path (default: stdout)")
+    _add_options(p_val, _OPTIONS["val"])
     p_val.set_defaults(run=_cmd_val)
 
     p_verify = sub.add_parser("verify", help="run a verification target, emit JSON")
@@ -303,20 +399,12 @@ def build_parser(argv: list[str] | None = None) -> _Parser:
         p_target = targets.add_parser(name)
         if argv is not None and name not in argv:
             continue
-        for param, (option, default) in _target(name)[1].items():
-            required = default is _REQUIRED
-            p_target.add_argument(
-                option, dest=param, type=int, metavar="INT", required=required, default=default,
-                help="required" if required else "default: %(default)s",
-            )
-        p_target.add_argument("--out", help="output path (default: stdout)")
+        _add_options(p_target, _target_options(name), metavar="INT")
         p_target.set_defaults(run=_cmd_verify)
 
     p_fig = sub.add_parser("figure", help="emit figure data as CSV")
     p_fig.add_argument("name", choices=list(_FIGURES))
-    p_fig.add_argument("--k", type=int, help="order/weight where applicable")
-    p_fig.add_argument("--n-max", type=int, required=True, help="largest index")
-    p_fig.add_argument("--out", help="output path (default: stdout)")
+    _add_options(p_fig, _OPTIONS["figure"])
     p_fig.set_defaults(run=_cmd_figure)
     return parser
 
@@ -324,13 +412,20 @@ def build_parser(argv: list[str] | None = None) -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv)
-    args = parser.parse_args(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser(argv).parse_args(argv)
     try:
         _check_out(args.out)
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
-        parser.error(str(exc))
+        build_parser(argv).error(str(exc))
+    except BrokenPipeError:
+        # the reader closed stdout: the interpreter's last flush writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_PIPE
 
 
 if __name__ == "__main__":

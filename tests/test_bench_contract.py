@@ -34,6 +34,18 @@ def test_default_member_matches_the_reference(capsys, workload):
 
 
 @pytest.mark.parametrize("workload", bench_run.WORKLOADS)
+def test_default_member_builds_no_parser(capsys, monkeypatch, workload):
+    # a plain call is read off cli's option tables; argparse is for help and usage errors
+    def no_parser(*args):
+        raise AssertionError("build_parser called")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    inst = workloads.instance(workload, 0)
+    assert cli.main(list(inst.argv)) == inst.exit_code
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("workload", bench_run.WORKLOADS)
 def test_traced_run_calls_every_expected_layer(workload):
     inst = workloads.instance(workload, 0)
     proc = subprocess.run(

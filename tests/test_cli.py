@@ -1,6 +1,7 @@
 """CLI surface: output formats, exit codes, determinism."""
 
 import argparse
+import contextlib
 import functools
 import inspect
 import io
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stirval import (
     approx,
@@ -340,6 +343,150 @@ class TestFigure:
         assert first == second
 
 
+@functools.lru_cache(maxsize=None)
+def _full_parser():
+    return cli.build_parser()
+
+
+def _parsed(argv):
+    """vars() of the full parser's namespace for argv, or None on help or a usage error."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(_full_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def _table(command, name):
+    """The option table a plain call of command and name reads, or {}."""
+    if command == "verify":
+        return cli._target_options(name) if name in cli._TARGETS else {}
+    return cli._OPTIONS.get(command, {})
+
+
+_FLAGS = sorted(
+    {f for table in cli._OPTIONS.values() for f in table}
+    | {f for name in cli._TARGETS for f in _table("verify", name)}
+)
+# words that break the plain shape where they stand, and words it reads elsewhere
+_WORDS = st.one_of(
+    st.sampled_from([
+        "-h", "--help", "--k=5", "--n-m", "--ser", "--", "-k", "", "-1", "x", "bogus",
+        "\u0663", "+5", " 5", "1_0", "007", "val", "verify", "figure",
+        *_FLAGS, *cli._TARGETS, *cli._FIGURES, *cli._SERIES,
+    ]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def _argvs(draw):
+    """A plain call, some flags cut short and some required options left out, then
+    up to two words replaced or inserted."""
+    command = draw(st.sampled_from(["val", "verify", "figure"]))
+    names = {"verify": list(cli._TARGETS), "figure": list(cli._FIGURES)}.get(command)
+    name = draw(st.sampled_from(names)) if names else None
+    table = _table(command, name)
+    # (flag, letters cut off its end): a cut flag is an abbreviation, often an ambiguous one
+    flags = [(f, 0) for f, option in table.items() if option[2] and draw(st.booleans())]
+    cuts = st.sampled_from([0, 0, 0, 1, 2, 3])
+    flags += draw(st.lists(st.tuples(st.sampled_from(list(table)), cuts), max_size=3))
+    argv = [command] if name is None else [command, name]
+    for flag, cut in draw(st.permutations(flags)):
+        _, kind, _, _, choices, _ = table[flag]
+        value = (st.integers(0, 300).map(str) if kind is int
+                 else st.sampled_from([*choices, "bogus"]) if choices else st.just("out.csv"))
+        argv += [flag[:max(len(flag) - cut, 3)], draw(value)]
+    edits = st.tuples(st.integers(0, len(argv)), _WORDS, st.booleans())
+    for index, word, replace in draw(st.lists(edits, max_size=2)):
+        argv[index:index + replace] = [word]
+    return argv
+
+
+class TestPlainArgs:
+    # _plain_args reads a plain call without building a parser; anything
+    # else is None, and argparse reads it as before
+
+    @settings(max_examples=400, deadline=None)
+    @given(_argvs())
+    def test_is_none_or_what_argparse_returns(self, argv):
+        plain = cli._plain_args(list(argv))
+        assert plain is None or vars(plain) == _parsed(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["val", "--series", "int", "--n-min", "1", "--n-max", "4"],
+            ["val", "--series", "stirling", "--k", "5", "--n", "9", "--out", "x.csv"],
+            ["figure", "val-n", "--n-max", "4"],
+            ["figure", "stirling-k", "--n-max", "40", "--k", "007"],
+            ["verify", "main-conjecture", "--k", "11", "--levels", "6"],
+            ["verify", "lemmas"],
+        ],
+    )
+    def test_plain_calls_equal_argparse(self, argv):
+        plain = cli._plain_args(list(argv))
+        assert plain is not None and vars(plain) == _parsed(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["val", "--ser", "int", "--n", "4"],
+            ["val", "--series", "int", "--n-m", "1", "--n-max", "4"],
+            ["val", "--series", "stirling", "--k=5", "--n", "9"],
+            ["val", "--series", "int", "--n", "3", "--n", "4"],
+            ["verify", "lemmas", "--m-max", "3", "--m-max", "4"],
+            ["val", "--series", "int", "--n", "-3"],
+            ["val", "--series", "int", "--n", "4", "--out", "-"],
+            ["val", "--series", "int", "--n", "4", "--out", ""],
+            ["val", "--series", "int", "--n", "\u0663"],
+            ["val", "--series", "int", "--n", "+3"],
+            ["val", "--series", "int", "--n", " 3"],
+            ["val", "--series", "int", "--n", "1_0"],
+            ["val", "--series", "bogus", "--n", "4"],
+            ["figure", "bogus", "--n-max", "4"],
+            ["verify", "bogus"],
+            ["val", "--n", "4"],
+            ["figure", "val-n"],
+            ["verify", "main-conjecture", "--levels", "6"],
+            ["figure", "--n-max", "4", "val-n"],
+            ["verify", "lemmas", "--k", "5"],
+            ["val", "--series", "int", "--n"],
+            ["-h"],
+            ["val", "-h"],
+            ["val", "--series", "int", "-h", "--n", "4"],
+            ["verify", "identities", "--help"],
+            ["figure", "val-n", "--n-max", "4", "-h"],
+        ],
+        ids=["empty", "abbreviated", "ambiguous", "equals", "repeated", "repeated-verify",
+             "negative", "dash-value", "empty-value", "non-ascii-digit", "plus", "space",
+             "underscore", "bad-series", "bad-figure", "bad-target", "no-series",
+             "no-n-max", "no-k", "name-last", "unread-option", "no-value", "help", "val-help",
+             "help-in-pairs", "target-help", "help-last"],
+    )
+    def test_other_shapes_go_to_argparse(self, argv):
+        assert cli._plain_args(list(argv)) is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "lemmas", "--m-max", "8"),
+            ("val", "--series", "int", "--n-min", "1", "--n-max", "4"),
+            ("figure", "val-n", "--n-max", "4"),
+        ],
+        ids=["verify", "val", "figure"],
+    )
+    def test_console_script_calls_build_no_parser(self, capsys, monkeypatch, argv):
+        # the plain calls the CI job makes through the installed script
+        def no_parser(*args):
+            raise AssertionError("build_parser called")
+
+        monkeypatch.setattr(cli, "build_parser", no_parser)
+        assert cli.main(list(argv)) == 0
+        assert capsys.readouterr().out
+
+
 class TestStreaming:
     @pytest.mark.parametrize(
         "argv",
@@ -367,6 +514,19 @@ class TestStreaming:
         lines = stdout.getvalue().splitlines(keepends=True)
         assert lines[0] == "n,value\n" and len(lines) == len(written) + 1
         assert written == list(itertools.accumulate(map(len, lines[:-1])))
+
+    def test_closed_pipe_exits_141_without_a_traceback(self):
+        # a reader that stops early (| head) must not read as a counterexample (exit 1)
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        argv = ["val", "--series", "stirling", "--k", "100", "--n-min", "100", "--n-max", "25099"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stirval.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.stdout.readline() == b"n,value\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (cli.EX_PIPE, b"")
 
 
 class TestUsageAndEnvironment:
